@@ -7,6 +7,13 @@ approximation enters, so it exhibits the finite-size revival, in which the
 survival probability returns after the excitation crosses the reservoir
 and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
+The chain is a reservoir like the continuum ones: evolve_chain takes the
+same SystemParams and SolverConfig, builds the same signed grid, applies the
+same resolution rule with the band W + |E0| + u, and returns an
+AmplitudeTrajectory whose sd is the FiniteChain. It also fills the
+trajectory's br (reservoir amplitudes, one row per sample, when stored) and
+norm_drift (largest |<psi|psi> - 1| seen).
+
 Static Hamiltonians are propagated through the full eigendecomposition of
 the real symmetric matrix, exact at every sample time with no error
 accumulation. Driven Hamiltonians use a Strang splitting of diagonal
@@ -17,139 +24,62 @@ the norm is conserved to rounding regardless of step count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .model import DriveProfile, FiniteChain, ModelError
-from .solvers import ResolutionError, SolverError, RESOLUTION_LIMIT
+from .model import DriveProfile, FiniteChain, ModelError, SystemParams
+from .solvers import AmplitudeTrajectory, SolverConfig, SolverError, _check_resolution, _grid
+from .spectra import EnergySpectrum
 
 NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 
 
-@dataclass(frozen=True)
-class ChainModel:
-    """Well level e0 (width gamma) coupled to a FiniteChain reservoir."""
-
-    n_levels: int
-    w_band: float
-    e0: float
-    gamma: float = 1.0
-
-    @property
-    def reservoir(self) -> FiniteChain:
-        return FiniteChain(self.n_levels, self.w_band, self.gamma)
-
-    def hamiltonian(self) -> np.ndarray:
-        """Dense (N+1) x (N+1) real symmetric star Hamiltonian (w = 1)."""
-        n = self.n_levels
-        h = np.zeros((n + 1, n + 1))
-        h[0, 0] = self.e0
-        idx = np.arange(1, n + 1)
-        h[idx, idx] = self.reservoir.level_energies()
-        om = self.reservoir.couplings()
-        h[0, 1:] = om
-        h[1:, 0] = om
-        return h
-
-
-@dataclass
-class ChainState:
-    """Complex amplitudes (b0, b_1..b_N) at one time."""
-
-    b0: complex
-    br: np.ndarray
-    time: float
-
-    @property
-    def norm(self) -> float:
-        return abs(self.b0) ** 2 + float(np.sum(np.abs(self.br) ** 2))
-
-
-@dataclass
-class ChainTrajectory:
-    """Sampled chain evolution; br is None when the reservoir was not stored."""
-
-    times: np.ndarray
-    b0: np.ndarray
-    br: Optional[np.ndarray]
-    model: ChainModel
-    method: str
-    norm_drift: float
-
-    @property
-    def p0(self) -> np.ndarray:
-        return np.abs(self.b0) ** 2
-
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1.0e-9 * max(1.0, abs(t))):
-            raise KeyError(f"t = {t} is not a grid node")
-        return i
-
-    def state_at(self, t: float) -> ChainState:
-        if self.br is None:
-            raise ModelError("reservoir amplitudes were not stored for this run")
-        i = self.index_of(t)
-        return ChainState(complex(self.b0[i]), self.br[i], float(self.times[i]))
-
-    def states(self) -> Iterator[ChainState]:
-        if self.br is None:
-            raise ModelError("reservoir amplitudes were not stored for this run")
-        for i, t in enumerate(self.times):
-            yield ChainState(complex(self.b0[i]), self.br[i], float(t))
-
-
-def _check_chain_resolution(
-    model: ChainModel, drive: Optional[DriveProfile], dt: float, t_end: float
-) -> None:
-    u = 0.0
-    if drive is not None and not drive.static:
-        # drive amplitude estimated from the profile over the actual range
-        probe = np.linspace(0.0, t_end, 256)
-        u = float(np.max(np.abs(drive.e0_of_t(probe) - model.e0)))
-    scale = model.w_band + abs(model.e0) + u
-    if dt * scale > RESOLUTION_LIMIT:
-        raise ResolutionError(
-            f"dt * (W + |E0| + u) = {dt * scale:.3g} exceeds {RESOLUTION_LIMIT}"
-        )
+def _hamiltonian(e0: float, chain: FiniteChain) -> np.ndarray:
+    """Dense (N+1) x (N+1) real symmetric star Hamiltonian (w = 1)."""
+    n = chain.n_levels
+    h = np.zeros((n + 1, n + 1))
+    h[0, 0] = e0
+    idx = np.arange(1, n + 1)
+    h[idx, idx] = chain.level_energies()
+    om = chain.couplings()
+    h[0, 1:] = om
+    h[1:, 0] = om
+    return h
 
 
 def evolve_chain(
-    model: ChainModel,
-    drive: Optional[DriveProfile],
-    t_end: float,
-    dt: float,
+    params: SystemParams,
+    chain: FiniteChain,
+    cfg: SolverConfig,
     store_reservoir: bool = True,
-) -> ChainTrajectory:
-    """Evolve from b0 = 1, br = 0 at t = 0 out to t_end (either sign)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _check_chain_resolution(model, drive, dt, t_end)
-    n = max(1, int(round(abs(t_end) / dt)))
-    sign = 1.0 if t_end > 0 else -1.0
-    times = sign * dt * np.arange(n + 1)
+) -> AmplitudeTrajectory:
+    """Evolve from b0 = 1, br = 0 at t = 0 out to cfg.t_end (either sign).
 
-    static = drive is None or drive.static
-    if static:
-        traj = _evolve_eig(model, times, store_reservoir)
+    The drive is the one params describes; the run is static when it has none.
+    """
+    _check_resolution(cfg, params, chain.w_band + abs(params.e0) + params.u)
+    times = _grid(cfg)
+    drive = DriveProfile.from_params(params)
+    if drive.static:
+        method = "eigendecomposition"
+        b0, br, drift = _evolve_eig(params.e0, chain, times, store_reservoir)
     else:
-        traj = _evolve_strang(model, drive, times, store_reservoir)
+        method = "strang-splitting"
+        b0, br, drift = _evolve_strang(chain, drive, times, store_reservoir)
 
-    span = max(abs(t_end), 1.0)
-    if traj.norm_drift > NORM_DRIFT_LIMIT * span:
-        raise SolverError(
-            f"norm drifted by {traj.norm_drift:.3g} over |t| = {abs(t_end):.3g}"
-        )
-    return traj
+    span = max(abs(cfg.t_end), 1.0)
+    if drift > NORM_DRIFT_LIMIT * span:
+        raise SolverError(f"norm drifted by {drift:.3g} over |t| = {abs(cfg.t_end):.3g}")
+    return AmplitudeTrajectory(times, b0, None, params, chain, cfg, method, br=br, norm_drift=drift)
 
 
-def _evolve_eig(model: ChainModel, times: np.ndarray, store_reservoir: bool) -> ChainTrajectory:
-    lam, vec = np.linalg.eigh(model.hamiltonian())
+def _evolve_eig(e0: float, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
+    lam, vec = np.linalg.eigh(_hamiltonian(e0, chain))
     c0 = vec[0, :]  # overlap of the initial state with each eigenmode
     modes = np.exp(-1j * np.outer(times, lam)) * c0  # (n_t, N+1)
     b0 = modes @ c0
+    b0[0] = 1.0  # U(0) = I; the eigenbasis round trip leaves b0(0) = 1 +- 1e-15
     br = None
     drift = 0.0
     if store_reservoir:
@@ -161,19 +91,19 @@ def _evolve_eig(model: ChainModel, times: np.ndarray, store_reservoir: bool) -> 
         for i in np.linspace(0, times.size - 1, 8, dtype=int):
             row = modes[i] @ vec.T
             drift = max(drift, abs(float(np.sum(np.abs(row) ** 2)) - 1.0))
-    return ChainTrajectory(times, b0, br, model, "eigendecomposition", drift)
+    return b0, br, drift
 
 
 def _evolve_strang(
-    model: ChainModel,
+    chain: FiniteChain,
     drive: DriveProfile,
     times: np.ndarray,
     store_reservoir: bool,
-) -> ChainTrajectory:
+):
     n = times.size - 1
     h = times[1] - times[0]  # signed step
-    er = model.reservoir.level_energies()
-    om = model.reservoir.couplings()
+    er = chain.level_energies()
+    om = chain.couplings()
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm
 
@@ -181,9 +111,9 @@ def _evolve_strang(
     e0_int = drive.e0_integral
 
     b0 = np.empty(n + 1, dtype=complex)
-    br_hist = np.empty((n + 1, model.n_levels), dtype=complex) if store_reservoir else None
+    br_hist = np.empty((n + 1, chain.n_levels), dtype=complex) if store_reservoir else None
     b = 1.0 + 0.0j
-    br = np.zeros(model.n_levels, dtype=complex)
+    br = np.zeros(chain.n_levels, dtype=complex)
     b0[0] = b
     if store_reservoir:
         br_hist[0] = br
@@ -191,10 +121,7 @@ def _evolve_strang(
     for k in range(n):
         t0 = times[k]
         # first half: diagonal phases
-        if e0_int is not None:
-            ph1 = float(e0_int(t0 + 0.5 * h)) - float(e0_int(t0))
-        else:
-            ph1 = float(drive.e0_of_t(t0 + 0.25 * h)) * (0.5 * h)
+        ph1 = float(e0_int(t0 + 0.5 * h)) - float(e0_int(t0))
         b *= np.exp(-1j * ph1)
         br = br * phase_r_half
         # full step of the star-coupling rotation at the midpoint barrier value
@@ -208,10 +135,7 @@ def _evolve_strang(
         br = br + (-1j * s * b + (c - 1.0) * proj) * vhat
         b = b_new
         # second half: diagonal phases
-        if e0_int is not None:
-            ph2 = float(e0_int(t0 + h)) - float(e0_int(t0 + 0.5 * h))
-        else:
-            ph2 = float(drive.e0_of_t(t0 + 0.75 * h)) * (0.5 * h)
+        ph2 = float(e0_int(t0 + h)) - float(e0_int(t0 + 0.5 * h))
         b *= np.exp(-1j * ph2)
         br = br * phase_r_half
 
@@ -221,10 +145,12 @@ def _evolve_strang(
         if (k + 1) % 256 == 0 or k == n - 1:
             norm = abs(b) ** 2 + float(np.sum(np.abs(br) ** 2))
             drift = max(drift, abs(norm - 1.0))
-    return ChainTrajectory(times, b0, br_hist, model, "strang-splitting", drift)
+    return b0, br_hist, drift
 
 
-def revival_time(traj: ChainTrajectory, drop: float = 0.01, rise: float = 0.05) -> Optional[float]:
+def revival_time(
+    traj: AmplitudeTrajectory, drop: float = 0.01, rise: float = 0.05
+) -> Optional[float]:
     """First return of the survival probability after it has emptied out.
 
     Returns the first time past the initial crossing below `drop` at which
@@ -244,20 +170,19 @@ def revival_time(traj: ChainTrajectory, drop: float = 0.01, rise: float = 0.05) 
     return float(traj.times[start + above[0]])
 
 
-def lineshape_exact(traj: ChainTrajectory, t: Optional[float] = None):
+def lineshape_exact(traj: AmplitudeTrajectory, t: Optional[float] = None) -> EnergySpectrum:
     """Reservoir energy distribution P_r(t) rho(E_r) over the chain levels.
 
     Comparable to the continuum line shape before the revival; energies are
     returned ascending. The couplings vanish at the band edges, so the
     diverging level density there multiplies a vanishing occupation.
     """
-    from .spectra import EnergySpectrum  # local import, avoids a cycle
-
+    if traj.br is None:
+        raise ModelError("reservoir amplitudes were not stored for this run")
     if t is None:
         t = float(traj.times[-1])
-    state = traj.state_at(t)
-    er = traj.model.reservoir.level_energies()
-    rho = traj.model.reservoir.level_density()
-    values = np.abs(state.br) ** 2 * rho
+    br = traj.br[traj.index_of(t)]
+    er = traj.sd.level_energies()
+    values = np.abs(br) ** 2 * traj.sd.level_density()
     order = np.argsort(er)
     return EnergySpectrum.build(er[order], values[order], time=t)

@@ -25,6 +25,7 @@ from . import __version__, chain, closedform, spectra
 from .model import (
     BarrierDrive,
     DriveProfile,
+    FiniteChain,
     LevelDrive,
     Lorentzian,
     ModelError,
@@ -36,6 +37,7 @@ from .solvers import (
     ResolutionError,
     SolverConfig,
     SolverError,
+    _grid,
     combine_signed,
     default_dt,
     solve_lorentzian_ode,
@@ -103,8 +105,7 @@ def _solve_one_side(model, method, params, drv, band, t_end, dt):
         if method == "closed":
             if not drv.static:
                 raise ModelError("the closed-form method covers the static Hamiltonian only")
-            n = max(1, int(round(abs(t_end) / dt)))
-            times = (1.0 if t_end > 0 else -1.0) * dt * np.arange(n + 1)
+            times = _grid(cfg)
             b0 = np.asarray(closedform.b0_lorentzian_static(params, band, times))
             cfg = SolverConfig(dt=dt, t_end=t_end, tolerance=1.0e-12)
             return AmplitudeTrajectory(
@@ -121,25 +122,27 @@ def cmd_survival(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     params = _build_params(args)
-    if args.t_max <= 0.0:
-        raise ModelError("--t-max must be positive")
-    if args.t_min > 0.0:
-        raise ModelError("--t-min must be <= 0 (grids start at t = 0)")
+    if not 0.0 < args.t_max < math.inf:
+        raise ModelError("--t-max must be positive and finite")
+    if not -math.inf < args.t_min <= 0.0:
+        raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
 
     norm_checks: dict = {}
     extra: dict = {}
     if args.model == "chain":
         if args.n is None or args.w is None:
             raise ModelError("chain model needs --n and --w")
-        cm = chain.ChainModel(n_levels=args.n, w_band=args.w, e0=args.e0, gamma=1.0)
-        drv = DriveProfile.from_params(params)
-        dt = args.dt if args.dt else 0.05 / (args.w + abs(args.e0) + params.u) / 2.0
-        pos = chain.evolve_chain(cm, drv, args.t_max, dt, store_reservoir=False)
-        times, p0 = pos.times, pos.p0
+        reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
+        dt = args.dt if args.dt else default_dt(params, args.w + abs(args.e0) + params.u)
+
+        def side(t_end):
+            cfg = SolverConfig(dt=dt, t_end=t_end)
+            return chain.evolve_chain(params, reservoir, cfg, store_reservoir=False)
+
+        traj = pos = side(args.t_max)
         if args.t_min < 0.0:
-            neg = chain.evolve_chain(cm, drv, args.t_min, dt, store_reservoir=False)
-            times = np.concatenate([neg.times[::-1][:-1], pos.times])
-            p0 = np.concatenate([neg.p0[::-1][:-1], pos.p0])
+            traj = combine_signed(side(args.t_min), pos)
+        times, p0 = traj.times, traj.p0
         norm_checks["norm_drift"] = pos.norm_drift
         try:
             t_rev = chain.revival_time(pos)
@@ -154,11 +157,11 @@ def cmd_survival(args) -> int:
         if args.model == "lorentzian":
             if args.lam is None:
                 raise ModelError("lorentzian model needs --lambda")
-            band = args.lam
+            band = Lorentzian(args.lam, params.gamma).lam  # validated before dt uses it
         elif args.model == "semicircle":
             if args.w is None:
                 raise ModelError("semicircle model needs --w")
-            band = args.w
+            band = Semicircle(args.w, params.gamma).w_band
         method = args.method
         if method == "auto":
             method = {"wideband": "closed", "lorentzian": "ode", "semicircle": "volterra"}[
@@ -227,6 +230,8 @@ def cmd_spectrum(args) -> int:
         spec = spectra.spectrum_asymptotic(params, kind, grid)
     else:
         t_spec = args.t
+        if not 0.0 < t_spec < math.inf:
+            raise ModelError("--t must be positive and finite")
         p0_final = math.exp(-params.gamma * t_spec)  # wide band: exact for both drives
         window = spectra.conservation_window(params, p0_final)
         grid = spectra.energy_grid(params, tail_halfwidth=window)
@@ -235,7 +240,7 @@ def cmd_spectrum(args) -> int:
         dt = t_spec / math.ceil(t_spec / dt)  # land exactly on the requested time
         drv = DriveProfile.from_params(params)
         traj = solve_wideband(params, drv, SolverConfig(dt=dt, t_end=t_spec))
-        spec = spectra.spectrum_from_trajectory(traj, drv, traj.sd, grid)
+        spec = spectra.spectrum_from_trajectory(traj, drv, grid)
         conservation = float(traj.p0[-1]) + spec.norm
         norm_checks["conservation"] = conservation
     norm_checks["norm"] = spec.norm
@@ -269,10 +274,13 @@ def cmd_revival(args) -> int:
     t0 = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cm = chain.ChainModel(n_levels=args.n, w_band=args.w, e0=args.e0, gamma=1.0)
+    params = SystemParams(e0=args.e0)
+    reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
     t_max = args.t_max if args.t_max else 3.0 * (args.n + 1) / args.w + 20.0
-    dt = args.dt if args.dt else 0.05 / (args.w + abs(args.e0)) / 2.0
-    traj = chain.evolve_chain(cm, None, t_max, dt, store_reservoir=False)
+    dt = args.dt if args.dt else default_dt(params, args.w + abs(args.e0) + params.u)
+    traj = chain.evolve_chain(
+        params, reservoir, SolverConfig(dt=dt, t_end=t_max), store_reservoir=False
+    )
     t_rev = chain.revival_time(traj)
     _write_csv(outdir / "revival.csv", ["t_in_1/Gamma", "P0"], [traj.times, traj.p0])
     record = {
@@ -304,9 +312,10 @@ def _fig2(outdir: Path) -> tuple[dict, dict, list]:
     t_max = 120.0
     series = {}
     revivals = {}
+    cfg = SolverConfig(dt=dt, t_end=t_max)
     for n in (150, 250):
         traj = chain.evolve_chain(
-            chain.ChainModel(n, w_band, e0), None, t_max, dt, store_reservoir=False
+            SystemParams(e0=e0), FiniteChain(n, w_band), cfg, store_reservoir=False
         )
         series[n] = traj
         revivals[n] = chain.revival_time(traj)
@@ -474,8 +483,7 @@ def cmd_selftest(args) -> int:
     sym = float(np.max(np.abs(bwd.b0 - np.conj(fwd.b0))))
     report("time reversal b0(-t) = conj b0(t)", sym < 1e-10, f"max {sym:.2e}")
 
-    cm = chain.ChainModel(80, 6.0, 1.0)
-    ct = chain.evolve_chain(cm, None, 5.0, 0.005)
+    ct = chain.evolve_chain(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
     cs = solve_volterra(p1, Semicircle(6.0), None, SolverConfig(dt=0.005, t_end=5.0))
     gap = float(np.max(np.abs(ct.p0 - cs.p0)))
     report("chain matches semicircle memory solution", gap < 0.02, f"max gap {gap:.2e}")
@@ -487,7 +495,7 @@ def cmd_selftest(args) -> int:
     drv = DriveProfile.from_params(lev)
     dt = TRAJ_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
     tw = solve_wideband(lev, drv, SolverConfig(dt=dt, t_end=12.0))
-    st = spectra.spectrum_from_trajectory(tw, drv, tw.sd, grid)
+    st = spectra.spectrum_from_trajectory(tw, drv, grid)
     peaks = [n * 2.0 for n in range(-3, 2)]
     rels = [
         abs(st.value_at(p) - spec.value_at(p)) / spec.value_at(p) for p in peaks

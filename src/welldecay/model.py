@@ -36,6 +36,14 @@ class ModelError(ValueError):
     """Invalid physical parameter or unsupported reservoir variant."""
 
 
+def _check_finite(obj, *fields: str) -> None:
+    """Reject NaN and inf in the named fields of a parameter record."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ModelError(f"{type(obj).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LevelDrive:
     """Oscillating well level, E0(t) = E0 - u sin(omega t)."""
@@ -44,6 +52,7 @@ class LevelDrive:
     omega: float
 
     def __post_init__(self):
+        _check_finite(self, "u", "omega")
         if not self.omega > 0.0:
             raise ModelError(f"level drive needs omega > 0, got {self.omega}")
 
@@ -56,6 +65,7 @@ class BarrierDrive:
     omega: float
 
     def __post_init__(self):
+        _check_finite(self, "alpha", "omega")
         if not self.omega > 0.0:
             raise ModelError(f"barrier drive needs omega > 0, got {self.omega}")
         if self.alpha < 0.0:
@@ -76,6 +86,7 @@ class SystemParams:
     barrier_drive: Optional[BarrierDrive] = None
 
     def __post_init__(self):
+        _check_finite(self, "e0", "gamma")
         if not self.gamma > 0.0:
             raise ModelError(f"gamma must be positive, got {self.gamma}")
 
@@ -201,6 +212,7 @@ class Lorentzian:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "lam", "gamma")
         if not self.lam > 0.0:
             raise ModelError(f"Lorentzian half-width must be positive, got {self.lam}")
 
@@ -226,6 +238,7 @@ class Semicircle:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "w_band", "gamma")
         if not self.w_band > 0.0:
             raise ModelError(f"semicircle band edge must be positive, got {self.w_band}")
 
@@ -268,6 +281,7 @@ class FiniteChain:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "w_band", "gamma")
         if self.n_levels < 1:
             raise ModelError(f"chain needs at least one level, got {self.n_levels}")
         if not self.w_band > 0.0:

@@ -31,7 +31,8 @@ Three routes, all starting from b0(0) = 1:
   by cumulative trapezoid otherwise.
 
 Grids always contain t = 0 as a node and satisfy the resolution rule
-dt * max(Gamma, L or W, |E0| + u, omega) <= 0.05.
+dt * max(Gamma, band, |E0| + u, omega) <= 0.05, the band being L, W, or
+W + |E0| + u for the finite chain (chain.evolve_chain).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .model import (
     SpectralDensity,
     SystemParams,
     WideBand,
+    _check_finite,
 )
 
 VOLTERRA_PC = "volterra-pc"
@@ -79,10 +81,10 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    method: Optional[str] = None
     tolerance: float = 1.0e-6
 
     def __post_init__(self):
+        _check_finite(self, "dt", "t_end", "tolerance")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end == 0.0:
@@ -93,7 +95,12 @@ class SolverConfig:
 
 @dataclass
 class AmplitudeTrajectory:
-    """Sampled amplitude on a signed uniform grid, plus run provenance."""
+    """Sampled amplitude on a signed uniform grid, plus run provenance.
+
+    br holds the reservoir amplitudes (one row per sample) and norm_drift
+    the largest |<psi|psi> - 1| seen, for routes that evolve the reservoir
+    exactly; both stay None elsewhere.
+    """
 
     times: np.ndarray
     b0: np.ndarray
@@ -102,6 +109,8 @@ class AmplitudeTrajectory:
     sd: Optional[SpectralDensity]
     cfg: SolverConfig
     method: str
+    br: Optional[np.ndarray] = None
+    norm_drift: Optional[float] = None
 
     def __post_init__(self):
         i0 = int(np.argmin(np.abs(self.times)))
@@ -288,7 +297,7 @@ def solve_wideband(
         w2_int = np.concatenate([[0.0], np.cumsum(0.5 * h * (w2v[1:] + w2v[:-1]))])
         phase = e0_int - 0.5j * params.gamma * np.sign(times) * w2_int
 
-    cfg_exact = SolverConfig(cfg.dt, cfg.t_end, WIDEBAND_CLOSED, min(cfg.tolerance, 1.0e-12))
+    cfg_exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
     b = np.exp(-1j * phase)
     return AmplitudeTrajectory(times, b, None, params, WideBand(params.gamma), cfg_exact, WIDEBAND_CLOSED)
 
@@ -299,12 +308,17 @@ def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> Amplit
         raise MismatchError("expected one negative-side and one positive-side trajectory")
     if neg.params != pos.params or neg.sd != pos.sd or neg.method != pos.method:
         raise MismatchError("cannot join trajectories with different physics")
-    times = np.concatenate([neg.times[::-1][:-1], pos.times])
-    b0 = np.concatenate([neg.b0[::-1][:-1], pos.b0])
-    bdot = None
-    if neg.b0_dot is not None and pos.b0_dot is not None:
-        bdot = np.concatenate([neg.b0_dot[::-1][:-1], pos.b0_dot])
-    return AmplitudeTrajectory(times, b0, bdot, pos.params, pos.sd, pos.cfg, pos.method)
+
+    def join(a, b):
+        return None if a is None or b is None else np.concatenate([a[::-1][:-1], b])
+
+    drift = None
+    if neg.norm_drift is not None and pos.norm_drift is not None:
+        drift = max(neg.norm_drift, pos.norm_drift)
+    return AmplitudeTrajectory(
+        join(neg.times, pos.times), join(neg.b0, pos.b0), join(neg.b0_dot, pos.b0_dot),
+        pos.params, pos.sd, pos.cfg, pos.method, join(neg.br, pos.br), drift,
+    )
 
 
 def convergence_order(

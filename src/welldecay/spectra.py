@@ -30,7 +30,7 @@ import numpy as np
 
 from . import closedform
 from .bessel import truncation_order
-from .model import ModelError, SpectralDensity, SystemParams
+from .model import ModelError, SystemParams
 from .solvers import AmplitudeTrajectory
 
 TRAJECTORY_PHASE_LIMIT = 0.2  # max tolerated dt * |E|
@@ -125,11 +125,11 @@ def conservation_window(params: SystemParams, p0_final: float, budget: float = 5
 def spectrum_from_trajectory(
     traj: AmplitudeTrajectory,
     drive,
-    sd: SpectralDensity,
     energies: np.ndarray,
 ) -> EnergySpectrum:
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
-    windowed integral for every grid energy."""
+    windowed integral for every grid energy, weighted by the trajectory's
+    own spectral density."""
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
@@ -145,7 +145,7 @@ def spectrum_from_trajectory(
     weights = np.full_like(times, dt)
     weights[0] = weights[-1] = 0.5 * dt
     g = weights * w * traj.b0
-    dens = np.asarray(sd.density(energies), dtype=float)
+    dens = np.asarray(traj.sd.density(energies), dtype=float)
     values = np.empty_like(energies)
     for i in range(0, energies.size, _ENERGY_CHUNK):
         sl = energies[i : i + _ENERGY_CHUNK]

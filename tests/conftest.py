@@ -45,6 +45,6 @@ def banded_trajectory_spectrum(params, drv, t_end, grid, split_at):
         dt = phase_frac * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(sub)))
         dt = t_end / math.ceil(t_end / dt)  # both bands must end at exactly t_end
         traj = solve_wideband(params, drv, SolverConfig(dt=dt, t_end=t_end))
-        values[mask] = spectrum_from_trajectory(traj, drv, traj.sd, sub).values
+        values[mask] = spectrum_from_trajectory(traj, drv, sub).values
         p0_final = float(traj.p0[-1])
     return EnergySpectrum.build(grid, values, time=t_end), p0_final

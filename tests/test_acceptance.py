@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 
 from welldecay import closedform, spectra
-from welldecay.chain import ChainModel, evolve_chain, revival_time
+from welldecay.chain import evolve_chain, revival_time
 from welldecay.model import (
     BarrierDrive,
     DriveProfile,
+    FiniteChain,
     LevelDrive,
     Lorentzian,
     SystemParams,
@@ -123,7 +124,10 @@ def test_c04_finite_reservoir_revival_and_tracking():
     start = time.perf_counter()
     trajs = {}
     for n in (150, 250):
-        trajs[n] = evolve_chain(ChainModel(n, 6.0, 1.0), None, 110.0, 7e-3, store_reservoir=False)
+        trajs[n] = evolve_chain(
+            SystemParams(e0=1.0), FiniteChain(n, 6.0), SolverConfig(dt=7e-3, t_end=110.0),
+            store_reservoir=False,
+        )
     revs = {n: revival_time(trajs[n]) for n in (150, 250)}
     t250 = trajs[250]
     early = t250.times <= 5.0
@@ -207,7 +211,7 @@ def test_c07_floquet_spectrum_consistency():
     drv = DriveProfile.from_params(p_lev)
     dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
     traj = solve_wideband(p_lev, drv, SolverConfig(dt=dt, t_end=12.0))
-    spec = spectra.spectrum_from_trajectory(traj, drv, traj.sd, grid)
+    spec = spectra.spectrum_from_trajectory(traj, drv, grid)
     lev_rel = max(
         abs(spec.value_at(n * 2.0) - v) / v
         for n, v in _significant_peaks(p_lev, closedform.floquet_spectrum_level, 2.0, 8).items()
@@ -223,7 +227,7 @@ def test_c07_floquet_spectrum_consistency():
         closedform.b0_markovian_driven(p_bar, base.times, linear_alpha=True),
         None, p_bar, base.sd, base.cfg, base.method,
     )
-    spec_b = spectra.spectrum_from_trajectory(lin, drv_b, base.sd, grid_b)
+    spec_b = spectra.spectrum_from_trajectory(lin, drv_b, grid_b)
     bar_rel = max(
         abs(spec_b.value_at(n * 2.0) - v) / v
         for n, v in _significant_peaks(p_bar, closedform.floquet_spectrum_barrier, 2.0, 6).items()
@@ -300,8 +304,8 @@ def test_c09_time_reversal_all_solvers():
             gap = float(np.max(np.abs(bwd.b0 - np.conj(fwd.b0))))
             bound = 10.0 * fwd.cfg.tolerance
             worst[name] = max(worst.get(name, 0.0), gap / bound)
-        chain_f = evolve_chain(ChainModel(80, 6.0, e0), None, 4.0, 5e-3)
-        chain_b = evolve_chain(ChainModel(80, 6.0, e0), None, -4.0, 5e-3)
+        chain_f = evolve_chain(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=4.0))
+        chain_b = evolve_chain(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=-4.0))
         gap = float(np.max(np.abs(chain_b.b0 - np.conj(chain_f.b0))))
         worst["chain"] = max(worst.get("chain", 0.0), gap / 1e-10)
     ok = all(v < 1.0 for v in worst.values())
@@ -334,7 +338,9 @@ def test_c10_conservation():
             spec, p0_end = banded_trajectory_spectrum(params, drv, t_end, grid, core)
             gap = abs(p0_end + spec.norm - 1.0)
             worst = max(worst, gap)
-    chain = evolve_chain(ChainModel(250, 6.0, 1.0), None, 10.0, 5e-3)
+    chain = evolve_chain(
+        SystemParams(e0=1.0), FiniteChain(250, 6.0), SolverConfig(dt=5e-3, t_end=10.0)
+    )
     drift_rate = chain.norm_drift / 10.0
     elapsed = time.perf_counter() - start
     ok = worst < 1e-3 and drift_rate < 1e-8

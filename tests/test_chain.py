@@ -4,23 +4,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from welldecay import closedform
-from welldecay.chain import (
-    ChainModel,
-    ChainTrajectory,
-    evolve_chain,
-    lineshape_exact,
-    revival_time,
+from welldecay.chain import evolve_chain, lineshape_exact, revival_time
+from welldecay.model import FiniteChain, LevelDrive, ModelError, Semicircle, SystemParams
+from welldecay.solvers import (
+    AmplitudeTrajectory,
+    ResolutionError,
+    SolverConfig,
+    SolverError,
+    combine_signed,
+    default_dt,
+    solve_volterra,
 )
-from welldecay.model import DriveProfile, LevelDrive, ModelError, Semicircle, SystemParams
-from welldecay.solvers import ResolutionError, SolverConfig, SolverError, solve_volterra
+
+
+def run(e0, chain, t_end, dt, level_drive=None, store_reservoir=True):
+    params = SystemParams(e0=e0, level_drive=level_drive)
+    return evolve_chain(params, chain, SolverConfig(dt=dt, t_end=t_end), store_reservoir)
+
+
+def synthetic(times, b0):
+    """Trajectory with a prescribed amplitude, for the revival detector."""
+    cfg = SolverConfig(dt=times[1] - times[0], t_end=times[-1])
+    return AmplitudeTrajectory(
+        times, b0, None, SystemParams(e0=0.0), FiniteChain(10, 6.0), cfg, "synthetic"
+    )
 
 
 def test_decoupled_chain_is_free_evolution():
-    model = ChainModel(n_levels=40, w_band=6.0, e0=1.3, gamma=0.0)
-    traj = evolve_chain(model, None, 3.0, 5e-3)
-    ref = np.exp(-1j * model.e0 * traj.times)
+    traj = run(1.3, FiniteChain(n_levels=40, w_band=6.0, gamma=0.0), 3.0, 5e-3)
+    ref = np.exp(-1j * 1.3 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-12
     assert np.max(np.abs(traj.br)) < 1e-14
 
@@ -29,10 +45,10 @@ def test_two_level_rabi_oscillation():
     # N = 1: the single reservoir level sits at E = 0 and the coupling is
     # Omega = sqrt(Gamma W) / 2; for e0 = 0 this is a textbook Rabi problem
     w_band = 4.0
-    model = ChainModel(n_levels=1, w_band=w_band, e0=0.0, gamma=1.0)
-    omega_r = float(model.reservoir.couplings()[0])
+    chain = FiniteChain(n_levels=1, w_band=w_band, gamma=1.0)
+    omega_r = float(chain.couplings()[0])
     assert abs(omega_r - math.sqrt(w_band) / 2.0) < 1e-14
-    traj = evolve_chain(model, None, 3.0 * math.pi / omega_r, 1e-3)
+    traj = run(0.0, chain, 3.0 * math.pi / omega_r, 1e-3)
     ref = np.cos(omega_r * traj.times) ** 2
     assert np.max(np.abs(traj.p0 - ref)) < 1e-10
     # a full period returns the particle to the well
@@ -41,8 +57,7 @@ def test_two_level_rabi_oscillation():
 
 
 def test_chain_tracks_exponential_in_decay_regime_then_revives():
-    model = ChainModel(250, 6.0, 1.0)
-    traj = evolve_chain(model, None, 100.0, 7e-3, store_reservoir=False)
+    traj = run(1.0, FiniteChain(250, 6.0), 100.0, 7e-3, store_reservoir=False)
     window = (traj.times >= 1.0) & (traj.times <= 10.0)
     dev = np.max(np.abs(traj.p0[window] - np.exp(-traj.times[window])))
     assert dev < 0.05
@@ -52,7 +67,7 @@ def test_chain_tracks_exponential_in_decay_regime_then_revives():
 def test_revival_time_grows_with_reservoir_size():
     revs = {}
     for n in (150, 250):
-        traj = evolve_chain(ChainModel(n, 6.0, 1.0), None, 110.0, 7e-3, store_reservoir=False)
+        traj = run(1.0, FiniteChain(n, 6.0), 110.0, 7e-3, store_reservoir=False)
         revs[n] = revival_time(traj)
     assert revs[150] is not None and revs[250] is not None
     assert revs[250] > revs[150]
@@ -64,39 +79,22 @@ def test_revival_time_grows_with_reservoir_size():
 
 def test_revival_none_for_synthetic_pure_decay():
     times = np.linspace(0.0, 12.0, 1201)
-    traj = ChainTrajectory(
-        times=times,
-        b0=np.exp(-0.5 * times).astype(complex),
-        br=None,
-        model=ChainModel(10, 6.0, 0.0),
-        method="synthetic",
-        norm_drift=0.0,
-    )
+    traj = synthetic(times, np.exp(-0.5 * times).astype(complex))
     assert revival_time(traj) is None
 
 
 def test_revival_series_too_short():
     times = np.linspace(0.0, 1.0, 101)
-    traj = ChainTrajectory(
-        times=times,
-        b0=np.exp(-0.5 * times).astype(complex),
-        br=None,
-        model=ChainModel(10, 6.0, 0.0),
-        method="synthetic",
-        norm_drift=0.0,
-    )
+    traj = synthetic(times, np.exp(-0.5 * times).astype(complex))
     with pytest.raises(SolverError):
         revival_time(traj)
 
 
 def test_unitarity_static_and_driven():
-    model = ChainModel(120, 6.0, 1.0)
-    static = evolve_chain(model, None, 10.0, 5e-3)
+    chain = FiniteChain(120, 6.0)
+    static = run(1.0, chain, 10.0, 5e-3)
     assert static.norm_drift < 1e-8 * 10.0
-    drive = DriveProfile.from_params(
-        SystemParams(e0=1.0, level_drive=LevelDrive(u=2.0, omega=2.0))
-    )
-    driven = evolve_chain(model, drive, 10.0, 5e-3)
+    driven = run(1.0, chain, 10.0, 5e-3, level_drive=LevelDrive(u=2.0, omega=2.0))
     assert driven.method == "strang-splitting"
     assert driven.norm_drift < 1e-8 * 10.0
 
@@ -109,7 +107,7 @@ def test_continuum_limit_against_semicircle_solution():
     devs = {}
     exp_devs = {}
     for n in (50, 150, 250):
-        traj = evolve_chain(ChainModel(n, 6.0, 1.0), None, 5.0, 5e-3, store_reservoir=False)
+        traj = run(1.0, FiniteChain(n, 6.0), 5.0, 5e-3, store_reservoir=False)
         devs[n] = float(np.max(np.abs(traj.p0 - cont.p0)))
         exp_devs[n] = float(np.max(np.abs(traj.p0 - np.exp(-traj.times))))
     assert devs[50] < 0.02 and devs[150] < 0.02 and devs[250] < 0.02
@@ -120,26 +118,29 @@ def test_continuum_limit_against_semicircle_solution():
 
 
 def test_negative_time_chain_is_conjugate():
-    model = ChainModel(80, 6.0, 1.0)
-    fwd = evolve_chain(model, None, 4.0, 5e-3)
-    bwd = evolve_chain(model, None, -4.0, 5e-3)
+    chain = FiniteChain(80, 6.0)
+    fwd = run(1.0, chain, 4.0, 5e-3)
+    bwd = run(1.0, chain, -4.0, 5e-3)
     assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 1e-12
+    # the signed join keeps the reservoir rows and the worse drift
+    both = combine_signed(bwd, fwd)
+    assert both.br.shape == (both.times.size, 80)
+    assert np.array_equal(both.br[-fwd.times.size :], fwd.br)
+    assert both.norm_drift == max(fwd.norm_drift, bwd.norm_drift)
 
 
 def test_lineshape_zero_at_t0_and_unitarity_complement():
-    model = ChainModel(250, 6.0, 1.0)
-    traj = evolve_chain(model, None, 8.0, 5e-3)
+    traj = run(1.0, FiniteChain(250, 6.0), 8.0, 5e-3)
     spec0 = lineshape_exact(traj, 0.0)
     assert np.max(spec0.values) < 1e-25  # zeros up to eigenbasis roundoff
-    state = traj.state_at(8.0)
-    assert abs(state.norm - 1.0) < 1e-12
-    reservoir_weight = float(np.sum(np.abs(state.br) ** 2))
-    assert abs(reservoir_weight - (1.0 - traj.p0[traj.index_of(8.0)])) < 1e-12
+    i = traj.index_of(8.0)
+    reservoir_weight = float(np.sum(np.abs(traj.br[i]) ** 2))
+    assert abs(traj.p0[i] + reservoir_weight - 1.0) < 1e-12
+    assert abs(reservoir_weight - (1.0 - traj.p0[i])) < 1e-12
 
 
 def test_lineshape_matches_markovian_line_at_late_time():
-    model = ChainModel(250, 6.0, 1.0)
-    traj = evolve_chain(model, None, 8.0, 5e-3)
+    traj = run(1.0, FiniteChain(250, 6.0), 8.0, 5e-3)
     spec = lineshape_exact(traj)  # defaults to the final time
     p = SystemParams(e0=1.0)
     ref_peak = closedform.lineshape_markovian(p, 1.0, 8.0)
@@ -156,9 +157,7 @@ def test_driven_chain_matches_wideband_spectrum():
     # level-driven chain vs the wide-band sideband picture: an end-to-end
     # validation of the splitting stepper against independent analytics
     u, om = 3.0, 2.0
-    model = ChainModel(600, 16.0, 0.0)
-    drive = DriveProfile.from_params(SystemParams(e0=0.0, level_drive=LevelDrive(u, om)))
-    traj = evolve_chain(model, drive, 14.0, 2e-3)
+    traj = run(0.0, FiniteChain(600, 16.0), 14.0, 2e-3, level_drive=LevelDrive(u, om))
     spec = lineshape_exact(traj)
     params = SystemParams(e0=0.0, level_drive=LevelDrive(u, om))
     # finite-time trajectory oracle at the two first sidebands
@@ -178,10 +177,51 @@ def test_driven_chain_matches_wideband_spectrum():
 
 def test_resolution_guard():
     with pytest.raises(ResolutionError):
-        evolve_chain(ChainModel(50, 6.0, 1.0), None, 5.0, 0.05)
+        run(1.0, FiniteChain(50, 6.0), 5.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "e0,drive,t_end,dt",
+    [
+        # dt (W + |E0| + u) = 0.188: the drive amplitude counts in full even
+        # when the window is too short for the profile to reach it
+        (1.0, LevelDrive(u=40.0, omega=1.0), 0.05, 0.004),
+        # dt omega = 0.28: the drive frequency is a rate of its own
+        (0.0, LevelDrive(u=0.5, omega=40.0), 1.0, 0.007),
+    ],
+)
+def test_resolution_counts_drive_amplitude_and_frequency(e0, drive, t_end, dt):
+    with pytest.raises(ResolutionError):
+        run(e0, FiniteChain(50, 6.0), t_end, dt, level_drive=drive)
 
 
 def test_state_access_requires_stored_reservoir():
-    traj = evolve_chain(ChainModel(30, 6.0, 1.0), None, 2.0, 5e-3, store_reservoir=False)
+    traj = run(1.0, FiniteChain(30, 6.0), 2.0, 5e-3, store_reservoir=False)
+    assert traj.br is None
     with pytest.raises(ModelError):
-        traj.state_at(1.0)
+        lineshape_exact(traj, 1.0)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    w=st.floats(2.0, 8.0),
+    e0=st.floats(-2.0, 2.0),
+    u=st.floats(0.0, 3.0),
+    omega=st.floats(0.5, 4.0),
+)
+def test_reversal_and_unitarity_over_small_chains(n, w, e0, u, omega):
+    chain = FiniteChain(n, w)
+    t_end = 2.0
+    static = SystemParams(e0=e0)
+    dt = default_dt(static, w + abs(e0))
+    fwd = run(e0, chain, t_end, dt)
+    bwd = run(e0, chain, -t_end, dt)
+    assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 1e-12
+    drive = LevelDrive(u, omega)
+    dt = default_dt(SystemParams(e0=e0, level_drive=drive), w + abs(e0) + u)
+    for sign in (1.0, -1.0):
+        traj = run(e0, chain, sign * t_end, dt, level_drive=drive)
+        norms = traj.p0 + np.sum(np.abs(traj.br) ** 2, axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-8 * np.abs(traj.times))
+        assert traj.norm_drift <= 1e-8 * t_end

@@ -125,6 +125,31 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        ("survival --model wideband --e0 nan --t-max 1", "SystemParams.e0"),
+        ("survival --model wideband --t-max 1 --dt inf", "SolverConfig.dt"),
+        ("survival --model wideband --t-min nan --t-max 1", "--t-min"),
+        ("survival --model chain --n 20 --w 6 --t-max nan", "--t-max"),
+        ("survival --model chain --n 20 --w 6 --e0 inf --t-max 1", "SystemParams.e0"),
+        ("survival --model chain --n 20 --w nan --t-max 1", "FiniteChain.w_band"),
+        ("survival --model lorentzian --lambda inf --t-max 1", "Lorentzian.lam"),
+        ("survival --model semicircle --w inf --t-max 1", "Semicircle.w_band"),
+        ("survival --model wideband --drive level --u nan --omega 1 --t-max 1", "LevelDrive.u"),
+        ("survival --model wideband --drive barrier --alpha inf --omega 1 --t-max 1",
+         "BarrierDrive.alpha"),
+        ("survival --model wideband --drive level --u 1 --omega inf --t-max 1", "LevelDrive.omega"),
+        ("revival --n 20 --w 6 --t-max nan", "SolverConfig.t_end"),
+        ("spectrum --method trajectory --t inf", "--t must"),
+    ],
+)
+def test_nonfinite_input_exits_1_naming_the_field(tmp_path, capsys, argv, field):
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err, err
+
+
 def test_numerical_failure_exit_2(tmp_path):
     # too short a window to judge a revival
     rc = main(["revival", "--n", "150", "--w", "6", "--e0", "1", "--t-max", "2",

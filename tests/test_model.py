@@ -19,6 +19,7 @@ from welldecay.model import (
     memory_kernel,
     spectral_density_at,
 )
+from welldecay.solvers import SolverConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,6 +124,23 @@ def test_parameter_validation():
         Semicircle(w_band=0.0)
     with pytest.raises(ModelError):
         FiniteChain(n_levels=0, w_band=6.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda x: SystemParams(e0=0.0, gamma=x), "SystemParams.gamma"),
+        (lambda x: Lorentzian(4.0, gamma=x), "Lorentzian.gamma"),
+        (lambda x: Semicircle(6.0, gamma=x), "Semicircle.gamma"),
+        (lambda x: FiniteChain(10, 6.0, gamma=x), "FiniteChain.gamma"),
+        (lambda x: BarrierDrive(alpha=0.1, omega=x), "BarrierDrive.omega"),
+        (lambda x: SolverConfig(dt=0.01, t_end=1.0, tolerance=x), "SolverConfig.tolerance"),
+    ],
+)
+def test_nonfinite_fields_rejected_by_name(build, field, value):
+    with pytest.raises(ModelError, match=field):
+        build(value)
 
 
 def test_drive_profile_closed_form_integrals():

@@ -9,6 +9,7 @@ from welldecay import closedform
 from welldecay.model import (
     BarrierDrive,
     DriveProfile,
+    FiniteChain,
     LevelDrive,
     Lorentzian,
     Semicircle,
@@ -67,12 +68,12 @@ def test_volterra_negative_time_is_conjugate():
 
 def test_volterra_semicircle_against_chain():
     # the exact finite reservoir is the from-first-principles reference
-    from welldecay.chain import ChainModel, evolve_chain
+    from welldecay.chain import evolve_chain
 
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=5e-3, t_end=5.0)
     traj = solve_volterra(p, Semicircle(6.0), None, cfg)
-    chain = evolve_chain(ChainModel(250, 6.0, 1.0), None, 5.0, 5e-3)
+    chain = evolve_chain(p, FiniteChain(250, 6.0), cfg)
     assert np.max(np.abs(traj.p0 - chain.p0)) < 1e-4
 
 

@@ -12,7 +12,6 @@ from welldecay.model import (
     LevelDrive,
     ModelError,
     SystemParams,
-    WideBand,
 )
 from welldecay.solvers import AmplitudeTrajectory, SolverConfig, solve_wideband
 from welldecay.spectra import (
@@ -37,7 +36,7 @@ def test_spectrum_vanishes_at_short_time():
     grid = np.linspace(-8.0, 8.0, 201)
     drv = DriveProfile.from_params(p)
     traj = solve_wideband(p, drv, SolverConfig(dt=1e-7, t_end=1e-6))
-    spec = spectrum_from_trajectory(traj, drv, traj.sd, grid)
+    spec = spectrum_from_trajectory(traj, drv, grid)
     assert np.max(spec.values) < 1e-10
 
 
@@ -46,7 +45,7 @@ def test_static_spectrum_matches_lineshape_pointwise():
     grid = np.linspace(-8.0, 8.0, 401)
     drv = DriveProfile.from_params(p)
     traj = solve_wideband(p, drv, SolverConfig(dt=2e-3, t_end=3.0))
-    spec = spectrum_from_trajectory(traj, drv, traj.sd, grid)
+    spec = spectrum_from_trajectory(traj, drv, grid)
     ref = closedform.lineshape_markovian(p, grid, 3.0)
     assert np.max(np.abs(spec.values - ref)) < 1e-4
 
@@ -62,7 +61,7 @@ def test_level_drive_spectrum_matches_floquet_sum_at_peaks():
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
     traj, drv = wideband_run(p, 12.0, grid)
-    spec = spectrum_from_trajectory(traj, drv, traj.sd, grid)
+    spec = spectrum_from_trajectory(traj, drv, grid)
     for n in significant_sidebands(p, closedform.floquet_spectrum_level, 2.0, 8):
         e_peak = n * 2.0
         ref = float(closedform.floquet_spectrum_level(p, e_peak))
@@ -87,7 +86,7 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
         base.cfg,
         base.method,
     )
-    spec = spectrum_from_trajectory(lin, drv, base.sd, grid)
+    spec = spectrum_from_trajectory(lin, drv, grid)
     for n in significant_sidebands(p, closedform.floquet_spectrum_barrier, 2.0, 6):
         e_peak = n * 2.0
         ref = float(closedform.floquet_spectrum_barrier(p, e_peak))
@@ -101,7 +100,7 @@ def test_exact_barrier_trajectory_vs_floquet_sum_gap_is_order_alpha_squared():
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
     traj, drv = wideband_run(p, 12.0, grid)
-    spec = spectrum_from_trajectory(traj, drv, traj.sd, grid)
+    spec = spectrum_from_trajectory(traj, drv, grid)
     ref = float(closedform.floquet_spectrum_barrier(p, 0.0))
     rel = abs(spec.value_at(0.0) - ref) / ref
     assert 0.005 < rel < 0.03
@@ -213,7 +212,7 @@ def test_grid_resolution_guard():
     traj = solve_wideband(p, drv, SolverConfig(dt=4e-2, t_end=3.0))
     grid = np.linspace(-30.0, 30.0, 101)
     with pytest.raises(ModelError):
-        spectrum_from_trajectory(traj, drv, WideBand(), grid)
+        spectrum_from_trajectory(traj, drv, grid)
 
 
 def test_energy_spectrum_validation():
