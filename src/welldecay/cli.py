@@ -133,7 +133,7 @@ def cmd_survival(args) -> int:
         if args.n is None or args.w is None:
             raise ModelError("chain model needs --n and --w")
         reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
-        dt = args.dt if args.dt else default_dt(params, args.w + abs(args.e0) + params.u)
+        dt = default_dt(params, args.w + abs(args.e0) + params.u) if args.dt is None else args.dt
 
         def side(t_end):
             cfg = SolverConfig(dt=dt, t_end=t_end)
@@ -168,7 +168,7 @@ def cmd_survival(args) -> int:
                 args.model
             ]
         drv = DriveProfile.from_params(params)
-        dt = args.dt if args.dt else default_dt(params, band)
+        dt = default_dt(params, band) if args.dt is None else args.dt
         pos = _solve_one_side(args.model, method, params, drv, band, args.t_max, dt)
         traj = pos
         if args.t_min < 0.0:
@@ -225,6 +225,7 @@ def cmd_spectrum(args) -> int:
     kind = {"level": "level", "barrier": "barrier", "none": "static"}[args.drive]
 
     norm_checks: dict = {}
+    solver: dict = {"method": args.method}
     if args.method == "asymptotic":
         grid = spectra.energy_grid(params)
         spec = spectra.spectrum_asymptotic(params, kind, grid)
@@ -243,6 +244,8 @@ def cmd_spectrum(args) -> int:
         spec = spectra.spectrum_from_trajectory(traj, drv, grid)
         conservation = float(traj.p0[-1]) + spec.norm
         norm_checks["conservation"] = conservation
+        solver.update(dt=dt, steps=len(traj.times))
+    solver["rows"] = len(spec.energies)
     norm_checks["norm"] = spec.norm
 
     _write_csv(outdir / "spectrum.csv", ["E_in_Gamma", "Pbar"], [spec.energies, spec.values])
@@ -257,7 +260,7 @@ def cmd_spectrum(args) -> int:
             "method": args.method,
             "t": args.t if args.method == "trajectory" else None,
         },
-        "solver": {"method": args.method, "rows": len(spec.energies)},
+        "solver": solver,
         "norm_checks": norm_checks,
         "qualitative_checks": {},
         "version": __version__,
@@ -277,7 +280,7 @@ def cmd_revival(args) -> int:
     params = SystemParams(e0=args.e0)
     reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
     t_max = args.t_max if args.t_max else 3.0 * (args.n + 1) / args.w + 20.0
-    dt = args.dt if args.dt else default_dt(params, args.w + abs(args.e0) + params.u)
+    dt = default_dt(params, args.w + abs(args.e0) + params.u) if args.dt is None else args.dt
     traj = chain.evolve_chain(
         params, reservoir, SolverConfig(dt=dt, t_end=t_max), store_reservoir=False
     )

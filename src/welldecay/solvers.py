@@ -48,6 +48,7 @@ from .model import (
     DriveProfile,
     FiniteChain,
     Lorentzian,
+    ModelError,
     SpectralDensity,
     SystemParams,
     WideBand,
@@ -86,7 +87,7 @@ class SolverConfig:
     def __post_init__(self):
         _check_finite(self, "dt", "t_end", "tolerance")
         if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ModelError(f"SolverConfig.dt must be positive and finite, got {self.dt}")
         if self.t_end == 0.0:
             raise ValueError("t_end must be nonzero (the grid starts at 0)")
         if not self.tolerance > 0.0:

@@ -6,9 +6,11 @@ Two routes to P_r:
 
       P_r(t) = S(E_r) | int_0^t w(t') b0(t') e^{i E_r t'} dt' |^2
 
-  evaluated by trapezoidal quadrature on the trajectory grid for every
-  energy of the requested grid. The trajectory step must resolve the
-  fastest phase: dt * max|E_r| <= 0.2.
+  evaluated by the trapezoid rule on the trajectory's uniform grid
+  t_k = k dt. The sum over k for every energy of the requested grid is one
+  Gaussian-gridding non-uniform FFT, accurate to ~1e-15 of the peak at cost
+  O(N_t log N_t + N_E). The trajectory step must resolve the fastest phase:
+  dt * max|E_r| <= 0.2.
 
 * asymptotically (t -> infinity, wide band), dispatching to the closed-form
   sideband sums.
@@ -34,7 +36,8 @@ from .model import ModelError, SystemParams
 from .solvers import AmplitudeTrajectory
 
 TRAJECTORY_PHASE_LIMIT = 0.2  # max tolerated dt * |E|
-_ENERGY_CHUNK = 2048
+_OVERSAMPLE = 2  # the FFT grid has at least this many points per time sample
+_SPREAD = 16  # FFT grid points on each side of a target in the Gaussian interpolation
 
 
 @dataclass
@@ -128,13 +131,15 @@ def spectrum_from_trajectory(
     energies: np.ndarray,
 ) -> EnergySpectrum:
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
-    windowed integral for every grid energy, weighted by the trajectory's
-    own spectral density."""
+    windowed integral on the trajectory's uniform grid for every grid
+    energy, weighted by the trajectory's own spectral density."""
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
     energies = np.asarray(energies, dtype=float)
     dt = times[1] - times[0]
+    if np.max(np.abs(np.diff(times) - dt)) > 1.0e-9 * dt:
+        raise ModelError("trajectory spectra need a uniform time grid t_k = k dt")
     worst = dt * float(np.max(np.abs(energies)))
     if worst > TRAJECTORY_PHASE_LIMIT:
         raise ModelError(
@@ -146,13 +151,38 @@ def spectrum_from_trajectory(
     weights[0] = weights[-1] = 0.5 * dt
     g = weights * w * traj.b0
     dens = np.asarray(traj.sd.density(energies), dtype=float)
-    values = np.empty_like(energies)
-    for i in range(0, energies.size, _ENERGY_CHUNK):
-        sl = energies[i : i + _ENERGY_CHUNK]
-        amp = np.exp(1j * np.outer(sl, times)) @ g
-        values[i : i + _ENERGY_CHUNK] = np.abs(amp) ** 2
-    values *= dens
+    values = np.abs(_uniform_sum(g, energies * dt)) ** 2 * dens
     return EnergySpectrum.build(energies, values, time=float(times[-1]))
+
+
+def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A(x_j) = sum_k g_k e^{i k x_j} for arbitrary real x_j (type-2 NUFFT).
+
+    Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee, SIAM Rev. 46:443,
+    2004): the centred modes m = k - N//2 are deconvolved by e^{tau m^2} and
+    taken to a zero-padded FFT grid of size 2^ceil(log2(2 N)) = R N, then each
+    x_j is read off by convolving with the periodic Gaussian e^{-x^2 / 4 tau}
+    over its 2 _SPREAD nearest grid points. With tau = pi _SPREAD / (N^2 R (R - 1/2))
+    the truncated Gaussian tail and the FFT aliasing both stay below
+    e^{-pi _SPREAD (R - 1) / (R - 1/2)} ~ 3e-15 of sum |g_k|. Cost
+    O(N log N + _SPREAD len(x)), memory O(N + len(x)).
+    """
+    n = g.size
+    centre = n // 2
+    m = np.arange(n) - centre
+    size = 1 << math.ceil(math.log2(_OVERSAMPLE * n))
+    r = size / n
+    tau = math.pi * _SPREAD / (n * n * r * (r - 0.5))
+    fine = np.zeros(size, dtype=complex)
+    fine[m % size] = g * np.exp(tau * m * m)
+    fine = np.fft.ifft(fine)  # 1/size cancels the grid sum's quadrature weight
+    h = 2.0 * math.pi / size
+    base = np.floor(x / h).astype(np.int64)
+    amp = np.zeros(x.size, dtype=complex)
+    for s in range(1 - _SPREAD, _SPREAD + 1):
+        node = base + s
+        amp += fine[node % size] * np.exp(-((x - node * h) ** 2) / (4.0 * tau))
+    return math.sqrt(math.pi / tau) * np.exp(1j * centre * x) * amp
 
 
 def spectrum_asymptotic(params: SystemParams, kind: str, energies: np.ndarray) -> EnergySpectrum:

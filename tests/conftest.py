@@ -5,8 +5,9 @@ import math
 import numpy as np
 
 from welldecay import spectra
+from welldecay.model import DriveProfile
 from welldecay.solvers import SolverConfig, solve_wideband
-from welldecay.spectra import EnergySpectrum, spectrum_from_trajectory
+from welldecay.spectra import spectrum_from_trajectory
 
 
 def tail_points_for(t_end: float, window: float, p0_final: float) -> int:
@@ -22,29 +23,19 @@ def tail_points_for(t_end: float, window: float, p0_final: float) -> int:
     return min(9000, max(1000, int(5.0 * log_span * window * t_end / (2.0 * math.pi))))
 
 
-def banded_trajectory_spectrum(params, drv, t_end, grid, split_at):
-    """Trajectory spectrum where each energy band gets a matched time step.
+def conservation_gap(params, t_end):
+    """|P0(t) + integral of P_r - 1| from one wide-band run at t = t_end.
 
-    The step must resolve the fastest phase e^{i E t} of the band it serves;
-    computing the slow core with the tail-resolved step would waste almost
-    all of the work. Returns (spectrum over the full grid, final P0).
+    The energy window leaves under 5e-4 of mass in the 1/E^2 wings; one time
+    step, at 0.98 of the phase limit of the outermost energy, serves the
+    whole grid and lands exactly on t_end.
     """
-    e0 = params.e0
-    # the core carries the mass, so resolve it well past the aliasing limit;
-    # tail values are 1/E^2-small and tolerate running at the limit
-    parts = [
-        (np.abs(grid - e0) <= split_at, 0.35),
-        (np.abs(grid - e0) > split_at, 0.98),
-    ]
-    values = np.empty_like(grid)
-    p0_final = None
-    for mask, phase_frac in parts:
-        sub = grid[mask]
-        if sub.size == 0:
-            continue
-        dt = phase_frac * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(sub)))
-        dt = t_end / math.ceil(t_end / dt)  # both bands must end at exactly t_end
-        traj = solve_wideband(params, drv, SolverConfig(dt=dt, t_end=t_end))
-        values[mask] = spectrum_from_trajectory(traj, drv, sub).values
-        p0_final = float(traj.p0[-1])
-    return EnergySpectrum.build(grid, values, time=t_end), p0_final
+    p0_final = math.exp(-params.gamma * t_end)  # >= the barrier-driven P0: a wider window
+    window = spectra.conservation_window(params, p0_final)
+    n_tail = tail_points_for(t_end, window, p0_final)
+    grid = spectra.energy_grid(params, tail_halfwidth=window, tail_points=n_tail)
+    dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
+    drv = DriveProfile.from_params(params)
+    traj = solve_wideband(params, drv, SolverConfig(dt=t_end / math.ceil(t_end / dt), t_end=t_end))
+    spec = spectrum_from_trajectory(traj, drv, grid)
+    return abs(float(traj.p0[-1]) + spec.norm - 1.0)

@@ -97,6 +97,8 @@ def test_spectrum_trajectory_conservation(tmp_path):
     assert rc == 0
     manifest = read_manifest(tmp_path)
     assert abs(manifest["norm_checks"]["conservation"] - 1.0) < 1e-3
+    solver = manifest["solver"]  # the N_E x N_t cost of the run
+    assert solver["steps"] == round(3.0 / solver["dt"]) + 1 and solver["rows"] > 1000
 
 
 def test_manifest_log_appends(tmp_path):
@@ -142,6 +144,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("survival --model wideband --drive level --u 1 --omega inf --t-max 1", "LevelDrive.omega"),
         ("revival --n 20 --w 6 --t-max nan", "SolverConfig.t_end"),
         ("spectrum --method trajectory --t inf", "--t must"),
+        ("survival --model wideband --t-max 1 --dt 0", "SolverConfig.dt"),
+        ("survival --model chain --n 20 --w 6 --t-max 1 --dt 0", "SolverConfig.dt"),
+        ("revival --n 20 --w 6 --dt 0", "SolverConfig.dt"),
     ],
 )
 def test_nonfinite_input_exits_1_naming_the_field(tmp_path, capsys, argv, field):

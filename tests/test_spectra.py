@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from welldecay import closedform, spectra
 from welldecay.model import (
@@ -12,11 +14,11 @@ from welldecay.model import (
     LevelDrive,
     ModelError,
     SystemParams,
+    WideBand,
 )
 from welldecay.solvers import AmplitudeTrajectory, SolverConfig, solve_wideband
 from welldecay.spectra import (
     EnergySpectrum,
-    conservation_window,
     energy_grid,
     spectrum_asymptotic,
     spectrum_from_trajectory,
@@ -115,20 +117,31 @@ def test_exact_barrier_trajectory_vs_floquet_sum_gap_is_order_alpha_squared():
 def test_conservation_probability_reaches_reservoir(kind, params, t_end):
     # P0(t) + integral of the spectrum = 1; the full 3 x 3 sweep runs in the
     # acceptance suite, these are the representative corners
-    from conftest import banded_trajectory_spectrum, tail_points_for
+    from conftest import conservation_gap
 
-    p0_final = math.exp(-params.gamma * t_end)
-    window = conservation_window(params, p0_final)
-    n_tail = tail_points_for(t_end, window, p0_final)
-    grid = energy_grid(params, tail_halfwidth=window, tail_points=n_tail)
-    core = 8.0 + spectra.sideband_count(params) * (
-        params.level_drive.omega if params.level_drive
-        else params.barrier_drive.omega if params.barrier_drive else 0.0
-    )
-    drv = DriveProfile.from_params(params)
-    spec, p0_end = banded_trajectory_spectrum(params, drv, t_end, grid, core)
-    conservation = p0_end + spec.norm
-    assert abs(conservation - 1.0) < 1e-3, f"{kind} at t={t_end}: {conservation}"
+    gap = conservation_gap(params, t_end)
+    assert gap < 1e-3, f"{kind} at t={t_end}: {gap}"
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["static", "level", "barrier"]),
+    e0=st.floats(-1.0, 1.0),
+    t_end=st.floats(0.5, 6.0),
+    u=st.floats(-3.0, 3.0),
+    alpha=st.floats(0.0, 0.5),
+    omega=st.floats(1.0, 3.0),
+)
+def test_conservation_property(kind, e0, t_end, u, alpha, omega):
+    from conftest import conservation_gap
+
+    drive = {
+        "static": {},
+        "level": {"level_drive": LevelDrive(u, omega)},
+        "barrier": {"barrier_drive": BarrierDrive(alpha, omega)},
+    }[kind]
+    gap = conservation_gap(SystemParams(e0=e0, **drive), t_end)
+    assert gap < 1e-3, f"{kind} drive, E0 = {e0}, t = {t_end}: {gap}"
 
 
 def test_asymptotic_static_is_normalized_lorentzian():
@@ -213,6 +226,55 @@ def test_grid_resolution_guard():
     grid = np.linspace(-30.0, 30.0, 101)
     with pytest.raises(ModelError):
         spectrum_from_trajectory(traj, drv, grid)
+
+
+def test_nonuniform_grid_rejected():
+    p = SystemParams(e0=0.0)
+    times = np.array([0.0, 0.1, 0.25, 0.3])
+    traj = AmplitudeTrajectory(
+        times, np.exp(-0.5 * times) + 0j, None, p, WideBand(), SolverConfig(0.1, 0.3), "hand-built"
+    )
+    with pytest.raises(ModelError, match="uniform"):
+        spectrum_from_trajectory(traj, None, np.linspace(-1.0, 1.0, 11))
+
+
+def direct_spectrum(traj, drive, energies):
+    """The trapezoid sum term by term, the reference for the fast sum."""
+    t = traj.times
+    weights = np.full_like(t, t[1] - t[0])
+    weights[[0, -1]] *= 0.5
+    w = drive.w_of_t(t) if drive is not None else 1.0
+    amp = np.exp(1j * np.outer(energies, t)) @ (weights * w * traj.b0)
+    return np.abs(amp) ** 2 * traj.sd.density(energies)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n_t=st.integers(2, 1100),
+    dt=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+    barrier=st.booleans(),
+)
+@example(n_t=2, dt=0.05, seed=0, barrier=False)
+@example(n_t=7, dt=0.01, seed=1, barrier=True)
+@example(n_t=1025, dt=2e-3, seed=2, barrier=False)
+def test_fast_sum_matches_direct_sum(n_t, dt, seed, barrier):
+    # random |b0| <= 1 and phases on N_t samples, energies out to the phase
+    # limit on both sides and at 0
+    rng = np.random.default_rng(seed)
+    p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(0.3, 2.0) if barrier else None)
+    drv = DriveProfile.from_params(p) if barrier else None
+    times = dt * np.arange(n_t)
+    b0 = rng.uniform(0.0, 1.0, n_t) * np.exp(2j * np.pi * rng.uniform(size=n_t))
+    b0[0] = 1.0
+    traj = AmplitudeTrajectory(
+        times, b0, None, p, WideBand(), SolverConfig(dt, times[-1]), "hand-built"
+    )
+    edge = np.nextafter(spectra.TRAJECTORY_PHASE_LIMIT / dt, 0.0)  # dt * edge <= the limit
+    grid = np.unique(np.concatenate([[-edge, 0.0, edge], rng.uniform(-edge, edge, 200)]))
+    got = spectrum_from_trajectory(traj, drv, grid).values
+    ref = direct_spectrum(traj, drv, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
 def test_energy_spectrum_validation():
