@@ -16,7 +16,6 @@ from .closedform import (
 )
 from .model import (
     BarrierDrive,
-    DriveProfile,
     FiniteChain,
     LevelDrive,
     Lorentzian,
@@ -25,8 +24,6 @@ from .model import (
     SpectralDensity,
     SystemParams,
     WideBand,
-    memory_kernel,
-    spectral_density_at,
 )
 from .solvers import (
     LORENTZIAN_ODE,
@@ -40,6 +37,7 @@ from .solvers import (
     combine_signed,
     convergence_order,
     default_dt,
+    solve,
     solve_lorentzian_ode,
     solve_volterra,
     solve_wideband,

@@ -8,11 +8,12 @@ survival probability returns after the excitation crosses the reservoir
 and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
 The chain is a reservoir like the continuum ones: evolve_chain takes the
-same SystemParams and SolverConfig, builds the same signed grid, applies the
-same resolution rule with the band W + |E0| + u, and returns an
-AmplitudeTrajectory whose sd is the FiniteChain. It also fills the
-trajectory's br (reservoir amplitudes, one row per sample, when stored) and
-norm_drift (largest |<psi|psi> - 1| seen).
+same SystemParams (drive profiles included) and SolverConfig, builds the
+same signed grid, applies the same resolution rule with the band
+W + |E0| + u, and returns an AmplitudeTrajectory whose sd is the
+FiniteChain; solvers.solve routes a FiniteChain here without storing the
+reservoir. It also fills the trajectory's br (reservoir amplitudes, one row
+per sample, when stored) and norm_drift (largest |<psi|psi> - 1| seen).
 
 Static Hamiltonians are propagated through the full eigendecomposition of
 the real symmetric matrix, exact at every sample time with no error
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DriveProfile, FiniteChain, ModelError, SystemParams
+from .model import FiniteChain, ModelError, SystemParams
 from .solvers import AmplitudeTrajectory, SolverConfig, SolverError, _check_resolution, _grid
 from .spectra import EnergySpectrum
 
@@ -58,15 +59,14 @@ def evolve_chain(
 
     The drive is the one params describes; the run is static when it has none.
     """
-    _check_resolution(cfg, params, chain.w_band + abs(params.e0) + params.u)
+    _check_resolution(cfg, params, chain)
     times = _grid(cfg)
-    drive = DriveProfile.from_params(params)
-    if drive.static:
+    if params.static:
         method = "eigendecomposition"
         b0, br, drift = _evolve_eig(params.e0, chain, times, store_reservoir)
     else:
         method = "strang-splitting"
-        b0, br, drift = _evolve_strang(chain, drive, times, store_reservoir)
+        b0, br, drift = _evolve_strang(chain, params, times, store_reservoir)
 
     span = max(abs(cfg.t_end), 1.0)
     if drift > NORM_DRIFT_LIMIT * span:
@@ -95,10 +95,7 @@ def _evolve_eig(e0: float, chain: FiniteChain, times: np.ndarray, store_reservoi
 
 
 def _evolve_strang(
-    chain: FiniteChain,
-    drive: DriveProfile,
-    times: np.ndarray,
-    store_reservoir: bool,
+    chain: FiniteChain, params: SystemParams, times: np.ndarray, store_reservoir: bool
 ):
     n = times.size - 1
     h = times[1] - times[0]  # signed step
@@ -108,7 +105,7 @@ def _evolve_strang(
     vhat = om / vnorm
 
     phase_r_half = np.exp(-1j * er * (h / 2.0))
-    e0_int = drive.e0_integral
+    e0_int = params.e0_integral
 
     b0 = np.empty(n + 1, dtype=complex)
     br_hist = np.empty((n + 1, chain.n_levels), dtype=complex) if store_reservoir else None
@@ -125,7 +122,7 @@ def _evolve_strang(
         b *= np.exp(-1j * ph1)
         br = br * phase_r_half
         # full step of the star-coupling rotation at the midpoint barrier value
-        wmid = float(drive.w_of_t(t0 + 0.5 * h))
+        wmid = float(params.w_at(t0 + 0.5 * h))
         if wmid <= 0.0:
             raise SolverError(f"barrier profile w(t) reached {wmid:.3g} at t = {t0 + 0.5 * h:.4g}")
         theta = vnorm * wmid * h

@@ -24,22 +24,21 @@ import numpy as np
 from . import __version__, chain, closedform, spectra
 from .model import (
     BarrierDrive,
-    DriveProfile,
     FiniteChain,
     LevelDrive,
     Lorentzian,
     ModelError,
     Semicircle,
     SystemParams,
+    WideBand,
 )
 from .solvers import (
-    AmplitudeTrajectory,
     ResolutionError,
     SolverConfig,
     SolverError,
-    _grid,
     combine_signed,
     default_dt,
+    solve,
     solve_lorentzian_ode,
     solve_volterra,
     solve_wideband,
@@ -95,26 +94,20 @@ def _build_params(args) -> SystemParams:
     return SystemParams(e0=args.e0, gamma=1.0, level_drive=level, barrier_drive=barrier)
 
 
-def _solve_one_side(model, method, params, drv, band, t_end, dt):
-    cfg = SolverConfig(dt=dt, t_end=t_end)
-    if model == "wideband":
-        return solve_wideband(params, drv, cfg)
-    if model == "lorentzian":
-        if method == "volterra":
-            return solve_volterra(params, Lorentzian(band, params.gamma), drv, cfg)
-        if method == "closed":
-            if not drv.static:
-                raise ModelError("the closed-form method covers the static Hamiltonian only")
-            times = _grid(cfg)
-            b0 = np.asarray(closedform.b0_lorentzian_static(params, band, times))
-            cfg = SolverConfig(dt=dt, t_end=t_end, tolerance=1.0e-12)
-            return AmplitudeTrajectory(
-                times, b0, None, params, Lorentzian(band, params.gamma), cfg, "closed-form"
-            )
-        return solve_lorentzian_ode(params, band, drv, cfg)
-    if model == "semicircle":
-        return solve_volterra(params, Semicircle(band, params.gamma), drv, cfg)
-    raise ValueError(model)
+def _build_reservoir(args, params: SystemParams):
+    if args.model == "wideband":
+        return WideBand(params.gamma)
+    if args.model == "lorentzian":
+        if args.lam is None:
+            raise ModelError("lorentzian model needs --lambda")
+        return Lorentzian(args.lam, params.gamma)
+    if args.model == "semicircle":
+        if args.w is None:
+            raise ModelError("semicircle model needs --w")
+        return Semicircle(args.w, params.gamma)
+    if args.n is None or args.w is None:
+        raise ModelError("chain model needs --n and --w")
+    return FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
 
 
 def cmd_survival(args) -> int:
@@ -126,67 +119,36 @@ def cmd_survival(args) -> int:
         raise ModelError("--t-max must be positive and finite")
     if not -math.inf < args.t_min <= 0.0:
         raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
+    reservoir = _build_reservoir(args, params)  # validated before dt uses it
+    dt = default_dt(params, reservoir) if args.dt is None else args.dt
 
+    def side(t_end):
+        return solve(params, reservoir, SolverConfig(dt=dt, t_end=t_end), args.method)
+
+    traj = pos = side(args.t_max)
+    if args.t_min < 0.0:
+        traj = combine_signed(side(args.t_min), pos)
+    times, p0 = traj.times, traj.p0
+    columns = [times, p0]
+    header = ["t_in_1/Gamma", "P0"]
     norm_checks: dict = {}
     extra: dict = {}
     if args.model == "chain":
-        if args.n is None or args.w is None:
-            raise ModelError("chain model needs --n and --w")
-        reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
-        dt = default_dt(params, args.w + abs(args.e0) + params.u) if args.dt is None else args.dt
-
-        def side(t_end):
-            cfg = SolverConfig(dt=dt, t_end=t_end)
-            return chain.evolve_chain(params, reservoir, cfg, store_reservoir=False)
-
-        traj = pos = side(args.t_max)
-        if args.t_min < 0.0:
-            traj = combine_signed(side(args.t_min), pos)
-        times, p0 = traj.times, traj.p0
         norm_checks["norm_drift"] = pos.norm_drift
         try:
-            t_rev = chain.revival_time(pos)
+            extra["revival_time"] = chain.revival_time(pos)
         except SolverError:
-            t_rev = None
-        extra["revival_time"] = t_rev
-        method_used = pos.method
-        columns = [times, p0]
-        header = ["t_in_1/Gamma", "P0"]
+            extra["revival_time"] = None
     else:
-        band = 0.0
-        if args.model == "lorentzian":
-            if args.lam is None:
-                raise ModelError("lorentzian model needs --lambda")
-            band = Lorentzian(args.lam, params.gamma).lam  # validated before dt uses it
-        elif args.model == "semicircle":
-            if args.w is None:
-                raise ModelError("semicircle model needs --w")
-            band = Semicircle(args.w, params.gamma).w_band
-        method = args.method
-        if method == "auto":
-            method = {"wideband": "closed", "lorentzian": "ode", "semicircle": "volterra"}[
-                args.model
-            ]
-        drv = DriveProfile.from_params(params)
-        dt = default_dt(params, band) if args.dt is None else args.dt
-        pos = _solve_one_side(args.model, method, params, drv, band, args.t_max, dt)
-        traj = pos
-        if args.t_min < 0.0:
-            neg = _solve_one_side(args.model, method, params, drv, band, args.t_min, dt)
-            traj = combine_signed(neg, pos)
-        times, p0 = traj.times, traj.p0
         norm_checks["max_abs_b0"] = float(np.max(np.abs(traj.b0)))
-        method_used = traj.method
-        columns = [times, p0]
-        header = ["t_in_1/Gamma", "P0"]
-        if args.oracle and args.model in ("wideband", "lorentzian") and drv.static:
-            if args.model == "wideband":
-                oracle = np.abs(closedform.b0_markovian_static(params, times)) ** 2
-            else:
-                oracle = np.abs(closedform.b0_lorentzian_static(params, band, times)) ** 2
-            columns.append(oracle)
-            header.append("P0_oracle")
-            norm_checks["max_oracle_gap"] = float(np.max(np.abs(p0 - oracle)))
+    if args.oracle and args.model in ("wideband", "lorentzian") and params.static:
+        if args.model == "wideband":
+            oracle = np.abs(closedform.b0_markovian_static(params, times)) ** 2
+        else:
+            oracle = np.abs(closedform.b0_lorentzian_static(params, reservoir.lam, times)) ** 2
+        columns.append(oracle)
+        header.append("P0_oracle")
+        norm_checks["max_oracle_gap"] = float(np.max(np.abs(p0 - oracle)))
 
     _write_csv(outdir / "survival.csv", header, columns)
     record = {
@@ -205,7 +167,7 @@ def cmd_survival(args) -> int:
             "t_max": args.t_max,
             **extra,
         },
-        "solver": {"method": method_used, "dt": float(times[1] - times[0]), "rows": len(times)},
+        "solver": {"method": traj.method, "dt": float(times[1] - times[0]), "rows": len(times)},
         "norm_checks": norm_checks,
         "qualitative_checks": {},
         "version": __version__,
@@ -237,11 +199,10 @@ def cmd_spectrum(args) -> int:
         window = spectra.conservation_window(params, p0_final)
         grid = spectra.energy_grid(params, tail_halfwidth=window)
         dt = TRAJ_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-        dt = min(dt, default_dt(params))
+        dt = min(dt, default_dt(params, WideBand()))
         dt = t_spec / math.ceil(t_spec / dt)  # land exactly on the requested time
-        drv = DriveProfile.from_params(params)
-        traj = solve_wideband(params, drv, SolverConfig(dt=dt, t_end=t_spec))
-        spec = spectra.spectrum_from_trajectory(traj, drv, grid)
+        traj = solve_wideband(params, SolverConfig(dt=dt, t_end=t_spec))
+        spec = spectra.spectrum_from_trajectory(traj, grid)
         conservation = float(traj.p0[-1]) + spec.norm
         norm_checks["conservation"] = conservation
         solver.update(dt=dt, steps=len(traj.times))
@@ -279,11 +240,9 @@ def cmd_revival(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     params = SystemParams(e0=args.e0)
     reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
-    t_max = args.t_max if args.t_max else 3.0 * (args.n + 1) / args.w + 20.0
-    dt = default_dt(params, args.w + abs(args.e0) + params.u) if args.dt is None else args.dt
-    traj = chain.evolve_chain(
-        params, reservoir, SolverConfig(dt=dt, t_end=t_max), store_reservoir=False
-    )
+    t_max = 3.0 * (args.n + 1) / args.w + 20.0 if args.t_max is None else args.t_max
+    dt = default_dt(params, reservoir) if args.dt is None else args.dt
+    traj = solve(params, reservoir, SolverConfig(dt=dt, t_end=t_max))
     t_rev = chain.revival_time(traj)
     _write_csv(outdir / "revival.csv", ["t_in_1/Gamma", "P0"], [traj.times, traj.p0])
     record = {
@@ -355,9 +314,7 @@ def _driven_pair(lam, e0, drive_kind, amp, omega, t_max, dt):
     else:
         driven = SystemParams(e0=e0, barrier_drive=BarrierDrive(amp, omega))
     cfg = SolverConfig(dt=dt, t_end=t_max)
-    t_s = solve_lorentzian_ode(static, lam, None, cfg)
-    t_d = solve_lorentzian_ode(driven, lam, None, cfg)
-    return t_s, t_d
+    return tuple(solve_lorentzian_ode(p, Lorentzian(lam), cfg) for p in (static, driven))
 
 
 def _fig34(outdir: Path, which: str) -> tuple[dict, dict, list]:
@@ -460,7 +417,7 @@ def cmd_selftest(args) -> int:
 
     params = SystemParams(e0=0.0)
     cfg = SolverConfig(dt=0.005, t_end=4.0)
-    traj = solve_wideband(params, None, cfg)
+    traj = solve_wideband(params, cfg)
     gap = float(np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times)))))
     report("wideband static survival is exp(-Gamma|t|)", gap < 1e-12, f"max gap {gap:.2e}")
 
@@ -468,8 +425,8 @@ def cmd_selftest(args) -> int:
     lam = 4.0
     for t_end in (4.0, -4.0):
         cfg = SolverConfig(dt=0.002, t_end=t_end)
-        tv = solve_volterra(p1, Lorentzian(lam), None, cfg)
-        to = solve_lorentzian_ode(p1, lam, None, cfg)
+        tv = solve_volterra(p1, Lorentzian(lam), cfg)
+        to = solve_lorentzian_ode(p1, Lorentzian(lam), cfg)
         ex = closedform.b0_lorentzian_static(p1, lam, tv.times)
         g1 = float(np.max(np.abs(tv.p0 - np.abs(ex) ** 2)))
         g2 = float(np.max(np.abs(to.p0 - np.abs(ex) ** 2)))
@@ -481,13 +438,13 @@ def cmd_selftest(args) -> int:
 
     cfgp = SolverConfig(dt=0.002, t_end=3.0)
     cfgm = SolverConfig(dt=0.002, t_end=-3.0)
-    fwd = solve_volterra(p1, Lorentzian(lam), None, cfgp)
-    bwd = solve_volterra(p1, Lorentzian(lam), None, cfgm)
+    fwd = solve_volterra(p1, Lorentzian(lam), cfgp)
+    bwd = solve_volterra(p1, Lorentzian(lam), cfgm)
     sym = float(np.max(np.abs(bwd.b0 - np.conj(fwd.b0))))
     report("time reversal b0(-t) = conj b0(t)", sym < 1e-10, f"max {sym:.2e}")
 
     ct = chain.evolve_chain(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
-    cs = solve_volterra(p1, Semicircle(6.0), None, SolverConfig(dt=0.005, t_end=5.0))
+    cs = solve_volterra(p1, Semicircle(6.0), SolverConfig(dt=0.005, t_end=5.0))
     gap = float(np.max(np.abs(ct.p0 - cs.p0)))
     report("chain matches semicircle memory solution", gap < 0.02, f"max gap {gap:.2e}")
     report("chain norm conserved", ct.norm_drift < 1e-8, f"drift {ct.norm_drift:.2e}")
@@ -495,10 +452,9 @@ def cmd_selftest(args) -> int:
     lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(lev, tail_halfwidth=None)
     spec = spectra.spectrum_asymptotic(lev, "level", grid)
-    drv = DriveProfile.from_params(lev)
     dt = TRAJ_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    tw = solve_wideband(lev, drv, SolverConfig(dt=dt, t_end=12.0))
-    st = spectra.spectrum_from_trajectory(tw, drv, grid)
+    tw = solve_wideband(lev, SolverConfig(dt=dt, t_end=12.0))
+    st = spectra.spectrum_from_trajectory(tw, grid)
     peaks = [n * 2.0 for n in range(-3, 2)]
     rels = [
         abs(st.value_at(p) - spec.value_at(p)) / spec.value_at(p) for p in peaks

@@ -86,21 +86,8 @@ def wideband_phase(params: SystemParams, t, linear_alpha: bool = False):
     Phi(t) = int_0^t E0(t') dt' - i sgn(t) (Gamma/2) int_0^t w^2(t') dt';
     its imaginary part is <= 0 for either sign of t, so |b0| <= 1.
     """
-    t = np.asarray(t, dtype=float)
-    e0, g = params.e0, params.gamma
-    if params.level_drive is not None:
-        u, om = params.level_drive.u, params.level_drive.omega
-        e0_int = e0 * t + (u / om) * (np.cos(om * t) - 1.0)
-    else:
-        e0_int = e0 * t
-    if params.barrier_drive is not None:
-        al, om = params.barrier_drive.alpha, params.barrier_drive.omega
-        w2_int = t + 2.0 * al / om * (1.0 - np.cos(om * t))
-        if not linear_alpha:
-            w2_int = w2_int + al * al * (0.5 * t - np.sin(2.0 * om * t) / (4.0 * om))
-    else:
-        w2_int = t
-    return e0_int - 0.5j * g * np.sign(t) * w2_int
+    w2_int = params.w2_integral(t, linear_alpha)
+    return params.e0_integral(t) - 0.5j * params.gamma * np.sign(t) * w2_int
 
 
 def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:

@@ -1,5 +1,9 @@
-"""Physical model shared by every solver: system parameters, sinusoidal
+"""Physical model shared by every solver: system parameters with their
 drive profiles, reservoir spectral densities and their memory kernels.
+
+Every solver reads the level E0(t) and the barrier w(t) through the
+SystemParams profiles. LevelDrive and BarrierDrive are sinusoids with
+closed-form integrals; another profile is a subclass of either.
 
 Units: hbar = 1 and the wide-band level width Gamma is the energy unit
 (time in 1/Gamma). A reservoir is characterized by its spectral density
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,7 +50,11 @@ def _check_finite(obj, *fields: str) -> None:
 
 @dataclass(frozen=True)
 class LevelDrive:
-    """Oscillating well level, E0(t) = E0 - u sin(omega t)."""
+    """Oscillating well level, E0(t) = E0 - u sin(omega t).
+
+    Another profile is a subclass that overrides shift(t) = E0(t) - E0,
+    rate(t) = dE0/dt and integral(t) = int_0^t shift dt'.
+    """
 
     u: float
     omega: float
@@ -56,10 +64,24 @@ class LevelDrive:
         if not self.omega > 0.0:
             raise ModelError(f"level drive needs omega > 0, got {self.omega}")
 
+    def shift(self, t):
+        return -self.u * np.sin(self.omega * t)
+
+    def rate(self, t):
+        return -self.u * self.omega * np.cos(self.omega * t)
+
+    def integral(self, t):
+        return (self.u / self.omega) * (np.cos(self.omega * t) - 1.0)
+
 
 @dataclass(frozen=True)
 class BarrierDrive:
-    """Oscillating barrier transparency, w(t) = 1 + alpha sin(omega t)."""
+    """Oscillating barrier transparency, w(t) = 1 + alpha sin(omega t).
+
+    Another profile is a subclass that overrides w(t), rate(t) = dw/dt and
+    w2_integral(t, linear_alpha) = int_0^t w^2 dt', where linear_alpha=True
+    drops the O(alpha^2) part (the variant the sideband resummation uses).
+    """
 
     alpha: float
     omega: float
@@ -71,13 +93,29 @@ class BarrierDrive:
         if self.alpha < 0.0:
             raise ModelError(f"barrier drive needs alpha >= 0, got {self.alpha}")
 
+    def w(self, t):
+        return 1.0 + self.alpha * np.sin(self.omega * t)
+
+    def rate(self, t):
+        return self.alpha * self.omega * np.cos(self.omega * t)
+
+    def w2_integral(self, t, linear_alpha: bool = False):
+        al, om = self.alpha, self.omega
+        out = t + 2.0 * al / om * (1.0 - np.cos(om * t))
+        if linear_alpha:
+            return out
+        return out + al * al * (0.5 * t - np.sin(2.0 * om * t) / (4.0 * om))
+
 
 @dataclass(frozen=True)
 class SystemParams:
     """Static level position, width, and optional drives (all in Gamma units).
 
     Both drives may be present simultaneously; they are evaluated
-    independently wherever that combination is supported.
+    independently wherever that combination is supported. The solvers read
+    the drives only through the profiles e0_at = E0(t), e0_rate = dE0/dt,
+    e0_integral = int_0^t E0 dt', w_at = w(t), w_rate = dw/dt and
+    w2_integral = int_0^t w^2 dt', each vectorized over t.
     """
 
     e0: float
@@ -98,89 +136,37 @@ class SystemParams:
     def alpha(self) -> float:
         return self.barrier_drive.alpha if self.barrier_drive is not None else 0.0
 
+    @property
+    def static(self) -> bool:
+        return self.level_drive is None and self.barrier_drive is None
 
-@dataclass(frozen=True)
-class DriveProfile:
-    """Time profiles E0(t), w(t) and their derivatives, plus the running
-    integrals int_0^t E0 dt' and int_0^t w^2 dt' in closed form when the
-    profiles are sinusoids (None means: integrate numerically)."""
+    def e0_at(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.level_drive is None:
+            return np.full_like(t, self.e0)
+        return self.e0 + self.level_drive.shift(t)
 
-    e0_of_t: Callable
-    e0_dot_of_t: Callable
-    w_of_t: Callable
-    w_dot_of_t: Callable
-    e0_integral: Optional[Callable] = None
-    w2_integral: Optional[Callable] = None
-    static: bool = False
+    def e0_rate(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if self.level_drive is None else self.level_drive.rate(t)
 
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "DriveProfile":
-        e0 = params.e0
-        ld, bd = params.level_drive, params.barrier_drive
+    def e0_integral(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.level_drive is None:
+            return self.e0 * t
+        return self.e0 * t + self.level_drive.integral(t)
 
-        if ld is not None:
-            u, om = ld.u, ld.omega
+    def w_at(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.ones_like(t) if self.barrier_drive is None else self.barrier_drive.w(t)
 
-            def e0_of_t(t):
-                return e0 - u * np.sin(om * np.asarray(t, dtype=float))
+    def w_rate(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if self.barrier_drive is None else self.barrier_drive.rate(t)
 
-            def e0_dot_of_t(t):
-                return -u * om * np.cos(om * np.asarray(t, dtype=float))
-
-            def e0_integral(t):
-                t = np.asarray(t, dtype=float)
-                return e0 * t + (u / om) * (np.cos(om * t) - 1.0)
-
-        else:
-
-            def e0_of_t(t):
-                return np.full_like(np.asarray(t, dtype=float), e0)
-
-            def e0_dot_of_t(t):
-                return np.zeros_like(np.asarray(t, dtype=float))
-
-            def e0_integral(t):
-                return e0 * np.asarray(t, dtype=float)
-
-        if bd is not None:
-            al, omb = bd.alpha, bd.omega
-
-            def w_of_t(t):
-                return 1.0 + al * np.sin(omb * np.asarray(t, dtype=float))
-
-            def w_dot_of_t(t):
-                return al * omb * np.cos(omb * np.asarray(t, dtype=float))
-
-            def w2_integral(t):
-                # int_0^t (1 + al sin)^2 = t + 2 al (1 - cos)/omb
-                #                          + al^2 (t/2 - sin(2 omb t)/(4 omb))
-                t = np.asarray(t, dtype=float)
-                return (
-                    t
-                    + 2.0 * al / omb * (1.0 - np.cos(omb * t))
-                    + al * al * (0.5 * t - np.sin(2.0 * omb * t) / (4.0 * omb))
-                )
-
-        else:
-
-            def w_of_t(t):
-                return np.ones_like(np.asarray(t, dtype=float))
-
-            def w_dot_of_t(t):
-                return np.zeros_like(np.asarray(t, dtype=float))
-
-            def w2_integral(t):
-                return np.asarray(t, dtype=float)
-
-        return cls(
-            e0_of_t=e0_of_t,
-            e0_dot_of_t=e0_dot_of_t,
-            w_of_t=w_of_t,
-            w_dot_of_t=w_dot_of_t,
-            e0_integral=e0_integral,
-            w2_integral=w2_integral,
-            static=(ld is None and bd is None),
-        )
+    def w2_integral(self, t, linear_alpha: bool = False):
+        t = np.asarray(t, dtype=float)
+        return t if self.barrier_drive is None else self.barrier_drive.w2_integral(t, linear_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +302,3 @@ class FiniteChain:
 
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]
 
-
-def spectral_density_at(sd: SpectralDensity, e) -> Union[float, np.ndarray]:
-    """S(E) for any reservoir variant (the continuum envelope for FiniteChain)."""
-    out = sd.density(e)
-    return float(out) if np.ndim(e) == 0 else out
-
-
-def memory_kernel(sd: SpectralDensity, tau) -> Union[float, np.ndarray]:
-    """Memory kernel K(tau), defined for the Lorentzian and semicircle variants."""
-    out = sd.kernel(tau)
-    return float(out) if np.ndim(tau) == 0 else out

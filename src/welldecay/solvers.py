@@ -27,12 +27,14 @@ Three routes, all starting from b0(0) = 1:
   at t = 0.
 
 * solve_wideband: the closed-form wide-band amplitude evaluated on the
-  grid, with the drive integrals taken in closed form for sinusoids and
-  by cumulative trapezoid otherwise.
+  grid, from the drive integrals of SystemParams.
+
+Every route reads E0(t) and w(t) from its SystemParams, and solve(params,
+reservoir, cfg, method) picks the route from the reservoir (see ROUTES).
 
 Grids always contain t = 0 as a node and satisfy the resolution rule
-dt * max(Gamma, band, |E0| + u, omega) <= 0.05, the band being L, W, or
-W + |E0| + u for the finite chain (chain.evolve_chain).
+dt * max(Gamma, band, |E0| + u, omega) <= 0.05, the band being 0 for the
+wide band, L, W, or W + |E0| + u for the finite chain.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .closedform import wideband_phase
+from .closedform import b0_lorentzian_static, wideband_phase
 from .model import (
-    DriveProfile,
     FiniteChain,
     Lorentzian,
     ModelError,
+    Semicircle,
     SpectralDensity,
     SystemParams,
     WideBand,
@@ -58,6 +60,14 @@ from .model import (
 VOLTERRA_PC = "volterra-pc"
 LORENTZIAN_ODE = "lorentzian-ode"
 WIDEBAND_CLOSED = "wideband-closed-form"
+LORENTZIAN_CLOSED = "closed-form"
+# solve's methods per reservoir; "auto" takes the first ("exact" is chain.evolve_chain)
+ROUTES = {
+    WideBand: ("closed",),
+    Lorentzian: ("ode", "volterra", "closed"),
+    Semicircle: ("volterra",),
+    FiniteChain: ("exact",),
+}
 
 RESOLUTION_LIMIT = 0.05
 KERNEL_TRUNCATION = 1.0e-18
@@ -89,9 +99,10 @@ class SolverConfig:
         if not self.dt > 0.0:
             raise ModelError(f"SolverConfig.dt must be positive and finite, got {self.dt}")
         if self.t_end == 0.0:
-            raise ValueError("t_end must be nonzero (the grid starts at 0)")
+            raise ModelError(f"SolverConfig.t_end must be nonzero and finite, got {self.t_end}")
         if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+            raise ModelError(f"SolverConfig.tolerance must be positive and finite, got "
+                             f"{self.tolerance}")
 
 
 @dataclass
@@ -148,8 +159,21 @@ def _grid(cfg: SolverConfig) -> np.ndarray:
     return sign * cfg.dt * np.arange(n + 1)
 
 
-def _resolution_scale(params: SystemParams, band: float = 0.0) -> float:
-    scale = max(params.gamma, abs(params.e0) + params.u, band)
+def _band(params: SystemParams, reservoir: SpectralDensity) -> float:
+    """The reservoir's own fastest scale in the resolution rule."""
+    if isinstance(reservoir, WideBand):
+        return 0.0
+    if isinstance(reservoir, Lorentzian):
+        return reservoir.lam
+    if isinstance(reservoir, Semicircle):
+        return reservoir.w_band
+    if isinstance(reservoir, FiniteChain):
+        return reservoir.w_band + abs(params.e0) + params.u
+    raise ModelError(f"no resolution band for reservoir {reservoir!r}")
+
+
+def _resolution_scale(params: SystemParams, reservoir: SpectralDensity) -> float:
+    scale = max(params.gamma, abs(params.e0) + params.u, _band(params, reservoir))
     if params.level_drive is not None:
         scale = max(scale, params.level_drive.omega)
     if params.barrier_drive is not None:
@@ -157,8 +181,8 @@ def _resolution_scale(params: SystemParams, band: float = 0.0) -> float:
     return scale
 
 
-def _check_resolution(cfg: SolverConfig, params: SystemParams, band: float) -> None:
-    scale = _resolution_scale(params, band)
+def _check_resolution(cfg: SolverConfig, params: SystemParams, reservoir: SpectralDensity) -> None:
+    scale = _resolution_scale(params, reservoir)
     if cfg.dt * scale > RESOLUTION_LIMIT:
         raise ResolutionError(
             f"dt * max-rate = {cfg.dt * scale:.3g} exceeds {RESOLUTION_LIMIT} "
@@ -166,24 +190,48 @@ def _check_resolution(cfg: SolverConfig, params: SystemParams, band: float) -> N
         )
 
 
-def default_dt(params: SystemParams, band: float = 0.0, safety: float = 2.0) -> float:
-    """Largest step satisfying the resolution rule, divided by a safety margin."""
-    return RESOLUTION_LIMIT / (_resolution_scale(params, band) * safety)
+def default_dt(params: SystemParams, reservoir: SpectralDensity) -> float:
+    """Half the largest step the resolution rule allows for this run."""
+    return RESOLUTION_LIMIT / (_resolution_scale(params, reservoir) * 2.0)
+
+
+def solve(
+    params: SystemParams, reservoir: SpectralDensity, cfg: SolverConfig, method: str = "auto"
+) -> AmplitudeTrajectory:
+    """b0 on the grid of cfg by one of the reservoir's ROUTES.
+
+    The Lorentzian "closed" route is the static closed form; a FiniteChain
+    evolves without storing the reservoir amplitudes.
+    """
+    routes = ROUTES.get(type(reservoir), ())
+    if method == "auto" and routes:
+        method = routes[0]
+    if method not in routes:
+        raise ModelError(f"{reservoir!r} is solved by one of {routes}, not {method!r}")
+    if method == "exact":
+        from .chain import evolve_chain  # chain imports this module
+        return evolve_chain(params, reservoir, cfg, store_reservoir=False)
+    if isinstance(reservoir, WideBand):
+        return solve_wideband(params, cfg)
+    if method == "ode":
+        return solve_lorentzian_ode(params, reservoir, cfg)
+    if method == "volterra":
+        return solve_volterra(params, reservoir, cfg)
+    if not params.static:
+        raise ModelError("the closed-form method covers the static Hamiltonian only")
+    times = _grid(cfg)
+    b0 = b0_lorentzian_static(params, reservoir.lam, times)
+    exact = SolverConfig(cfg.dt, cfg.t_end, tolerance=1.0e-12)
+    return AmplitudeTrajectory(times, b0, None, params, reservoir, exact, LORENTZIAN_CLOSED)
 
 
 def solve_volterra(
-    params: SystemParams,
-    sd: SpectralDensity,
-    drive: Optional[DriveProfile],
-    cfg: SolverConfig,
+    params: SystemParams, sd: SpectralDensity, cfg: SolverConfig
 ) -> AmplitudeTrajectory:
     """Integrate the memory-integral equation for a finite-band reservoir."""
     if isinstance(sd, (WideBand, FiniteChain)):
         raise ValueError("solve_volterra needs a Lorentzian or Semicircle reservoir")
-    band = sd.lam if isinstance(sd, Lorentzian) else sd.w_band
-    _check_resolution(cfg, params, band)
-    if drive is None:
-        drive = DriveProfile.from_params(params)
+    _check_resolution(cfg, params, sd)
 
     times = _grid(cfg)
     n = times.size - 1
@@ -194,8 +242,8 @@ def solve_volterra(
     cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / dt)))
 
-    w = np.asarray(drive.w_of_t(times), dtype=float)
-    e0 = np.asarray(drive.e0_of_t(times), dtype=float)
+    w = params.w_at(times)
+    e0 = params.e0_at(times)
 
     b = np.empty(n + 1, dtype=complex)
     f = np.empty(n + 1, dtype=complex)  # db0/dt at the nodes
@@ -223,26 +271,19 @@ def solve_volterra(
 
 
 def solve_lorentzian_ode(
-    params: SystemParams,
-    lam: float,
-    drive: Optional[DriveProfile],
-    cfg: SolverConfig,
+    params: SystemParams, sd: Lorentzian, cfg: SolverConfig
 ) -> AmplitudeTrajectory:
     """Integrate the second-order Lorentzian-reservoir ODE by fixed-step RK4."""
-    if not lam > 0.0:
-        raise ValueError(f"Lorentzian half-width must be positive, got {lam}")
-    _check_resolution(cfg, params, lam)
-    if drive is None:
-        drive = DriveProfile.from_params(params)
+    _check_resolution(cfg, params, sd)
 
     times = _grid(cfg)
     n = times.size - 1
     h = times[1] - times[0]
     s = 1.0 if h > 0 else -1.0  # sgn(t), constant on this side of zero
-    g = params.gamma
+    lam, g = sd.lam, sd.gamma
 
-    e0f, e0d = drive.e0_of_t, drive.e0_dot_of_t
-    wf, wd = drive.w_of_t, drive.w_dot_of_t
+    e0f, e0d = params.e0_at, params.e0_rate
+    wf, wd = params.w_at, params.w_rate
 
     def rhs(t, y):
         wv = float(wf(t))
@@ -270,34 +311,14 @@ def solve_lorentzian_ode(
         if abs(y[0]) > DIVERGENCE_LIMIT:
             raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k + 1]:.4g}")
 
-    sd = Lorentzian(lam=lam, gamma=g)
     return AmplitudeTrajectory(times, b, bdot, params, sd, cfg, LORENTZIAN_ODE)
 
 
-def solve_wideband(
-    params: SystemParams,
-    drive: Optional[DriveProfile],
-    cfg: SolverConfig,
-) -> AmplitudeTrajectory:
+def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajectory:
     """Evaluate the wide-band amplitude b0 = exp(-i Phi(t)) on the grid."""
-    _check_resolution(cfg, params, 0.0)
+    _check_resolution(cfg, params, WideBand())
     times = _grid(cfg)
-
-    if drive is None:
-        phase = wideband_phase(params, times)
-    elif drive.e0_integral is not None and drive.w2_integral is not None:
-        e0_int = np.asarray(drive.e0_integral(times), dtype=float)
-        w2_int = np.asarray(drive.w2_integral(times), dtype=float)
-        phase = e0_int - 0.5j * params.gamma * np.sign(times) * w2_int
-    else:
-        # arbitrary drive callables: cumulative trapezoid along the signed grid
-        e0v = np.asarray(drive.e0_of_t(times), dtype=float)
-        w2v = np.asarray(drive.w_of_t(times), dtype=float) ** 2
-        h = times[1] - times[0]
-        e0_int = np.concatenate([[0.0], np.cumsum(0.5 * h * (e0v[1:] + e0v[:-1]))])
-        w2_int = np.concatenate([[0.0], np.cumsum(0.5 * h * (w2v[1:] + w2v[:-1]))])
-        phase = e0_int - 0.5j * params.gamma * np.sign(times) * w2_int
-
+    phase = wideband_phase(params, times)
     cfg_exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
     b = np.exp(-1j * phase)
     return AmplitudeTrajectory(times, b, None, params, WideBand(params.gamma), cfg_exact, WIDEBAND_CLOSED)

@@ -125,14 +125,11 @@ def conservation_window(params: SystemParams, p0_final: float, budget: float = 5
     return max(8.0 * params.gamma, (1.0 + p0_final) * params.gamma / (math.pi * budget))
 
 
-def spectrum_from_trajectory(
-    traj: AmplitudeTrajectory,
-    drive,
-    energies: np.ndarray,
-) -> EnergySpectrum:
+def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) -> EnergySpectrum:
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
     windowed integral on the trajectory's uniform grid for every grid
-    energy, weighted by the trajectory's own spectral density."""
+    energy, with the trajectory's own barrier profile w(t) and weighted by
+    its own spectral density."""
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
@@ -146,7 +143,7 @@ def spectrum_from_trajectory(
             f"trajectory step cannot resolve the grid: dt * max|E| = {worst:.3g} "
             f"> {TRAJECTORY_PHASE_LIMIT}; refine dt or shrink the energy window"
         )
-    w = np.asarray(drive.w_of_t(times), dtype=float) if drive is not None else np.ones_like(times)
+    w = traj.params.w_at(times)
     weights = np.full_like(times, dt)
     weights[0] = weights[-1] = 0.5 * dt
     g = weights * w * traj.b0

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from welldecay import spectra
-from welldecay.model import DriveProfile
 from welldecay.solvers import SolverConfig, solve_wideband
 from welldecay.spectra import spectrum_from_trajectory
 
@@ -35,7 +34,6 @@ def conservation_gap(params, t_end):
     n_tail = tail_points_for(t_end, window, p0_final)
     grid = spectra.energy_grid(params, tail_halfwidth=window, tail_points=n_tail)
     dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    drv = DriveProfile.from_params(params)
-    traj = solve_wideband(params, drv, SolverConfig(dt=t_end / math.ceil(t_end / dt), t_end=t_end))
-    spec = spectrum_from_trajectory(traj, drv, grid)
+    traj = solve_wideband(params, SolverConfig(dt=t_end / math.ceil(t_end / dt), t_end=t_end))
+    spec = spectrum_from_trajectory(traj, grid)
     return abs(float(traj.p0[-1]) + spec.norm - 1.0)

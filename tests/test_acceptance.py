@@ -29,7 +29,6 @@ from welldecay import closedform, spectra
 from welldecay.chain import evolve_chain, revival_time
 from welldecay.model import (
     BarrierDrive,
-    DriveProfile,
     FiniteChain,
     LevelDrive,
     Lorentzian,
@@ -53,12 +52,12 @@ def test_c01_markovian_static_law():
     p = SystemParams(e0=0.0)
     worst_exact = 0.0
     for t_end in (5.0, -5.0):
-        traj = solve_wideband(p, None, SolverConfig(dt=5e-3, t_end=t_end))
+        traj = solve_wideband(p, SolverConfig(dt=5e-3, t_end=t_end))
         worst_exact = max(worst_exact, float(np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times))))))
     worst_rel = 0.0
     for t_end in (5.0, -5.0):
         cfg = SolverConfig(dt=5e-5, t_end=t_end, tolerance=1e-2)
-        traj = solve_volterra(p, Lorentzian(1.0e3), None, cfg)
+        traj = solve_volterra(p, Lorentzian(1.0e3), cfg)
         sel = np.abs(traj.times) >= 0.1
         ref = np.exp(-np.abs(traj.times[sel]))
         worst_rel = max(worst_rel, float(np.max(np.abs(traj.p0[sel] - ref) / ref)))
@@ -78,8 +77,8 @@ def test_c02_lorentzian_oracle_triangle():
         p = SystemParams(e0=e0)
         for t_end in (6.0, -6.0):
             cfg = SolverConfig(dt=dt, t_end=t_end)
-            pv = solve_volterra(p, Lorentzian(lam), None, cfg).p0
-            po = solve_lorentzian_ode(p, lam, None, cfg).p0
+            pv = solve_volterra(p, Lorentzian(lam), cfg).p0
+            po = solve_lorentzian_ode(p, Lorentzian(lam), cfg).p0
             times = np.arange(0.0, abs(t_end) + dt / 2, dt) * (1 if t_end > 0 else -1)
             pc = np.abs(closedform.b0_lorentzian_static(p, lam, times)) ** 2
             worst = max(
@@ -99,7 +98,8 @@ def test_c03_short_time_expansion():
     results = []
     for lam in (2.0, 4.0):
         p = SystemParams(e0=1.0)
-        traj = solve_lorentzian_ode(p, lam, None, SolverConfig(dt=1e-4, t_end=0.02, tolerance=1e-10))
+        cfg = SolverConfig(dt=1e-4, t_end=0.02, tolerance=1e-10)
+        traj = solve_lorentzian_ode(p, Lorentzian(lam), cfg)
         t = traj.times[1:]
         y = 1.0 - traj.p0[1:]
         basis = np.vstack([t**2, -(t**3), t**4]).T
@@ -154,9 +154,9 @@ def test_c05_level_drive_orderings():
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     p0 = {}
     for e0 in (3.0, 0.0):
-        static = solve_lorentzian_ode(SystemParams(e0=e0), lam, None, cfg)
+        static = solve_lorentzian_ode(SystemParams(e0=e0), Lorentzian(lam), cfg)
         driven = solve_lorentzian_ode(
-            SystemParams(e0=e0, level_drive=LevelDrive(u, om)), lam, None, cfg
+            SystemParams(e0=e0, level_drive=LevelDrive(u, om)), Lorentzian(lam), cfg
         )
         i4 = static.index_of(4.0)
         p0[e0] = (float(static.p0[i4]), float(driven.p0[i4]))
@@ -177,9 +177,9 @@ def test_c06_barrier_drive_orderings():
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     oks, details = [], []
     for e0 in (3.0, 0.0):
-        static = solve_lorentzian_ode(SystemParams(e0=e0), lam, None, cfg)
+        static = solve_lorentzian_ode(SystemParams(e0=e0), Lorentzian(lam), cfg)
         driven = solve_lorentzian_ode(
-            SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, om)), lam, None, cfg
+            SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, om)), Lorentzian(lam), cfg
         )
         i4 = static.index_of(4.0)
         oks.append(float(driven.p0[i4]) < float(static.p0[i4]))
@@ -207,10 +207,9 @@ def test_c07_floquet_spectrum_consistency():
     # level drive
     p_lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(p_lev, tail_halfwidth=None)
-    drv = DriveProfile.from_params(p_lev)
     dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    traj = solve_wideband(p_lev, drv, SolverConfig(dt=dt, t_end=12.0))
-    spec = spectra.spectrum_from_trajectory(traj, drv, grid)
+    traj = solve_wideband(p_lev, SolverConfig(dt=dt, t_end=12.0))
+    spec = spectra.spectrum_from_trajectory(traj, grid)
     lev_rel = max(
         abs(spec.value_at(n * 2.0) - v) / v
         for n, v in _significant_peaks(p_lev, closedform.floquet_spectrum_level, 2.0, 8).items()
@@ -218,15 +217,14 @@ def test_c07_floquet_spectrum_consistency():
     # barrier drive, matching (linear-alpha) amplitude
     p_bar = SystemParams(e0=0.0, barrier_drive=BarrierDrive(0.1, 2.0))
     grid_b = spectra.energy_grid(p_bar, tail_halfwidth=None)
-    drv_b = DriveProfile.from_params(p_bar)
     dt_b = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid_b)))
-    base = solve_wideband(p_bar, drv_b, SolverConfig(dt=dt_b, t_end=12.0))
+    base = solve_wideband(p_bar, SolverConfig(dt=dt_b, t_end=12.0))
     lin = AmplitudeTrajectory(
         base.times,
         closedform.b0_markovian_driven(p_bar, base.times, linear_alpha=True),
         None, p_bar, base.sd, base.cfg, base.method,
     )
-    spec_b = spectra.spectrum_from_trajectory(lin, drv_b, grid_b)
+    spec_b = spectra.spectrum_from_trajectory(lin, grid_b)
     bar_rel = max(
         abs(spec_b.value_at(n * 2.0) - v) / v
         for n, v in _significant_peaks(p_bar, closedform.floquet_spectrum_barrier, 2.0, 6).items()
@@ -289,13 +287,13 @@ def test_c09_time_reversal_all_solvers():
         p = SystemParams(e0=e0)
         runs = {
             "volterra": lambda s: solve_volterra(
-                p, Lorentzian(4.0), None, SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-6)
+                p, Lorentzian(4.0), SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-6)
             ),
             "ode": lambda s: solve_lorentzian_ode(
-                p, 4.0, None, SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-9)
+                p, Lorentzian(4.0), SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-9)
             ),
             "wideband": lambda s: solve_wideband(
-                p, None, SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-12)
+                p, SolverConfig(dt=2e-3, t_end=s * 5.0, tolerance=1e-12)
             ),
         }
         for name, runner in runs.items():

@@ -103,7 +103,7 @@ def test_continuum_limit_against_semicircle_solution():
     # finite-N deviations from the continuum memory solution shrink with N,
     # and are already below discretization noise on the pre-revival window
     p = SystemParams(e0=1.0)
-    cont = solve_volterra(p, Semicircle(6.0), None, SolverConfig(dt=5e-3, t_end=5.0))
+    cont = solve_volterra(p, Semicircle(6.0), SolverConfig(dt=5e-3, t_end=5.0))
     devs = {}
     exp_devs = {}
     for n in (50, 150, 250):
@@ -214,12 +214,12 @@ def test_reversal_and_unitarity_over_small_chains(n, w, e0, u, omega):
     chain = FiniteChain(n, w)
     t_end = 2.0
     static = SystemParams(e0=e0)
-    dt = default_dt(static, w + abs(e0))
+    dt = default_dt(static, chain)
     fwd = run(e0, chain, t_end, dt)
     bwd = run(e0, chain, -t_end, dt)
     assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 1e-12
     drive = LevelDrive(u, omega)
-    dt = default_dt(SystemParams(e0=e0, level_drive=drive), w + abs(e0) + u)
+    dt = default_dt(SystemParams(e0=e0, level_drive=drive), chain)
     for sign in (1.0, -1.0):
         traj = run(e0, chain, sign * t_end, dt, level_drive=drive)
         norms = traj.p0 + np.sum(np.abs(traj.br) ** 2, axis=1)

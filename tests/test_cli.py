@@ -147,6 +147,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("survival --model wideband --t-max 1 --dt 0", "SolverConfig.dt"),
         ("survival --model chain --n 20 --w 6 --t-max 1 --dt 0", "SolverConfig.dt"),
         ("revival --n 20 --w 6 --dt 0", "SolverConfig.dt"),
+        ("revival --n 20 --w 6 --t-max 0", "SolverConfig.t_end"),
     ],
 )
 def test_nonfinite_input_exits_1_naming_the_field(tmp_path, capsys, argv, field):

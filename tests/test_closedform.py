@@ -63,7 +63,7 @@ def test_markovian_driven_barrier_matches_sharp_lorentzian_volterra():
     # wide-band limit (lam = 1e3 Gamma)
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     cfg = SolverConfig(dt=5.0e-5, t_end=1.0, tolerance=1e-2)
-    traj = solve_volterra(p, Lorentzian(lam=1.0e3), None, cfg)
+    traj = solve_volterra(p, Lorentzian(lam=1.0e3), cfg)
     ref = closedform.b0_markovian_driven(p, traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-3
 
@@ -114,7 +114,7 @@ def test_lorentzian_static_against_memory_solver():
     # oracle: independent fine-step integration of the memory equation
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=5.0e-4, t_end=2.0)
-    traj = solve_volterra(p, Lorentzian(4.0), None, cfg)
+    traj = solve_volterra(p, Lorentzian(4.0), cfg)
     ref = closedform.b0_lorentzian_static(p, 4.0, traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 5e-7
     # spot value at Gamma t = 2 frozen from that oracle

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from welldecay.model import (
     BarrierDrive,
-    DriveProfile,
     FiniteChain,
     LevelDrive,
     Lorentzian,
@@ -16,8 +15,6 @@ from welldecay.model import (
     Semicircle,
     SystemParams,
     WideBand,
-    memory_kernel,
-    spectral_density_at,
 )
 from welldecay.solvers import SolverConfig
 
@@ -26,29 +23,29 @@ TWO_PI = 2.0 * math.pi
 
 def test_density_band_center_and_half_maximum():
     lor = Lorentzian(lam=4.0, gamma=1.0)
-    assert abs(spectral_density_at(lor, 0.0) - 1.0 / TWO_PI) < 1e-15
-    assert abs(spectral_density_at(lor, 4.0) - 0.5 / TWO_PI) < 1e-15
+    assert abs(lor.density(0.0) - 1.0 / TWO_PI) < 1e-15
+    assert abs(lor.density(4.0) - 0.5 / TWO_PI) < 1e-15
 
 
 def test_density_semicircle_band_edge():
     semi = Semicircle(w_band=6.0, gamma=1.0)
-    assert spectral_density_at(semi, 6.0) == 0.0
-    assert spectral_density_at(semi, 7.5) == 0.0
-    assert abs(spectral_density_at(semi, 0.0) - 1.0 / TWO_PI) < 1e-15
+    assert semi.density(6.0) == 0.0
+    assert semi.density(7.5) == 0.0
+    assert abs(semi.density(0.0) - 1.0 / TWO_PI) < 1e-15
 
 
 def test_kernel_values_at_zero_lag():
-    assert abs(memory_kernel(Lorentzian(4.0), 0.0) - 2.0) < 1e-15  # Gamma lam / 2
+    assert abs(Lorentzian(4.0).kernel(0.0) - 2.0) < 1e-15  # Gamma lam / 2
     # semicircle limit Gamma W / 4, cross-checked by quadrature below
-    assert abs(memory_kernel(Semicircle(6.0), 0.0) - 1.5) < 1e-12
+    assert abs(Semicircle(6.0).kernel(0.0) - 1.5) < 1e-12
 
 
 def test_kernel_evenness():
     lor, semi = Lorentzian(4.0), Semicircle(6.0)
-    assert abs(memory_kernel(lor, -1.0) - 2.0 * math.exp(-4.0)) < 1e-15
+    assert abs(lor.kernel(-1.0) - 2.0 * math.exp(-4.0)) < 1e-15
     taus = np.linspace(0.05, 10.0, 40)
-    assert np.allclose(memory_kernel(lor, taus), memory_kernel(lor, -taus), rtol=0, atol=0)
-    assert np.allclose(memory_kernel(semi, taus), memory_kernel(semi, -taus), rtol=0, atol=0)
+    assert np.allclose(lor.kernel(taus), lor.kernel(-taus), rtol=0, atol=0)
+    assert np.allclose(semi.kernel(taus), semi.kernel(-taus), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
@@ -59,14 +56,14 @@ def test_kernel_matches_density_quadrature_lorentzian(tau):
         ref = quad(lambda e: lor.density(e), -np.inf, np.inf)[0]
     else:
         ref = quad(lambda e: lor.density(e), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
-    assert abs(memory_kernel(lor, tau) - ref) < 1e-9
+    assert abs(lor.kernel(tau) - ref) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
 def test_kernel_matches_density_quadrature_semicircle(tau):
     semi = Semicircle(w_band=6.0, gamma=1.0)
     ref = quad(lambda e: semi.density(e) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
-    assert abs(memory_kernel(semi, tau) - ref) < 1e-9
+    assert abs(semi.kernel(tau) - ref) < 1e-9
 
 
 def test_matched_lorentzian_curvature():
@@ -106,9 +103,9 @@ def test_chain_density_reaches_semicircle():
 
 def test_kernel_rejects_variants_without_continuum_kernel():
     with pytest.raises(ModelError):
-        memory_kernel(WideBand(), 0.5)
+        WideBand().kernel(0.5)
     with pytest.raises(ModelError):
-        memory_kernel(FiniteChain(10, 6.0), 0.5)
+        FiniteChain(10, 6.0).kernel(0.5)
 
 
 def test_parameter_validation():
@@ -124,6 +121,10 @@ def test_parameter_validation():
         Semicircle(w_band=0.0)
     with pytest.raises(ModelError):
         FiniteChain(n_levels=0, w_band=6.0)
+    with pytest.raises(ModelError, match="SolverConfig.t_end must be nonzero and finite"):
+        SolverConfig(dt=0.01, t_end=0.0)
+    with pytest.raises(ModelError, match="SolverConfig.tolerance must be positive and finite"):
+        SolverConfig(dt=0.01, t_end=1.0, tolerance=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -149,25 +150,24 @@ def test_drive_profile_closed_form_integrals():
         level_drive=LevelDrive(u=3.0, omega=2.0),
         barrier_drive=BarrierDrive(alpha=0.3, omega=1.7),
     )
-    drv = DriveProfile.from_params(params)
-    assert not drv.static
+    assert not params.static
     for t in (0.7, 3.3, -2.1):
-        ref_e0 = quad(lambda s: float(drv.e0_of_t(s)), 0.0, t)[0]
-        ref_w2 = quad(lambda s: float(drv.w_of_t(s)) ** 2, 0.0, t)[0]
-        assert abs(float(drv.e0_integral(t)) - ref_e0) < 1e-10
-        assert abs(float(drv.w2_integral(t)) - ref_w2) < 1e-10
+        ref_e0 = quad(lambda s: float(params.e0_at(s)), 0.0, t)[0]
+        ref_w2 = quad(lambda s: float(params.w_at(s)) ** 2, 0.0, t)[0]
+        assert abs(float(params.e0_integral(t)) - ref_e0) < 1e-10
+        assert abs(float(params.w2_integral(t)) - ref_w2) < 1e-10
     # derivative profiles match finite differences
     h = 1e-6
     for t in (0.4, -1.2):
-        fd = (float(drv.e0_of_t(t + h)) - float(drv.e0_of_t(t - h))) / (2 * h)
-        assert abs(float(drv.e0_dot_of_t(t)) - fd) < 1e-6
-        fd = (float(drv.w_of_t(t + h)) - float(drv.w_of_t(t - h))) / (2 * h)
-        assert abs(float(drv.w_dot_of_t(t)) - fd) < 1e-6
+        fd = (float(params.e0_at(t + h)) - float(params.e0_at(t - h))) / (2 * h)
+        assert abs(float(params.e0_rate(t)) - fd) < 1e-6
+        fd = (float(params.w_at(t + h)) - float(params.w_at(t - h))) / (2 * h)
+        assert abs(float(params.w_rate(t)) - fd) < 1e-6
 
 
 def test_static_profile_flags():
-    drv = DriveProfile.from_params(SystemParams(e0=2.0))
-    assert drv.static
+    params = SystemParams(e0=2.0)
+    assert params.static
     t = np.linspace(-3, 3, 7)
-    assert np.all(drv.w_of_t(t) == 1.0)
-    assert np.all(drv.e0_of_t(t) == 2.0)
+    assert np.all(params.w_at(t) == 1.0)
+    assert np.all(params.e0_at(t) == 2.0)

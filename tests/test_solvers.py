@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from welldecay import closedform
+from welldecay.chain import evolve_chain
 from welldecay.model import (
     BarrierDrive,
-    DriveProfile,
     FiniteChain,
     LevelDrive,
     Lorentzian,
+    ModelError,
     Semicircle,
     SystemParams,
     WideBand,
@@ -24,6 +25,7 @@ from welldecay.solvers import (
     combine_signed,
     convergence_order,
     default_dt,
+    solve,
     solve_lorentzian_ode,
     solve_volterra,
     solve_wideband,
@@ -42,7 +44,7 @@ def test_volterra_free_evolution():
     # a zero-weight kernel decouples the level: pure phase rotation
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=1e-3, t_end=2.0)
-    traj = solve_volterra(p, Lorentzian(lam=4.0, gamma=0.0), None, cfg)
+    traj = solve_volterra(p, Lorentzian(lam=4.0, gamma=0.0), cfg)
     ref = np.exp(-1j * p.e0 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-5
 
@@ -50,15 +52,15 @@ def test_volterra_free_evolution():
 def test_volterra_matches_lorentzian_closed_form():
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=1e-3, t_end=10.0)
-    traj = solve_volterra(p, Lorentzian(4.0), None, cfg)
+    traj = solve_volterra(p, Lorentzian(4.0), cfg)
     ref = closedform.b0_lorentzian_static(p, 4.0, traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-6
 
 
 def test_volterra_negative_time_is_conjugate():
     p = SystemParams(e0=1.0)
-    fwd = solve_volterra(p, Lorentzian(4.0), None, SolverConfig(dt=1e-3, t_end=3.0))
-    bwd = solve_volterra(p, Lorentzian(4.0), None, SolverConfig(dt=1e-3, t_end=-3.0))
+    fwd = solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=1e-3, t_end=3.0))
+    bwd = solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=1e-3, t_end=-3.0))
     i3 = fwd.index_of(3.0)
     j3 = bwd.index_of(-3.0)
     assert abs(bwd.b0[j3] - np.conj(fwd.b0[i3])) < 1e-6
@@ -72,7 +74,7 @@ def test_volterra_semicircle_against_chain():
 
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=5e-3, t_end=5.0)
-    traj = solve_volterra(p, Semicircle(6.0), None, cfg)
+    traj = solve_volterra(p, Semicircle(6.0), cfg)
     chain = evolve_chain(p, FiniteChain(250, 6.0), cfg)
     assert np.max(np.abs(traj.p0 - chain.p0)) < 1e-4
 
@@ -80,9 +82,9 @@ def test_volterra_semicircle_against_chain():
 def test_volterra_rejects_wideband_and_too_coarse_steps():
     p = SystemParams(e0=0.0)
     with pytest.raises(ValueError):
-        solve_volterra(p, WideBand(), None, SolverConfig(dt=1e-3, t_end=1.0))
+        solve_volterra(p, WideBand(), SolverConfig(dt=1e-3, t_end=1.0))
     with pytest.raises(ResolutionError):
-        solve_volterra(p, Lorentzian(4.0), None, SolverConfig(dt=0.1, t_end=1.0))
+        solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=0.1, t_end=1.0))
 
 
 def test_volterra_divergence_guard():
@@ -91,13 +93,13 @@ def test_volterra_divergence_guard():
     p = SystemParams(e0=0.0)
     cfg = SolverConfig(dt=5e-3, t_end=8.0)
     with pytest.raises(SolverError):
-        solve_volterra(p, Lorentzian(lam=4.0, gamma=-40.0), None, cfg)
+        solve_volterra(p, Lorentzian(lam=4.0, gamma=-40.0), cfg)
 
 
 def test_volterra_norm_bound_holds():
     p = SystemParams(e0=3.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
-    traj = solve_volterra(p, Lorentzian(4.0), None, cfg)
+    traj = solve_volterra(p, Lorentzian(4.0), cfg)
     assert np.max(np.abs(traj.b0)) <= 1.0 + 10.0 * cfg.tolerance
 
 
@@ -108,7 +110,7 @@ def test_volterra_norm_bound_holds():
 def test_ode_matches_closed_form_tightly():
     p = SystemParams(e0=0.0)
     cfg = SolverConfig(dt=2e-3, t_end=6.0, tolerance=1e-9)
-    traj = solve_lorentzian_ode(p, 4.0, None, cfg)
+    traj = solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
     ref = np.abs(closedform.b0_lorentzian_static(p, 4.0, traj.times)) ** 2
     assert np.max(np.abs(traj.p0 - ref)) < 1e-8
     assert traj.b0_dot is not None
@@ -120,7 +122,7 @@ def test_ode_matches_closed_form_tightly():
 def test_ode_oracle_both_signs(e0, sign):
     p = SystemParams(e0=e0)
     cfg = SolverConfig(dt=2e-3, t_end=sign * 6.0, tolerance=1e-9)
-    traj = solve_lorentzian_ode(p, 4.0, None, cfg)
+    traj = solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
     ref = closedform.b0_lorentzian_static(p, 4.0, traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-9
 
@@ -130,9 +132,9 @@ def test_ode_level_drive_orderings():
     lam, u, om = 4.0, 3.0, 2.0
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     for e0, faster in ((3.0, True), (0.0, False)):
-        static = solve_lorentzian_ode(SystemParams(e0=e0), lam, None, cfg)
+        static = solve_lorentzian_ode(SystemParams(e0=e0), Lorentzian(lam), cfg)
         driven = solve_lorentzian_ode(
-            SystemParams(e0=e0, level_drive=LevelDrive(u, om)), lam, None, cfg
+            SystemParams(e0=e0, level_drive=LevelDrive(u, om)), Lorentzian(lam), cfg
         )
         i4 = static.index_of(4.0)
         if faster:
@@ -145,9 +147,9 @@ def test_ode_barrier_drive_always_speeds_decay():
     lam, alpha, om = 4.0, 0.1, 2.0
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     for e0 in (3.0, 0.0):
-        static = solve_lorentzian_ode(SystemParams(e0=e0), lam, None, cfg)
+        static = solve_lorentzian_ode(SystemParams(e0=e0), Lorentzian(lam), cfg)
         driven = solve_lorentzian_ode(
-            SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, om)), lam, None, cfg
+            SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, om)), Lorentzian(lam), cfg
         )
         i4 = static.index_of(4.0)
         assert driven.p0[i4] < static.p0[i4]
@@ -156,7 +158,7 @@ def test_ode_barrier_drive_always_speeds_decay():
 def test_ode_monotone_decay_static():
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     for e0 in (0.0, 3.0):
-        traj = solve_lorentzian_ode(SystemParams(e0=e0), 4.0, None, cfg)
+        traj = solve_lorentzian_ode(SystemParams(e0=e0), Lorentzian(4.0), cfg)
         assert np.all(np.diff(traj.p0) < 0.0)
 
 
@@ -164,7 +166,7 @@ def test_ode_singular_barrier_profile_raises():
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.0, omega=2.0))
     cfg = SolverConfig(dt=2e-3, t_end=6.0)
     with pytest.raises(SolverError):
-        solve_lorentzian_ode(p, 4.0, None, cfg)
+        solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
 
 
 def test_short_time_fit_recovers_expansion_coefficients():
@@ -173,7 +175,7 @@ def test_short_time_fit_recovers_expansion_coefficients():
     for lam in (2.0, 4.0):
         p = SystemParams(e0=1.0)
         cfg = SolverConfig(dt=1e-4, t_end=0.02, tolerance=1e-10)
-        traj = solve_lorentzian_ode(p, lam, None, cfg)
+        traj = solve_lorentzian_ode(p, Lorentzian(lam), cfg)
         t = traj.times[1:]
         y = 1.0 - traj.p0[1:]
         basis = np.vstack([t**2, -(t**3), t**4]).T
@@ -190,49 +192,56 @@ def test_short_time_fit_recovers_expansion_coefficients():
 def test_wideband_static_is_exact():
     p = SystemParams(e0=0.7)
     for t_end in (5.0, -5.0):
-        traj = solve_wideband(p, None, SolverConfig(dt=5e-3, t_end=t_end))
+        traj = solve_wideband(p, SolverConfig(dt=5e-3, t_end=t_end))
         assert np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times)))) < 1e-12
 
 
 def test_wideband_level_drive_leaves_survival_unchanged():
     p = SystemParams(e0=2.0, level_drive=LevelDrive(u=5.0, omega=1.5))
-    drv = DriveProfile.from_params(p)
     for t_end in (6.0, -6.0):
-        traj = solve_wideband(p, drv, SolverConfig(dt=5e-3, t_end=t_end))
+        traj = solve_wideband(p, SolverConfig(dt=5e-3, t_end=t_end))
         assert np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times)))) < 1e-12
 
 
 def test_wideband_barrier_drive_decays_faster_and_monotonically():
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
-    drv = DriveProfile.from_params(p)
-    traj = solve_wideband(p, drv, SolverConfig(dt=2e-3, t_end=8.0))
+    traj = solve_wideband(p, SolverConfig(dt=2e-3, t_end=8.0))
     assert np.all(np.diff(traj.p0) < 0.0)  # w(t)^2 > 0 keeps the loss rate positive
     # on average the oscillating barrier leaks faster than the static one
     i8 = traj.index_of(8.0)
     assert traj.p0[i8] < math.exp(-8.0)
 
 
+class TanhRamp(LevelDrive):
+    """Level ramp E0(t) = E0 + u tanh(t), a non-sinusoidal profile."""
+
+    def shift(self, t):
+        return self.u * np.tanh(t)
+
+    def rate(self, t):
+        return self.u / np.cosh(t) ** 2
+
+    def integral(self, t):
+        return self.u * np.log(np.cosh(t))
+
+
 def test_wideband_numeric_quadrature_fallback():
-    # custom (non-sinusoidal) profiles exercise the cumulative-trapezoid path
-    p = SystemParams(e0=0.0)
-    ramp = DriveProfile(
-        e0_of_t=lambda t: 0.3 * np.tanh(np.asarray(t, dtype=float)),
-        e0_dot_of_t=lambda t: 0.3 / np.cosh(np.asarray(t, dtype=float)) ** 2,
-        w_of_t=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        w_dot_of_t=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
-    traj = solve_wideband(p, ramp, SolverConfig(dt=1e-3, t_end=3.0))
+    # a custom profile is a drive subclass; its closed-form integral sets the phase
+    p = SystemParams(e0=0.0, level_drive=TanhRamp(u=0.3, omega=1.0))
+    traj = solve_wideband(p, SolverConfig(dt=1e-3, t_end=3.0))
     # survival is drive-independent for pure level motion
     assert np.max(np.abs(traj.p0 - np.exp(-traj.times))) < 1e-10
+    ref = np.exp(-0.3j * np.log(np.cosh(traj.times)) - 0.5 * traj.times)
+    assert np.max(np.abs(traj.b0 - ref)) < 1e-10
 
 
 def test_wideband_cusp_slope_vs_ode_smoothness():
     h = 2e-3
     p = SystemParams(e0=1.0)
-    wb = solve_wideband(p, None, SolverConfig(dt=h, t_end=1.0))
+    wb = solve_wideband(p, SolverConfig(dt=h, t_end=1.0))
     slope_wb = (wb.p0[1] - wb.p0[0]) / h
     assert abs(slope_wb + 1.0) < 5e-3  # -Gamma out of the cusp
-    ode = solve_lorentzian_ode(p, 4.0, None, SolverConfig(dt=h, t_end=1.0))
+    ode = solve_lorentzian_ode(p, Lorentzian(4.0), SolverConfig(dt=h, t_end=1.0))
     slope_ode = (ode.p0[1] - ode.p0[0]) / h
     assert abs(slope_ode) < 0.02  # quadratic onset: no linear term
 
@@ -243,7 +252,7 @@ def test_wideband_cusp_slope_vs_ode_smoothness():
 
 def test_grid_contains_zero_and_unit_initial_value():
     p = SystemParams(e0=0.0)
-    traj = solve_wideband(p, None, SolverConfig(dt=1e-2, t_end=-2.0))
+    traj = solve_wideband(p, SolverConfig(dt=1e-2, t_end=-2.0))
     assert traj.times[0] == 0.0
     assert traj.b0[0] == 1.0
     assert traj.times[-1] == -2.0
@@ -251,8 +260,8 @@ def test_grid_contains_zero_and_unit_initial_value():
 
 def test_combine_signed_grids():
     p = SystemParams(e0=1.0)
-    pos = solve_wideband(p, None, SolverConfig(dt=1e-2, t_end=2.0))
-    neg = solve_wideband(p, None, SolverConfig(dt=1e-2, t_end=-2.0))
+    pos = solve_wideband(p, SolverConfig(dt=1e-2, t_end=2.0))
+    neg = solve_wideband(p, SolverConfig(dt=1e-2, t_end=-2.0))
     both = combine_signed(neg, pos)
     assert both.times[0] == -2.0 and both.times[-1] == 2.0
     assert np.all(np.diff(both.times) > 0)
@@ -263,22 +272,36 @@ def test_combine_signed_grids():
 
 @pytest.mark.parametrize("e0", [0.0, 1.0, 3.0])
 def test_time_reversal_across_solvers(e0):
+    # every (reservoir, method) route of solve, each against its direct call
     p = SystemParams(e0=e0)
     tol = 1e-6
-    for solver, kwargs in (
-        (solve_volterra, {"sd": Lorentzian(4.0)}),
-        (solve_lorentzian_ode, {"lam": 4.0}),
-        (solve_wideband, {}),
-    ):
-        fwd = solver(p, **kwargs, drive=None, cfg=SolverConfig(dt=2e-3, t_end=4.0, tolerance=tol))
-        bwd = solver(p, **kwargs, drive=None, cfg=SolverConfig(dt=2e-3, t_end=-4.0, tolerance=tol))
-        assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 10.0 * tol
+    lor, semi, chain = Lorentzian(4.0), Semicircle(6.0), FiniteChain(80, 6.0)
+    routes = (
+        (WideBand(), "auto", lambda cfg, t: solve_wideband(p, cfg).b0),
+        (lor, "auto", lambda cfg, t: solve_lorentzian_ode(p, lor, cfg).b0),
+        (lor, "volterra", lambda cfg, t: solve_volterra(p, lor, cfg).b0),
+        (lor, "closed", lambda cfg, t: closedform.b0_lorentzian_static(p, 4.0, t)),
+        (semi, "auto", lambda cfg, t: solve_volterra(p, semi, cfg).b0),
+        (chain, "auto", lambda cfg, t: evolve_chain(p, chain, cfg, store_reservoir=False).b0),
+    )
+    for reservoir, method, direct in routes:
+        runs = []
+        for t_end in (4.0, -4.0):
+            cfg = SolverConfig(dt=2e-3, t_end=t_end, tolerance=tol)
+            traj = solve(p, reservoir, cfg, method)
+            assert np.array_equal(traj.b0, direct(cfg, traj.times)), (reservoir, method)
+            runs.append(traj)
+        fwd, bwd = runs
+        assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 10.0 * tol, (reservoir, method)
+    driven = SystemParams(e0=e0, level_drive=LevelDrive(1.0, 2.0))
+    with pytest.raises(ModelError):
+        solve(driven, lor, SolverConfig(dt=2e-3, t_end=4.0), "closed")
 
 
 def test_convergence_order_ode_is_fourth():
     p = SystemParams(e0=1.0)
     runs = [
-        solve_lorentzian_ode(p, 4.0, None, SolverConfig(dt=dt, t_end=5.0, tolerance=1e-5))
+        solve_lorentzian_ode(p, Lorentzian(4.0), SolverConfig(dt=dt, t_end=5.0, tolerance=1e-5))
         for dt in (1e-2, 5e-3)
     ]
     order = convergence_order(runs[0], runs[1], lorentzian_oracle(p, 4.0))
@@ -288,7 +311,7 @@ def test_convergence_order_ode_is_fourth():
 def test_convergence_order_volterra_is_second():
     p = SystemParams(e0=1.0)
     runs = [
-        solve_volterra(p, Lorentzian(4.0), None, SolverConfig(dt=dt, t_end=5.0, tolerance=1e-3))
+        solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=dt, t_end=5.0, tolerance=1e-3))
         for dt in (1e-2, 5e-3)
     ]
     order = convergence_order(runs[0], runs[1], lorentzian_oracle(p, 4.0))
@@ -298,7 +321,7 @@ def test_convergence_order_volterra_is_second():
 def test_convergence_order_from_three_runs():
     p = SystemParams(e0=1.0)
     runs = [
-        solve_volterra(p, Lorentzian(4.0), None, SolverConfig(dt=dt, t_end=5.0, tolerance=1e-3))
+        solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=dt, t_end=5.0, tolerance=1e-3))
         for dt in (1e-2, 5e-3, 2.5e-3)
     ]
     order = convergence_order(runs[0], runs[1], runs[2])
@@ -307,20 +330,20 @@ def test_convergence_order_from_three_runs():
 
 def test_convergence_order_degenerate_is_infinite():
     p = SystemParams(e0=1.0)
-    a = solve_wideband(p, None, SolverConfig(dt=1e-2, t_end=2.0))
-    b = solve_wideband(p, None, SolverConfig(dt=5e-3, t_end=2.0))
+    a = solve_wideband(p, SolverConfig(dt=1e-2, t_end=2.0))
+    b = solve_wideband(p, SolverConfig(dt=5e-3, t_end=2.0))
     assert convergence_order(a, b, lambda t: closedform.b0_markovian_static(p, t)) == math.inf
 
 
 def test_convergence_order_mismatch_raises():
     p1, p2 = SystemParams(e0=1.0), SystemParams(e0=2.0)
-    a = solve_wideband(p1, None, SolverConfig(dt=1e-2, t_end=2.0))
-    b = solve_wideband(p2, None, SolverConfig(dt=5e-3, t_end=2.0))
+    a = solve_wideband(p1, SolverConfig(dt=1e-2, t_end=2.0))
+    b = solve_wideband(p2, SolverConfig(dt=5e-3, t_end=2.0))
     with pytest.raises(MismatchError):
         convergence_order(a, b, lambda t: closedform.b0_markovian_static(p1, t))
 
 
 def test_default_dt_obeys_resolution_rule():
     p = SystemParams(e0=3.0, level_drive=LevelDrive(u=3.0, omega=2.0))
-    dt = default_dt(p, band=4.0)
+    dt = default_dt(p, Lorentzian(4.0))
     assert dt * max(4.0, abs(p.e0) + 3.0, 2.0) <= 0.05

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from welldecay import closedform, spectra
 from welldecay.model import (
     BarrierDrive,
-    DriveProfile,
     LevelDrive,
     ModelError,
     SystemParams,
@@ -28,26 +27,22 @@ from welldecay.spectra import (
 def wideband_run(params, t_end, grid):
     """Trajectory with a step fine enough for the grid's fastest phase."""
     dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    drv = DriveProfile.from_params(params)
-    traj = solve_wideband(params, drv, SolverConfig(dt=dt, t_end=t_end))
-    return traj, drv
+    return solve_wideband(params, SolverConfig(dt=dt, t_end=t_end))
 
 
 def test_spectrum_vanishes_at_short_time():
     p = SystemParams(e0=0.0)
     grid = np.linspace(-8.0, 8.0, 201)
-    drv = DriveProfile.from_params(p)
-    traj = solve_wideband(p, drv, SolverConfig(dt=1e-7, t_end=1e-6))
-    spec = spectrum_from_trajectory(traj, drv, grid)
+    traj = solve_wideband(p, SolverConfig(dt=1e-7, t_end=1e-6))
+    spec = spectrum_from_trajectory(traj, grid)
     assert np.max(spec.values) < 1e-10
 
 
 def test_static_spectrum_matches_lineshape_pointwise():
     p = SystemParams(e0=0.0)
     grid = np.linspace(-8.0, 8.0, 401)
-    drv = DriveProfile.from_params(p)
-    traj = solve_wideband(p, drv, SolverConfig(dt=2e-3, t_end=3.0))
-    spec = spectrum_from_trajectory(traj, drv, grid)
+    traj = solve_wideband(p, SolverConfig(dt=2e-3, t_end=3.0))
+    spec = spectrum_from_trajectory(traj, grid)
     ref = closedform.lineshape_markovian(p, grid, 3.0)
     assert np.max(np.abs(spec.values - ref)) < 1e-4
 
@@ -62,8 +57,8 @@ def significant_sidebands(params, spec_fn, omega, n_max, cut=0.01):
 def test_level_drive_spectrum_matches_floquet_sum_at_peaks():
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
-    traj, drv = wideband_run(p, 12.0, grid)
-    spec = spectrum_from_trajectory(traj, drv, grid)
+    traj = wideband_run(p, 12.0, grid)
+    spec = spectrum_from_trajectory(traj, grid)
     for n in significant_sidebands(p, closedform.floquet_spectrum_level, 2.0, 8):
         e_peak = n * 2.0
         ref = float(closedform.floquet_spectrum_level(p, e_peak))
@@ -76,9 +71,8 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
     # quadrature the matching variant
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
-    drv = DriveProfile.from_params(p)
     dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    base = solve_wideband(p, drv, SolverConfig(dt=dt, t_end=12.0))
+    base = solve_wideband(p, SolverConfig(dt=dt, t_end=12.0))
     lin = AmplitudeTrajectory(
         base.times,
         closedform.b0_markovian_driven(p, base.times, linear_alpha=True),
@@ -88,7 +82,7 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
         base.cfg,
         base.method,
     )
-    spec = spectrum_from_trajectory(lin, drv, grid)
+    spec = spectrum_from_trajectory(lin, grid)
     for n in significant_sidebands(p, closedform.floquet_spectrum_barrier, 2.0, 6):
         e_peak = n * 2.0
         ref = float(closedform.floquet_spectrum_barrier(p, e_peak))
@@ -101,8 +95,8 @@ def test_exact_barrier_trajectory_vs_floquet_sum_gap_is_order_alpha_squared():
     # freeze the measured size so the linearization gap stays documented
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
-    traj, drv = wideband_run(p, 12.0, grid)
-    spec = spectrum_from_trajectory(traj, drv, grid)
+    traj = wideband_run(p, 12.0, grid)
+    spec = spectrum_from_trajectory(traj, grid)
     ref = float(closedform.floquet_spectrum_barrier(p, 0.0))
     rel = abs(spec.value_at(0.0) - ref) / ref
     assert 0.005 < rel < 0.03
@@ -221,11 +215,10 @@ def test_fig5_preset_comparison_values():
 
 def test_grid_resolution_guard():
     p = SystemParams(e0=0.0)
-    drv = DriveProfile.from_params(p)
-    traj = solve_wideband(p, drv, SolverConfig(dt=4e-2, t_end=3.0))
+    traj = solve_wideband(p, SolverConfig(dt=4e-2, t_end=3.0))
     grid = np.linspace(-30.0, 30.0, 101)
     with pytest.raises(ModelError):
-        spectrum_from_trajectory(traj, drv, grid)
+        spectrum_from_trajectory(traj, grid)
 
 
 def test_nonuniform_grid_rejected():
@@ -235,16 +228,15 @@ def test_nonuniform_grid_rejected():
         times, np.exp(-0.5 * times) + 0j, None, p, WideBand(), SolverConfig(0.1, 0.3), "hand-built"
     )
     with pytest.raises(ModelError, match="uniform"):
-        spectrum_from_trajectory(traj, None, np.linspace(-1.0, 1.0, 11))
+        spectrum_from_trajectory(traj, np.linspace(-1.0, 1.0, 11))
 
 
-def direct_spectrum(traj, drive, energies):
+def direct_spectrum(traj, energies):
     """The trapezoid sum term by term, the reference for the fast sum."""
     t = traj.times
     weights = np.full_like(t, t[1] - t[0])
     weights[[0, -1]] *= 0.5
-    w = drive.w_of_t(t) if drive is not None else 1.0
-    amp = np.exp(1j * np.outer(energies, t)) @ (weights * w * traj.b0)
+    amp = np.exp(1j * np.outer(energies, t)) @ (weights * traj.params.w_at(t) * traj.b0)
     return np.abs(amp) ** 2 * traj.sd.density(energies)
 
 
@@ -263,7 +255,6 @@ def test_fast_sum_matches_direct_sum(n_t, dt, seed, barrier):
     # limit on both sides and at 0
     rng = np.random.default_rng(seed)
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(0.3, 2.0) if barrier else None)
-    drv = DriveProfile.from_params(p) if barrier else None
     times = dt * np.arange(n_t)
     b0 = rng.uniform(0.0, 1.0, n_t) * np.exp(2j * np.pi * rng.uniform(size=n_t))
     b0[0] = 1.0
@@ -272,8 +263,8 @@ def test_fast_sum_matches_direct_sum(n_t, dt, seed, barrier):
     )
     edge = np.nextafter(spectra.TRAJECTORY_PHASE_LIMIT / dt, 0.0)  # dt * edge <= the limit
     grid = np.unique(np.concatenate([[-edge, 0.0, edge], rng.uniform(-edge, edge, 200)]))
-    got = spectrum_from_trajectory(traj, drv, grid).values
-    ref = direct_spectrum(traj, drv, grid)
+    got = spectrum_from_trajectory(traj, grid).values
+    ref = direct_spectrum(traj, grid)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
