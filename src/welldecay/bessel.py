@@ -8,6 +8,10 @@ The J series is additionally restricted to x <= 12: for larger arguments the
 alternating terms grow before they decay and the cancellation would eat the
 1e-12 absolute-error budget; Miller covers that region instead.
 
+bessel_j also takes an array of arguments and then runs both algorithms for
+all of them at once; every element takes the path, the start order and the
+operations of its scalar call, so the two agree bit for bit.
+
 Normalizations used by the backward recurrences:
 
     J_0(x) + 2 J_2(x) + 2 J_4(x) + ... = 1
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 J_ARG_MAX = 1.0e4
 I_ARG_MAX = 700.0
 
@@ -26,13 +32,17 @@ _J_SERIES_ARG_MAX = 12.0
 _RESCALE_LIMIT = 1.0e250
 
 
-def bessel_j(n: int, x: float) -> float:
+def bessel_j(n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the first kind, integer order.
 
     Supports |x| < 1e4. Negative order and argument reduce through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
+    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x). A numpy array x
+    gives an array of the same shape, equal element by element to the
+    scalar calls.
     """
     n = int(n)
+    if isinstance(x, np.ndarray) and x.ndim:
+        return _bessel_j_array(n, x)
     x = float(x)
     if abs(x) >= J_ARG_MAX:
         raise ValueError(f"bessel_j argument out of supported range: |{x}| >= {J_ARG_MAX}")
@@ -91,16 +101,21 @@ def truncation_order(x: float, tolerance: float) -> int:
         raise ValueError("truncation_order needs x >= 0")
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
-    m = int(math.ceil(x)) + 10
+    floor = int(math.ceil(x)) + 10
+    j0, i0 = bessel_j(0, x), bessel_i(0, x)
+    # sums over 1 <= k <= m, extended one order per candidate m, left to right
+    j_part = i_part = 0.0
+    m = 0
     while True:
-        j0 = bessel_j(0, x)
-        j_sum = j0 * j0 + 2.0 * sum(bessel_j(k, x) ** 2 for k in range(1, m + 1))
-        i_sum = bessel_i(0, x) + 2.0 * sum(bessel_i(k, x) for k in range(1, m + 1))
-        j_tail = max(1.0 - j_sum, 0.0)
-        i_tail = max(1.0 - math.exp(-x) * i_sum, 0.0)
+        m += 1
+        j_part += bessel_j(m, x) ** 2
+        i_part += bessel_i(m, x)
+        if m < floor:
+            continue
+        j_tail = max(1.0 - (j0 * j0 + 2.0 * j_part), 0.0)
+        i_tail = max(1.0 - math.exp(-x) * (i0 + 2.0 * i_part), 0.0)
         if j_tail < tolerance and i_tail < tolerance:
             return m
-        m += 1
 
 
 def _leading_term(n: int, half_x: float) -> float:
@@ -170,6 +185,87 @@ def _miller_j(n: int, x: float) -> float:
             target /= _RESCALE_LIMIT
     norm -= cur  # J_0 was added with weight 2
     return target / norm
+
+
+def _bessel_j_array(n: int, x: np.ndarray) -> np.ndarray:
+    # the scalar bessel_j, path by path, on every element of x at once
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    bad = ~(np.abs(flat) < J_ARG_MAX)
+    if bad.any():
+        v = float(flat[np.argmax(bad)])
+        raise ValueError(f"bessel_j argument out of supported range: |{v}| >= {J_ARG_MAX}")
+    sign = np.where(((flat < 0.0) != (n < 0)) & (n % 2 == 1), -1.0, 1.0)
+    n = abs(n)
+    ax = np.abs(flat)
+    out = np.full(flat.shape, 1.0 if n == 0 else 0.0)
+    miller = ax >= min(2.0 * (n + 1), _J_SERIES_ARG_MAX)
+    series = (ax > 0.0) & ~miller
+    if series.any():
+        out[series] = sign[series] * _series_j_array(n, ax[series])
+    if miller.any():
+        out[miller] = sign[miller] * _miller_j_array(n, ax[miller])
+    return out.reshape(x.shape)
+
+
+def _series_j_array(n: int, x: np.ndarray) -> np.ndarray:
+    half = 0.5 * x
+    if n <= 30:
+        term = np.ones_like(half)
+        for k in range(1, n + 1):
+            term *= half / k
+    else:
+        term = np.array([_leading_term(n, h) for h in half.tolist()])
+    total = term.copy()
+    q = half * half
+    out = np.empty_like(x)
+    idx = np.arange(x.size)  # elements still summing
+    for k in range(1, 400):
+        term *= -q / (k * (n + k))
+        total += term
+        done = np.abs(term) < 1.0e-17 * np.abs(total) + 1.0e-300
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, term, total, q = idx[keep], term[keep], total[keep], q[keep]
+            if not idx.size:
+                return out
+    raise RuntimeError("J series failed to converge")  # unreachable for x <= 12
+
+
+def _miller_j_array(n: int, x: np.ndarray) -> np.ndarray:
+    starts = np.fromiter((_miller_start(n, float(v)) for v in x), dtype=np.int64, count=x.size)
+    starts += starts % 2
+    # sorted by descending start, the elements already recurring form a prefix
+    order = np.argsort(-starts, kind="stable")
+    xs, seeds = x[order], starts[order]
+    size = xs.size
+    upper, cur = np.empty(size), np.empty(size)
+    norm, target = np.zeros(size), np.zeros(size)
+    a = 0
+    for k in range(int(seeds[0]), 0, -1):
+        enter = a
+        while enter < size and seeds[enter] == k:
+            enter += 1
+        if enter > a:  # these elements start here, with the scalar seed
+            upper[a:enter] = 0.0
+            cur[a:enter] = 1.0e-30
+            a = enter
+        prev = (2.0 * k / xs[:a]) * cur[:a] - upper[:a]
+        upper[:a] = cur[:a]
+        cur[:a] = prev
+        c = cur[:a]
+        if k % 2 == 1:
+            norm[:a] += 2.0 * c
+        if k - 1 == n:
+            target[:a] = c
+        if np.abs(c).max() > _RESCALE_LIMIT:
+            big = np.abs(c) > _RESCALE_LIMIT
+            for arr in (cur, upper, norm, target):
+                arr[:a][big] /= _RESCALE_LIMIT
+    out = np.empty(size)
+    out[order] = target / (norm - cur)  # J_0 was added with weight 2
+    return out
 
 
 def _miller_i(n: int, x: float) -> float:

@@ -243,8 +243,7 @@ class Semicircle:
         out[small] = self.gamma * self.w_band / 4.0
         big = ~small
         if np.any(big):
-            vals = np.array([bessel_j(1, self.w_band * t) for t in tau[big]])
-            out[big] = self.gamma * vals / (2.0 * tau[big])
+            out[big] = self.gamma * bessel_j(1, self.w_band * tau[big]) / (2.0 * tau[big])
         return out[0] if scalar else out
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:

@@ -22,9 +22,10 @@ Three routes, all starting from b0(0) = 1:
                + [E0'(t) + (s L - w'/w) E0(t) - i L Gamma w^2 / 2] b0,
 
   with s = sgn(t) constant on each side of zero, integrated by the
-  classical fixed-step Runge-Kutta scheme (fourth order). The second
-  initial condition is b0'(0) = -i E0(0): the memory integral vanishes
-  at t = 0.
+  classical fixed-step Runge-Kutta scheme (fourth order). The ODE is
+  linear, so each step is a 2x2 matrix built from the coefficients on the
+  step's node and half-node times. The second initial condition is
+  b0'(0) = -i E0(0): the memory integral vanishes at t = 0.
 
 * solve_wideband: the closed-form wide-band amplitude evaluated on the
   grid, from the drive integrals of SystemParams.
@@ -72,6 +73,7 @@ ROUTES = {
 RESOLUTION_LIMIT = 0.05
 KERNEL_TRUNCATION = 1.0e-18
 DIVERGENCE_LIMIT = 2.0
+_RK4_CHUNK = 256  # RK4 steps whose step matrices are held at once
 
 
 class SolverError(RuntimeError):
@@ -245,7 +247,7 @@ def solve_volterra(
     w = params.w_at(times)
     e0 = params.e0_at(times)
 
-    b = np.empty(n + 1, dtype=complex)
+    b = np.zeros(n + 1, dtype=complex)  # zeros: g = w * b below reads every entry
     f = np.empty(n + 1, dtype=complex)  # db0/dt at the nodes
     b[0] = 1.0
     f[0] = -1j * e0[0]
@@ -282,36 +284,60 @@ def solve_lorentzian_ode(
     s = 1.0 if h > 0 else -1.0  # sgn(t), constant on this side of zero
     lam, g = sd.lam, sd.gamma
 
-    e0f, e0d = params.e0_at, params.e0_rate
-    wf, wd = params.w_at, params.w_rate
-
-    def rhs(t, y):
-        wv = float(wf(t))
-        if wv < 1.0e-6:
-            # the w'/w coefficient degenerates; the reduction needs w > 0
-            raise SolverError(f"barrier profile w(t) reached {wv:.3g} at t = {t:.4g}")
-        wdw = float(wd(t)) / wv
-        e0v = float(e0f(t))
-        c1 = e0v - 1j * s * lam + 1j * wdw
-        c0 = float(e0d(t)) + (s * lam - wdw) * e0v - 0.5j * lam * g * wv * wv
-        return np.array([y[1], -1j * (c1 * y[1] + c0 * y[0])])
+    # every RK4 stage time in time order: nodes at even, half-nodes at odd positions
+    stages = np.empty(2 * n + 1)
+    stages[0::2] = times
+    stages[1::2] = times[:-1] + 0.5 * h
+    wv = params.w_at(stages)
+    low = np.flatnonzero(wv < 1.0e-6)
+    if low.size:
+        # the w'/w coefficient degenerates; the reduction needs w > 0
+        i = low[0]
+        raise SolverError(f"barrier profile w(t) reached {wv[i]:.3g} at t = {stages[i]:.4g}")
+    wdw = params.w_rate(stages) / wv
+    e0v = params.e0_at(stages)
+    # y' = [[0, 1], [a, bc]] y for y = (b0, b0'): a and bc are -i times the ODE's brackets
+    bc = -1j * (e0v - 1j * s * lam + 1j * wdw)
+    a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0v - 0.5j * lam * g * wv * wv)
 
     b = np.empty(n + 1, dtype=complex)
     bdot = np.empty(n + 1, dtype=complex)
-    y = np.array([1.0 + 0.0j, -1j * float(e0f(0.0))])
-    b[0], bdot[0] = y
-    for k in range(n):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        b[k + 1], bdot[k + 1] = y
-        if abs(y[0]) > DIVERGENCE_LIMIT:
-            raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k + 1]:.4g}")
+    y0, y1 = 1.0 + 0.0j, -1j * float(e0v[0])
+    b[0], bdot[0] = y0, y1
+    for lo in range(0, n, _RK4_CHUNK):  # chunks bound the memory of the step matrices
+        hi = min(lo + _RK4_CHUNK, n)
+        prop = _rk4_propagators(a[2 * lo : 2 * hi + 1], bc[2 * lo : 2 * hi + 1], h)
+        for k, (p11, p12, p21, p22) in enumerate(zip(*(p.tolist() for p in prop)), lo + 1):
+            y0, y1 = p11 * y0 + p12 * y1, p21 * y0 + p22 * y1
+            b[k], bdot[k] = y0, y1
+            if abs(y0) > DIVERGENCE_LIMIT:
+                raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k]:.4g}")
 
     return AmplitudeTrajectory(times, b, bdot, params, sd, cfg, LORENTZIAN_ODE)
+
+
+def _rk4_propagators(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
+    """Entries (p11, p12, p21, p22) of the RK4 step matrices, y_{k+1} = P_k y_k.
+
+    The system is y' = [[0, 1], [a(t), b(t)]] y, with a and b sampled on the
+    stage times (nodes at even, half-nodes at odd positions). Each entry is
+    a 1-D array over the steps.
+    """
+    a0, b0 = a[0:-1:2], b[0:-1:2]
+    ah, bh = a[1::2], b[1::2]
+    a1, b1 = a[2::2], b[2::2]
+
+    def shifted(c, m):  # I + c M
+        return (1.0 + c * m[0], c * m[1], c * m[2], 1.0 + c * m[3])
+
+    def times_a(ak, bk, m):  # [[0, 1], [ak, bk]] M
+        return (m[2], m[3], ak * m[0] + bk * m[2], ak * m[1] + bk * m[3])
+
+    k1 = (0.0, 1.0, a0, b0)
+    k2 = times_a(ah, bh, shifted(0.5 * h, k1))
+    k3 = times_a(ah, bh, shifted(0.5 * h, k2))
+    k4 = times_a(a1, b1, shifted(h, k3))
+    return shifted(h / 6.0, [p + 2.0 * q + 2.0 * r + t for p, q, r, t in zip(k1, k2, k3, k4)])
 
 
 def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajectory:

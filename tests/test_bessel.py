@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from welldecay.bessel import bessel_i, bessel_j, truncation_order
 
@@ -39,6 +42,11 @@ def series_i(n, x, terms=400):
         term *= (half * half) / (k * (n + k))
         total += term
     return total
+
+
+def bits(values):
+    """Raw float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 def test_j_trivial_values():
@@ -84,6 +92,9 @@ def test_parity_reductions(n, x):
     assert bessel_j(n, -x) == (-1.0) ** n * bessel_j(n, x)
     assert bessel_i(-n, x) == bessel_i(n, x)
     assert bessel_i(n, -x) == (-1.0) ** n * bessel_i(n, x)
+    both = np.array([x, -x])
+    for order in (n, -n):
+        assert bits(bessel_j(order, both)) == bits([bessel_j(order, v) for v in both])
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0])
@@ -98,6 +109,16 @@ def test_i_sum_identity(x):
     m = truncation_order(x, 1e-12)
     total = bessel_i(0, x) + 2.0 * sum(bessel_i(k, x) for k in range(1, m + 1))
     assert abs(math.exp(-x) * total - 1.0) < 1e-12
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(x=st.floats(0.0, 250.0))
+def test_sideband_parseval_norms(x):
+    m = truncation_order(x, 1e-12)
+    j_sum = bessel_j(0, x) ** 2 + 2.0 * sum(bessel_j(k, x) ** 2 for k in range(1, m + 1))
+    i_sum = bessel_i(0, x) + 2.0 * sum(bessel_i(k, x) for k in range(1, m + 1))
+    assert abs(j_sum - 1.0) < 1e-12
+    assert abs(math.exp(-x) * i_sum - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("x", [0.05, 0.5])
@@ -115,6 +136,25 @@ def test_j_recurrence_consistency(x):
         lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
         rhs = 2.0 * n / x * bessel_j(n, x)
         assert abs(lhs - rhs) < 1e-10
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    xs=st.lists(st.floats(0.0, 1.0e4, exclude_max=True), max_size=8),
+)
+def test_array_j_matches_scalar_bit_for_bit(n, xs):
+    switch = min(2.0 * (n + 1), 12.0)  # series below, Miller from here
+    edges = [0.0, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 13.0),
+             np.nextafter(1.0e4, 0.0)]
+    x = np.array(edges + xs)
+    assert bits(bessel_j(n, x)) == bits([bessel_j(n, v) for v in x])
+    for bad in (1.0e4, -np.inf):
+        with pytest.raises(ValueError) as scalar_err:
+            bessel_j(n, bad)
+        with pytest.raises(ValueError) as array_err:
+            bessel_j(n, np.append(x, bad))
+        assert str(array_err.value) == str(scalar_err.value)
 
 
 def test_domain_guards():
@@ -138,6 +178,12 @@ def test_truncation_order_examples():
     assert tail < 1e-10
     m = truncation_order(0.1, 1e-8)
     assert m >= 11
+
+
+@pytest.mark.parametrize("x, m", [(0.0, 10), (1.5, 12), (10.0, 23), (200.0, 226)])
+def test_truncation_order_pinned(x, m):
+    # values of the version that re-summed both tails for every candidate m
+    assert truncation_order(x, 1e-10) == m
 
 
 def test_truncation_order_validation():

@@ -163,10 +163,14 @@ def test_ode_monotone_decay_static():
 
 
 def test_ode_singular_barrier_profile_raises():
+    # w = 1 + sin 2t first vanishes at 3 pi/4 going forward and at -pi/4 going back
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.0, omega=2.0))
-    cfg = SolverConfig(dt=2e-3, t_end=6.0)
-    with pytest.raises(SolverError):
-        solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
+    for t_end, first_zero in ((6.0, 0.75 * math.pi), (-6.0, -0.25 * math.pi)):
+        cfg = SolverConfig(dt=2e-3, t_end=t_end)
+        with pytest.raises(SolverError, match="barrier profile") as err:
+            solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
+        named = float(str(err.value).rsplit("t = ", 1)[1])
+        assert abs(named - first_zero) <= cfg.dt
 
 
 def test_short_time_fit_recovers_expansion_coefficients():
