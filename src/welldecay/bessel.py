@@ -44,7 +44,7 @@ def bessel_j(n: int, x: float | np.ndarray) -> float | np.ndarray:
     if isinstance(x, np.ndarray) and x.ndim:
         return _bessel_j_array(n, x)
     x = float(x)
-    if abs(x) >= J_ARG_MAX:
+    if not abs(x) < J_ARG_MAX:
         raise ValueError(f"bessel_j argument out of supported range: |{x}| >= {J_ARG_MAX}")
     sign = 1.0
     if n < 0:
@@ -70,7 +70,7 @@ def bessel_i(n: int, x: float) -> float:
     """
     n = int(n)
     x = float(x)
-    if abs(x) >= I_ARG_MAX:
+    if not abs(x) < I_ARG_MAX:
         raise OverflowError(f"bessel_i argument out of supported range: |{x}| >= {I_ARG_MAX}")
     n = abs(n)
     sign = 1.0

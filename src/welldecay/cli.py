@@ -46,6 +46,7 @@ from .solvers import (
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
 TRAJ_SAFETY = 0.98
+_CSV_BLOCK = 4096  # rows formatted per % operation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,16 +56,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
 def _write_csv(path: Path, header, columns) -> None:
     rows = len(columns[0])
+    line = ",".join(["%.15g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        for lo in range(0, rows, _CSV_BLOCK):
+            block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in cols])
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _emit_manifest(outdir: Path, record: dict) -> None:

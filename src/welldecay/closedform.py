@@ -26,7 +26,10 @@ at E0 + n omega:
                    by the w(t) prefactor (d_n = E - E0 - n omega + i Gamma/2).
 
 The sign of that second term is fixed by direct quadrature of the
-time-domain integral, which is the authoritative reference.
+time-domain integral, which is the authoritative reference. By partial
+fractions it is (i alpha / 2)(1/d_{n+1} - 1/d_{n-1}), so both spectra are
+single-pole sums sum_m c_m / d_m over one line of poles, the barrier with
+c_m = a_m + (i alpha / 2)(a_{m-1} - a_{m+1}) for m = -n_max-1 .. n_max+1.
 
 Everything is vectorized over the time / energy argument; sgn(0) = 0, which
 makes b0(0) = 1 exact.
@@ -43,6 +46,7 @@ from .bessel import bessel_i, bessel_j, truncation_order
 from .model import ModelError, SystemParams, TWO_PI
 
 FLOQUET_TAIL_TOL = 1.0e-10
+_POLE_BLOCK = 1 << 16  # (energy, pole) pairs per block of the sideband sums
 
 
 def _phase4(n: int) -> complex:
@@ -180,10 +184,8 @@ def floquet_spectrum_level(params: SystemParams, e_r):
     u, om = params.level_drive.u, params.level_drive.omega
     x = u / om
     n_max = truncation_order(abs(x), FLOQUET_TAIL_TOL)
-    amp = np.zeros_like(e_r, dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        amp += _phase4(n) * bessel_j(n, x) / (e_r - params.e0 - n * om + 0.5j * g)
-    return _maybe_scalar(g / TWO_PI * np.abs(amp) ** 2, scalar)
+    coef = np.array([_phase4(n) * bessel_j(n, x) for n in range(-n_max, n_max + 1)])
+    return _maybe_scalar(g / TWO_PI * _pole_sum_sq(coef, e_r - params.e0, om, g), scalar)
 
 
 def floquet_spectrum_barrier(params: SystemParams, e_r):
@@ -203,9 +205,25 @@ def floquet_spectrum_barrier(params: SystemParams, e_r):
         raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
     xi = al * g / om
     n_max = truncation_order(xi, FLOQUET_TAIL_TOL)
-    scale = math.exp(-xi)
-    amp = np.zeros_like(e_r, dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        d = e_r - params.e0 - n * om + 0.5j * g
-        amp += scale * bessel_i(n, xi) * (1.0 / d + 1j * al * om / (d * d - om * om))
-    return _maybe_scalar(g / TWO_PI * np.abs(amp) ** 2, scalar)
+    a = np.pad([math.exp(-xi) * bessel_i(n, xi) for n in range(-n_max, n_max + 1)], 2)
+    coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
+    return _maybe_scalar(g / TWO_PI * _pole_sum_sq(coef, e_r - params.e0, om, g), scalar)
+
+
+def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: float):
+    """|sum_m coef_m / (d - m omega + i gamma/2)|^2 at every detuning d, m centred
+    on 0, in real arithmetic: 1/(d + i gamma/2) = (d - i gamma/2) / (d^2 + gamma^2/4)."""
+    poles = (np.arange(coef.size) - coef.size // 2) * omega
+    cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
+    flat = np.atleast_1d(detuning).ravel()
+    out = np.empty(flat.size)
+    half = 0.5 * gamma
+    step = max(1, _POLE_BLOCK // coef.size)
+    for lo in range(0, flat.size, step):
+        d = flat[lo : lo + step, None] - poles
+        inv = 1.0 / (d * d + half * half)
+        d *= inv
+        inv *= half
+        re, im = d @ cr + inv @ ci, d @ ci - inv @ cr
+        out[lo : lo + step] = re * re + im * im
+    return out.reshape(np.shape(detuning))

@@ -232,7 +232,7 @@ def solve_volterra(
 ) -> AmplitudeTrajectory:
     """Integrate the memory-integral equation for a finite-band reservoir."""
     if isinstance(sd, (WideBand, FiniteChain)):
-        raise ValueError("solve_volterra needs a Lorentzian or Semicircle reservoir")
+        raise ModelError("solve_volterra needs a Lorentzian or Semicircle reservoir")
     _check_resolution(cfg, params, sd)
 
     times = _grid(cfg)

@@ -152,6 +152,14 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     return EnergySpectrum.build(energies, values, time=float(times[-1]))
 
 
+def _gaussian_grid(n: int) -> tuple:
+    """FFT grid size, Gaussian variance tau and grid step for n centred modes."""
+    size = 1 << math.ceil(math.log2(_OVERSAMPLE * n))
+    r = size / n
+    tau = math.pi * _SPREAD / (n * n * r * (r - 0.5))
+    return size, tau, 2.0 * math.pi / size
+
+
 def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A(x_j) = sum_k g_k e^{i k x_j} for arbitrary real x_j (type-2 NUFFT).
 
@@ -167,19 +175,32 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     n = g.size
     centre = n // 2
     m = np.arange(n) - centre
-    size = 1 << math.ceil(math.log2(_OVERSAMPLE * n))
-    r = size / n
-    tau = math.pi * _SPREAD / (n * n * r * (r - 0.5))
+    size, tau, h = _gaussian_grid(n)
     fine = np.zeros(size, dtype=complex)
     fine[m % size] = g * np.exp(tau * m * m)
     fine = np.fft.ifft(fine)  # 1/size cancels the grid sum's quadrature weight
-    h = 2.0 * math.pi / size
     base = np.floor(x / h).astype(np.int64)
     amp = np.zeros(x.size, dtype=complex)
     for s in range(1 - _SPREAD, _SPREAD + 1):
         node = base + s
         amp += fine[node % size] * np.exp(-((x - node * h) ** 2) / (4.0 * tau))
     return math.sqrt(math.pi / tau) * np.exp(1j * centre * x) * amp
+
+
+def _uniform_sum_adjoint(c: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """B_k = sum_j c_j e^{-i k x_j}, k = 0 .. n-1 (type-1 NUFFT), the adjoint
+    of _uniform_sum on its grid and to its accuracy: c_j e^{-i (n//2) x_j} is
+    spread by the periodic Gaussian, one FFT gives the centred modes
+    m = k - n//2, and e^{tau m^2} undoes the Gaussian."""
+    centre = n // 2
+    m = np.arange(n) - centre
+    size, tau, h = _gaussian_grid(n)
+    src = c * np.exp(-1j * centre * x)
+    node = np.floor(x / h).astype(np.int64) + np.arange(1 - _SPREAD, _SPREAD + 1)[:, None]
+    fine = np.zeros(size, dtype=complex)
+    np.add.at(fine, node % size, src * np.exp(-((x - node * h) ** 2) / (4.0 * tau)))
+    fine = np.fft.fft(fine)[m % size] / size
+    return math.sqrt(math.pi / tau) * np.exp(tau * m * m) * fine
 
 
 def spectrum_asymptotic(params: SystemParams, kind: str, energies: np.ndarray) -> EnergySpectrum:

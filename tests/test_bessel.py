@@ -166,6 +166,13 @@ def test_domain_guards():
         bessel_i(1, -705.0)
 
 
+def test_nan_raises_the_range_error():
+    with pytest.raises(ValueError, match="bessel_j argument out of supported range"):
+        bessel_j(1, math.nan)
+    with pytest.raises(OverflowError, match="bessel_i argument out of supported range"):
+        bessel_i(1, math.nan)
+
+
 def test_truncation_order_floor_applies_at_zero():
     assert truncation_order(0.0, 1e-10) == 10
 

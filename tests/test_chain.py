@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from welldecay import closedform
 from welldecay.chain import evolve_chain, lineshape_exact, revival_time
-from welldecay.model import FiniteChain, LevelDrive, ModelError, Semicircle, SystemParams
+from welldecay.model import (
+    BarrierDrive,
+    FiniteChain,
+    LevelDrive,
+    ModelError,
+    Semicircle,
+    SystemParams,
+)
 from welldecay.solvers import (
     AmplitudeTrajectory,
     ResolutionError,
@@ -200,6 +207,33 @@ def test_state_access_requires_stored_reservoir():
     assert traj.br is None
     with pytest.raises(ModelError):
         lineshape_exact(traj, 1.0)
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_static_b0_matches_eigenbasis_sum(store):
+    chain, e0 = FiniteChain(30, 5.0), 0.4
+    h = np.diag(np.concatenate([[e0], chain.level_energies()]))
+    h[0, 1:] = h[1:, 0] = chain.couplings()
+    lam, vec = np.linalg.eigh(h)
+    for t_end in (25.0, -25.0):
+        traj = run(e0, chain, t_end, 0.008, store_reservoir=store)
+        ref = np.exp(-1j * np.outer(traj.times, lam)) @ vec[0] ** 2
+        assert np.max(np.abs(traj.b0 - ref)) < 1e-13
+        assert traj.b0[0] == 1.0
+        assert (traj.br is not None) == store
+        assert traj.norm_drift < 1e-13
+
+
+@pytest.mark.parametrize("t_end, first_bad", [(6.0, 1.9357), (-6.0, -0.3649)])
+def test_chain_barrier_with_nonpositive_w_raises_at_first_midpoint(t_end, first_bad):
+    # w = 1 + 1.5 sin 2t <= 0 once sin 2t <= -2/3: first at (pi + asin(2/3))/2
+    # going forward and at -asin(2/3)/2 going back
+    p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.5, omega=2.0))
+    cfg = SolverConfig(dt=2e-3, t_end=t_end)
+    with pytest.raises(SolverError, match="barrier profile") as err:
+        evolve_chain(p, FiniteChain(20, 4.0), cfg)
+    named = float(str(err.value).rsplit("t = ", 1)[1])
+    assert abs(named - first_bad) <= cfg.dt
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -1,10 +1,12 @@
 """Command-line interface: flags, CSV format, manifests, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from welldecay import cli
 from welldecay.cli import main
 
 
@@ -70,6 +72,17 @@ def test_csv_has_15_significant_digits(tmp_path):
     body = (tmp_path / "survival.csv").read_text().splitlines()[1:]
     cell = body[7].split(",")[1]
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) >= 14
+
+
+def test_csv_bytes_match_per_value_format(tmp_path):
+    special = [0.0, -0.0, 5e-324, 1.0 / 3.0, math.pi * 1e20, math.inf, -math.inf, math.nan]
+    rows = cli._CSV_BLOCK + 7
+    first = np.resize(special, rows)
+    second = np.random.default_rng(3).standard_normal(rows) * 10.0 ** (np.arange(rows) % 600 - 300)
+    columns = [first, second, np.arange(rows, dtype=float)]
+    cli._write_csv(tmp_path / "out.csv", ["a", "b", "c"], columns)
+    lines = ["a,b,c"] + [",".join(format(v, ".15g") for v in row) for row in zip(*columns)]
+    assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from welldecay import closedform
+from welldecay.bessel import bessel_i, bessel_j, truncation_order
 from welldecay.model import (
     BarrierDrive,
     LevelDrive,
@@ -239,6 +242,50 @@ def test_floquet_barrier_reduces_to_lorentzian_line():
     e = np.linspace(-6.0, 6.0, 301)
     line = closedform.lineshape_markovian(p, e, math.inf)
     assert np.max(np.abs(closedform.floquet_spectrum_barrier(p, e) - line)) < 1e-14
+
+
+def sideband_loops(params, e):
+    """The per-sideband complex-division sums the pole sum replaced."""
+    g, e0 = params.gamma, params.e0
+    amp = np.zeros_like(e, dtype=complex)
+    if params.level_drive is not None:
+        u, om = params.level_drive.u, params.level_drive.omega
+        n_max = truncation_order(abs(u / om), closedform.FLOQUET_TAIL_TOL)
+        for n in range(-n_max, n_max + 1):
+            amp += (-1j) ** n * bessel_j(n, u / om) / (e - e0 - n * om + 0.5j * g)
+    else:
+        al, om = params.barrier_drive.alpha, params.barrier_drive.omega
+        xi = al * g / om
+        n_max = truncation_order(xi, closedform.FLOQUET_TAIL_TOL)
+        for n in range(-n_max, n_max + 1):
+            d = e - e0 - n * om + 0.5j * g
+            amp += math.exp(-xi) * bessel_i(n, xi) * (1.0 / d + 1j * al * om / (d * d - om * om))
+    return g / TWO_PI * np.abs(amp) ** 2
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    barrier=st.booleans(),
+    amp=st.floats(0.0, 1.0),
+    omega=st.floats(0.05, 3.0),
+    e0=st.floats(-2.0, 2.0),
+)
+def test_floquet_spectra_match_per_sideband_loops(barrier, amp, omega, e0):
+    if barrier:
+        p = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha=0.99 * amp, omega=omega))
+        spectrum = closedform.floquet_spectrum_barrier
+    else:
+        p = SystemParams(e0=e0, level_drive=LevelDrive(u=8.0 * amp - 4.0, omega=omega))
+        spectrum = closedform.floquet_spectrum_level
+    e = e0 + np.concatenate([np.linspace(-20.0, 20.0, 2001), [-500.0, 500.0]])
+    ref = sideband_loops(p, e)
+    got = spectrum(p, e)
+    assert got.shape == e.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+    for v in e[::400]:
+        scalar = spectrum(p, float(v))
+        assert isinstance(scalar, float)
+        assert abs(scalar - sideband_loops(p, np.array([v]))[0]) <= 1e-13 * np.max(ref)
 
 
 @pytest.mark.parametrize("e", [0.0, 0.2, -0.2, 0.4, -0.4])

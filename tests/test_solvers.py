@@ -81,8 +81,9 @@ def test_volterra_semicircle_against_chain():
 
 def test_volterra_rejects_wideband_and_too_coarse_steps():
     p = SystemParams(e0=0.0)
-    with pytest.raises(ValueError):
-        solve_volterra(p, WideBand(), SolverConfig(dt=1e-3, t_end=1.0))
+    for sd in (WideBand(), FiniteChain(10, 6.0)):
+        with pytest.raises(ModelError, match="Lorentzian or Semicircle"):
+            solve_volterra(p, sd, SolverConfig(dt=1e-3, t_end=1.0))
     with pytest.raises(ResolutionError):
         solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=0.1, t_end=1.0))
 

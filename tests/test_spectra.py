@@ -15,7 +15,7 @@ from welldecay.model import (
     SystemParams,
     WideBand,
 )
-from welldecay.solvers import AmplitudeTrajectory, SolverConfig, solve_wideband
+from welldecay.solvers import RESOLUTION_LIMIT, AmplitudeTrajectory, SolverConfig, solve_wideband
 from welldecay.spectra import (
     EnergySpectrum,
     energy_grid,
@@ -136,6 +136,27 @@ def test_conservation_property(kind, e0, t_end, u, alpha, omega):
     }[kind]
     gap = conservation_gap(SystemParams(e0=e0, **drive), t_end)
     assert gap < 1e-3, f"{kind} drive, E0 = {e0}, t = {t_end}: {gap}"
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    dt=st.floats(1e-3, 0.1),
+)
+def test_uniform_sum_adjoint_matches_direct_sum(terms, dt):
+    # b_k = sum_j c_j e^{-i k lam_j dt} with |lam_j| dt up to the resolution limit
+    frac, re, im = (np.array(v) for v in zip(*terms))
+    c = re + 1j * im
+    lam = frac * RESOLUTION_LIMIT / dt
+    for n_t in (2, 7, 1025):
+        for h in (dt, -dt):
+            got = spectra._uniform_sum_adjoint(c, lam * h, n_t)
+            ref = np.exp(-1j * np.outer(h * np.arange(n_t), lam)) @ c
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(c))
 
 
 def test_asymptotic_static_is_normalized_lorentzian():
