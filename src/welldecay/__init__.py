@@ -12,7 +12,6 @@ from .closedform import (
     floquet_spectrum_level,
     lineshape_markovian,
     short_time_coefficients,
-    wideband_phase,
 )
 from .model import (
     BarrierDrive,
@@ -21,14 +20,10 @@ from .model import (
     Lorentzian,
     ModelError,
     Semicircle,
-    SpectralDensity,
     SystemParams,
     WideBand,
 )
 from .solvers import (
-    LORENTZIAN_ODE,
-    VOLTERRA_PC,
-    WIDEBAND_CLOSED,
     AmplitudeTrajectory,
     MismatchError,
     ResolutionError,
@@ -46,7 +41,6 @@ from .spectra import (
     EnergySpectrum,
     conservation_window,
     energy_grid,
-    sideband_count,
     spectrum_asymptotic,
     spectrum_from_trajectory,
 )

@@ -117,7 +117,8 @@ def test_continuum_limit_against_semicircle_solution():
         traj = run(1.0, FiniteChain(n, 6.0), 5.0, 5e-3, store_reservoir=False)
         devs[n] = float(np.max(np.abs(traj.p0 - cont.p0)))
         exp_devs[n] = float(np.max(np.abs(traj.p0 - np.exp(-traj.times))))
-    assert devs[50] < 0.02 and devs[150] < 0.02 and devs[250] < 0.02
+    # measured 8.76e-6 for every N: the Volterra discretization error at dt = 5e-3
+    assert devs[50] < 2e-5 and devs[150] < 2e-5 and devs[250] < 2e-5
     # measured deviation from pure exponential decay is transient-dominated
     # (quadratic onset of the finite band) and identical across N here
     assert exp_devs[150] <= exp_devs[50] + 1e-6

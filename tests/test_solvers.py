@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from welldecay import closedform
 from welldecay.chain import evolve_chain
@@ -18,6 +20,8 @@ from welldecay.model import (
     WideBand,
 )
 from welldecay.solvers import (
+    DIVERGENCE_LIMIT,
+    KERNEL_TRUNCATION,
     MismatchError,
     ResolutionError,
     SolverConfig,
@@ -34,6 +38,41 @@ from welldecay.solvers import (
 
 def lorentzian_oracle(params, lam):
     return lambda t: closedform.b0_lorentzian_static(params, lam, t)
+
+
+def volterra_reference(params, sd, cfg):
+    """The direct trapezoid + Heun scheme, one O(k) history sum per step.
+
+    Returns the times and b0 up to the first step with |b0| beyond
+    DIVERGENCE_LIMIT, or up to t_end.
+    """
+    n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
+    times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
+    h = times[1] - times[0]
+    kern = sd.kernel(cfg.dt * np.arange(n + 1))
+    cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
+    jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / cfg.dt)))
+    w, e0 = params.w_at(times), params.e0_at(times)
+    b = np.zeros(n + 1, dtype=complex)
+    f = np.empty(n + 1, dtype=complex)
+    b[0], f[0] = 1.0, -1j * e0[0]
+    g = w * b
+    for k in range(1, n + 1):
+        lo = max(0, k - jcut)
+        kw = kern[k - lo : 0 : -1]  # K[(k-j) dt] for j = lo .. k-1
+        base = np.dot(kw, g[lo:k])
+        if lo == 0:
+            base -= 0.5 * kw[0] * g[0]
+        bp = b[k - 1] + h * f[k - 1]
+        integral = h * (base + 0.5 * kern[0] * w[k] * bp)
+        fp = -1j * e0[k] * bp - w[k] * integral
+        b[k] = b[k - 1] + 0.5 * h * (f[k - 1] + fp)
+        integral += 0.5 * h * kern[0] * w[k] * (b[k] - bp)
+        f[k] = -1j * e0[k] * b[k] - w[k] * integral
+        g[k] = w[k] * b[k]
+        if abs(b[k]) > DIVERGENCE_LIMIT:
+            return times[: k + 1], b[: k + 1]
+    return times, b
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +115,8 @@ def test_volterra_semicircle_against_chain():
     cfg = SolverConfig(dt=5e-3, t_end=5.0)
     traj = solve_volterra(p, Semicircle(6.0), cfg)
     chain = evolve_chain(p, FiniteChain(250, 6.0), cfg)
-    assert np.max(np.abs(traj.p0 - chain.p0)) < 1e-4
+    # measured 8.76e-6, the Volterra discretization error at dt = 5e-3
+    assert np.max(np.abs(traj.p0 - chain.p0)) < 2e-5
 
 
 def test_volterra_rejects_wideband_and_too_coarse_steps():
@@ -90,11 +130,49 @@ def test_volterra_rejects_wideband_and_too_coarse_steps():
 
 def test_volterra_divergence_guard():
     # a negative-weight kernel is unphysical and feeds the amplitude: the
-    # solver must detect the blow-up instead of returning garbage
+    # solver must detect the blow-up instead of returning garbage, at the
+    # first such step and not at the end of a history block (step 33, in
+    # the first block, for gamma = -40; step 634, in the third, for -0.5)
     p = SystemParams(e0=0.0)
-    cfg = SolverConfig(dt=5e-3, t_end=8.0)
-    with pytest.raises(SolverError):
-        solve_volterra(p, Lorentzian(lam=4.0, gamma=-40.0), cfg)
+    for gamma in (-40.0, -0.5):
+        for t_end in (8.0, -8.0):
+            sd = Lorentzian(lam=4.0, gamma=gamma)
+            cfg = SolverConfig(dt=5e-3, t_end=t_end)
+            times, b = volterra_reference(p, sd, cfg)
+            assert abs(b[-1]) > DIVERGENCE_LIMIT
+            with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
+                solve_volterra(p, sd, cfg)
+
+
+@settings(max_examples=18, derandomize=True, deadline=None)  # 20 with the two below
+@given(
+    semicircle=st.booleans(),
+    width=st.floats(5.0, 20.0),
+    n=st.sampled_from([1, 5, 256, 257, 1600]),
+    e0=st.floats(-2.0, 2.0),
+    drive=st.sampled_from([None, "level", "barrier"]),
+    sign=st.sampled_from([1.0, -1.0]),
+    frac=st.floats(0.6, 0.99),
+)
+@example(semicircle=False, width=20.0, n=1600, e0=0.5, drive=None, sign=1.0, frac=0.99)
+@example(semicircle=True, width=6.0, n=1600, e0=-1.0, drive="level", sign=-1.0, frac=0.8)
+def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, sign, frac):
+    # the blocked history (FFT blocks, dense sub-blocks, scalar tail) against
+    # the direct sum: below one sub-block, at one and one past one block, and
+    # over several blocks, with the Lorentzian's jcut < n when lam dt ~ 0.05
+    sd = Semicircle(width) if semicircle else Lorentzian(width)
+    level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
+    barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
+    p = SystemParams(e0=e0, level_drive=level, barrier_drive=barrier)
+    dt = 2.0 * frac * default_dt(p, sd)
+    cfg = SolverConfig(dt=dt, t_end=sign * n * dt)
+    traj = solve_volterra(p, sd, cfg)
+    times, ref = volterra_reference(p, sd, cfg)
+    assert traj.times.size == n + 1 and np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.b0 - ref)) <= 1e-13
+    if p.static:
+        mirror = solve_volterra(p, sd, SolverConfig(dt=dt, t_end=-cfg.t_end))
+        assert np.max(np.abs(mirror.b0 - np.conj(traj.b0))) <= 1e-13
 
 
 def test_volterra_norm_bound_holds():
