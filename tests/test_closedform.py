@@ -1,7 +1,9 @@
 """Closed-form amplitudes and spectra against independent oracles."""
 
 import cmath
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from welldecay import closedform
+from welldecay import closedform, spectra
 from welldecay.bessel import bessel_i, bessel_j, truncation_order
 from welldecay.model import (
     BarrierDrive,
@@ -286,6 +288,158 @@ def test_floquet_spectra_match_per_sideband_loops(barrier, amp, omega, e0):
         scalar = spectrum(p, float(v))
         assert isinstance(scalar, float)
         assert abs(scalar - sideband_loops(p, np.array([v]))[0]) <= 1e-13 * np.max(ref)
+
+
+def blocked_pole_sum_sq(coef, detuning, omega, gamma):
+    """The direct sum over every (energy, pole) pair, in bounded blocks, that
+    the panel interpolation of closedform._pole_sum_sq replaced."""
+    poles = (np.arange(coef.size) - coef.size // 2) * omega
+    flat = np.atleast_1d(detuning).ravel()
+    out = np.empty(flat.size)
+    half = 0.5 * gamma
+    step = max(1, (1 << 16) // coef.size)
+    for lo in range(0, flat.size, step):
+        d = flat[lo : lo + step, None] - poles
+        inv = 1.0 / (d * d + half * half)
+        d *= inv
+        inv *= half
+        re, im = d @ coef.real + inv @ coef.imag, d @ coef.imag - inv @ coef.real
+        out[lo : lo + step] = re * re + im * im
+    return out.reshape(np.shape(detuning))
+
+
+def blocked_reference(spectrum, params, e):
+    """spectrum(params, e) with its pole sum done by blocked_pole_sum_sq."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedform, "_pole_sum_sq", blocked_pole_sum_sq)
+        return spectrum(params, e)
+
+
+def thinned_grid(params, limit):
+    """spectra.energy_grid(params), every k-th point so that at most `limit` remain."""
+    grid = spectra.energy_grid(params)
+    return grid[:: -(-grid.size // limit)]
+
+
+@functools.lru_cache(maxsize=1)
+def spectrum_level_case():
+    """The level spectrum of the benchmark: u = 20, omega = 0.1, 453 poles."""
+    p = SystemParams(e0=0.0, level_drive=LevelDrive(u=20.0, omega=0.1))
+    return p, spectra.energy_grid(p)
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(
+    barrier=st.booleans(),
+    order=st.floats(0.5, 200.0),  # |u| / omega, or xi = alpha Gamma / omega
+    omega=st.floats(0.02, 2.0),
+    alpha=st.floats(0.05, 0.99),
+    log_gamma=st.floats(-3.0, 1.0),
+    e0=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_floquet_panel_route_matches_blocked_pole_sum(
+    barrier, order, omega, alpha, log_gamma, e0, seed
+):
+    # with more than 56 poles the grids put >= 28 energies in many gamma/4
+    # panels, which the interpolation serves (in about half the examples); sparse
+    # panels and fewer poles take the direct sum
+    g = 10.0**log_gamma
+    if barrier:
+        drive = {"barrier_drive": BarrierDrive(alpha=alpha, omega=alpha * g / order)}
+        spectrum = closedform.floquet_spectrum_barrier
+    else:
+        u = order * omega if seed % 2 else -order * omega
+        drive = {"level_drive": LevelDrive(u=u, omega=omega)}
+        spectrum = closedform.floquet_spectrum_level
+    p = SystemParams(e0=e0, gamma=g, **drive)
+    e = np.concatenate(([e0 - 1.0e4], thinned_grid(p, 60_000), [e0 + 1.0e4]))
+    got = spectrum(p, e)
+    assert got.shape == e.shape
+    pick = np.unique(np.concatenate((np.arange(0, e.size, -(-e.size // 2000)), [e.size - 1])))
+    ref = blocked_reference(spectrum, p, e[pick])
+    peak = np.max(ref)
+    assert np.max(np.abs(got[pick] - ref)) <= 1e-13 * peak
+    rng = np.random.default_rng(seed)
+    shuffle = rng.permutation(e.size)
+    assert np.max(np.abs(spectrum(p, e[shuffle]) - got[shuffle])) <= 1e-13 * peak
+    for i in rng.choice(pick.size, 3):
+        scalar = spectrum(p, float(e[pick[i]]))
+        assert isinstance(scalar, float)
+        assert abs(scalar - ref[i]) <= 1e-13 * peak
+    assert spectrum(p, np.empty(0)).shape == (0,)
+    assert spectrum(p, e[:6].reshape(2, 3)).shape == (2, 3)
+
+
+def test_floquet_tiny_gamma_falls_back_to_the_direct_sum():
+    # the outer panel keys of energies 1e120 away would overflow at gamma = 1e-200
+    p = SystemParams(e0=0.0, gamma=1.0e-200, level_drive=LevelDrive(u=3.0, omega=0.1))
+    e = np.concatenate((np.arange(-3.05, 3.0, 0.1), 1.0e120 * (1.0 + 1.0e-3 * np.arange(64))))
+    got = closedform.floquet_spectrum_level(p, e)
+    ref = blocked_reference(closedform.floquet_spectrum_level, p, e)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_floquet_level_panel_route_on_the_benchmark_grid():
+    # every 97th energy of the 302,307: the full all-pairs sum would cost 137 M terms
+    p, grid = spectrum_level_case()
+    got = closedform.floquet_spectrum_level(p, grid)
+    ref = blocked_reference(closedform.floquet_spectrum_level, p, grid[::97])
+    assert np.max(np.abs(got[::97] - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_floquet_level_memory_is_output_plus_blocks():
+    # measured peak 6.63 MB: the detuning and the output (2.42 MB each) plus
+    # 1.8 MB of one block of the direct sum; the all-pairs matrix would be 1.1 GB
+    p, grid = spectrum_level_case()
+    tracemalloc.start()
+    try:
+        closedform.floquet_spectrum_level(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid.nbytes + 2.5e6
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(u=st.floats(0.5, 12.0), omega=st.floats(0.1, 2.0), e0=st.floats(-2.0, 2.0))
+def test_floquet_level_mirror_symmetry(u, omega, e0):
+    # P(-E; -E0, -u) = P(E; E0, u); the panels are not placed symmetrically,
+    # so the two sides agree to rounding, not bit for bit
+    p = SystemParams(e0=e0, level_drive=LevelDrive(u=u, omega=omega))
+    mirror = SystemParams(e0=-e0, level_drive=LevelDrive(u=-u, omega=omega))
+    e = thinned_grid(p, 40_000)
+    got = closedform.floquet_spectrum_level(p, e)
+    mirrored = closedform.floquet_spectrum_level(mirror, -e)
+    assert np.max(np.abs(mirrored - got)) <= 1e-13 * np.max(got)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), xi=st.floats(0.5, 60.0), e0=st.floats(-2.0, 2.0))
+def test_floquet_barrier_symmetry_about_e0(alpha, xi, e0):
+    # P(E0 + x) = P(E0 - x) to rounding, for up to about 130 poles
+    p = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha=alpha, omega=alpha / xi))
+    e = thinned_grid(p, 40_000)
+    got = closedform.floquet_spectrum_barrier(p, e)
+    mirrored = closedform.floquet_spectrum_barrier(p, 2.0 * e0 - e)
+    assert np.max(np.abs(mirrored - got)) <= 1e-13 * np.max(got)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("barrier", [False, True])
+def test_floquet_spectra_reject_non_finite_energies(barrier, driven, bad):
+    amp = 0.3 if driven else 0.0
+    if barrier:
+        p = SystemParams(e0=0.1, barrier_drive=BarrierDrive(alpha=amp, omega=0.5))
+        spectrum = closedform.floquet_spectrum_barrier
+    else:
+        p = SystemParams(e0=0.1, level_drive=LevelDrive(u=amp, omega=0.5))
+        spectrum = closedform.floquet_spectrum_level
+    with pytest.raises(ModelError, match="finite"):
+        spectrum(p, [0.1, bad, 1.0])
+    with pytest.raises(ModelError, match="finite"):
+        spectrum(p, bad)
 
 
 @pytest.mark.parametrize("e", [0.0, 0.2, -0.2, 0.4, -0.4])
