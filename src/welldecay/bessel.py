@@ -1,21 +1,26 @@
-"""Bessel functions J_n(x) and modified Bessel functions I_n(x) for integer
-order and real argument, plus tail control for Floquet sideband sums.
+"""Bessel functions J_n(x) and scaled modified Bessel functions e^{-|x|} I_n(x)
+for integer order and real argument, plus tail control for Floquet sideband
+sums.
 
-Algorithm: ascending power series for small argument, Miller's backward
-recurrence with normalization otherwise. Upward recurrence in the order is
-avoided for both families (it amplifies the dominant companion solution).
-The J series is additionally restricted to x <= 12: for larger arguments the
-alternating terms grow before they decay and the cancellation would eat the
-1e-12 absolute-error budget; Miller covers that region instead.
+One algorithm serves both families at every argument: Miller's backward
+recurrence with normalization (Gautschi, SIAM Rev. 9:24, 1967). Started
+above max(n, x), f_{k-1} = (2k/x) f_k -+ f_{k+1} (- for J, + for I) runs
+down to order 0 and is normalized by
 
-bessel_j also takes an array of arguments and then runs both algorithms for
-all of them at once; every element takes the path, the start order and the
-operations of its scalar call, so the two agree bit for bit.
+    J_0(x) + 2 J_2(x) + 2 J_4(x) + ...              = 1
+    e^{-x} (I_0(x) + 2 I_1(x) + 2 I_2(x) + ...)     = 1
 
-Normalizations used by the backward recurrences:
+so one pass yields every lower order, and I comes out scaled by e^{-x}
+without forming an exponential that could overflow. Upward recurrence in
+the order is avoided (it amplifies the dominant companion solution). Below
+x = 1e-8 the leading term (x/2)^n / n! (times e^{-x} for I) is exact to
+rounding and replaces the pass, whose ratio 2k/x overflows at subnormal x.
 
-    J_0(x) + 2 J_2(x) + 2 J_4(x) + ... = 1
-    I_0(x) + 2 I_1(x) + 2 I_2(x) + ... = e^x
+Two loops run the recurrence, chosen by the shape of the input: a scalar
+argument runs one pass on Python floats and reads any array of orders from
+its table; an array of arguments at one order runs all passes in lockstep,
+each element with the start and the operations of its scalar call, so the
+two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -25,64 +30,31 @@ import math
 import numpy as np
 
 J_ARG_MAX = 1.0e4
-I_ARG_MAX = 700.0
 
-# series is exact-ish only while terms decay promptly; see module docstring
-_J_SERIES_ARG_MAX = 12.0
 _RESCALE_LIMIT = 1.0e250
+_TINY_ARG = 1.0e-8  # below, the leading term is exact to rounding
 
 
-def bessel_j(n: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the first kind, integer order.
+def bessel_j(n: int | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+    """Bessel function of the first kind J_n(x), integer order.
 
     Supports |x| < 1e4. Negative order and argument reduce through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x). A numpy array x
-    gives an array of the same shape, equal element by element to the
-    scalar calls.
+    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x). Either n is an
+    integer array at scalar x (one recurrence gives the whole table), or x
+    is a numpy array at integer n (equal element by element to the scalar
+    calls); the result has the shape of the array.
     """
-    n = int(n)
-    if isinstance(x, np.ndarray) and x.ndim:
-        return _bessel_j_array(n, x)
-    x = float(x)
-    if not abs(x) < J_ARG_MAX:
-        raise ValueError(f"bessel_j argument out of supported range: |{x}| >= {J_ARG_MAX}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < min(2.0 * (n + 1), _J_SERIES_ARG_MAX):
-        return sign * _series_j(n, x)
-    return sign * _miller_j(n, x)
+    return _bessel("bessel_j", n, x, False)
 
 
-def bessel_i(n: int, x: float) -> float:
-    """Modified Bessel function of the first kind, integer order.
+def bessel_ive(n: int | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+    """Scaled modified Bessel function e^{-|x|} I_n(x), integer order.
 
-    Supports |x| < 700 (e^x would overflow beyond). Reductions:
-    I_{-n}(x) = I_n(x) and I_n(-x) = (-1)^n I_n(x).
+    Supports |x| < 1e4 and matches scipy.special.ive. Reductions:
+    I_{-n}(x) = I_n(x) and I_n(-x) = (-1)^n I_n(x). Array arguments as for
+    bessel_j.
     """
-    n = int(n)
-    x = float(x)
-    if not abs(x) < I_ARG_MAX:
-        raise OverflowError(f"bessel_i argument out of supported range: |{x}| >= {I_ARG_MAX}")
-    n = abs(n)
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < 2.0 * (n + 1):
-        return sign * _series_i(n, x)
-    return sign * _miller_i(n, x)
+    return _bessel("bessel_ive", n, x, True)
 
 
 def truncation_order(x: float, tolerance: float) -> int:
@@ -94,152 +66,107 @@ def truncation_order(x: float, tolerance: float) -> int:
         1 - sum_{|n|<=m} J_n(x)^2           < tolerance
         1 - e^{-x} sum_{|n|<=m} I_n(x)      < tolerance
 
-    Both tails decay super-exponentially once the order passes x.
+    Both tails decay super-exponentially once the order passes x; one table
+    of each family, up to the Miller start above the floor, holds the cutoff
+    for any tolerance the summed tables resolve. A smaller tolerance raises
+    ValueError.
     """
     x = float(x)
-    if x < 0.0:
-        raise ValueError("truncation_order needs x >= 0")
+    if not 0.0 <= x < J_ARG_MAX:
+        raise ValueError(f"truncation_order needs 0 <= x < {J_ARG_MAX}, got {x}")
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
     floor = int(math.ceil(x)) + 10
-    j0, i0 = bessel_j(0, x), bessel_i(0, x)
-    # sums over 1 <= k <= m, extended one order per candidate m, left to right
-    j_part = i_part = 0.0
-    m = 0
-    while True:
-        m += 1
-        j_part += bessel_j(m, x) ** 2
-        i_part += bessel_i(m, x)
-        if m < floor:
-            continue
-        j_tail = max(1.0 - (j0 * j0 + 2.0 * j_part), 0.0)
-        i_tail = max(1.0 - math.exp(-x) * (i0 + 2.0 * i_part), 0.0)
-        if j_tail < tolerance and i_tail < tolerance:
-            return m
+    top = _miller_start(floor, x)
+    j = np.array(_table(top, x, False))
+    i = np.array(_table(top, x, True))
+    # entry m - 1 holds the tails of the cutoff m; sums run left to right
+    j_tail = 1.0 - (j[0] * j[0] + 2.0 * np.cumsum(j[1:] ** 2))
+    i_tail = 1.0 - (i[0] + 2.0 * np.cumsum(i[1:]))
+    ok = (j_tail < tolerance) & (i_tail < tolerance)
+    ok[: floor - 1] = False
+    if not ok.any():
+        raise ValueError(f"no sideband cutoff has both tails below {tolerance} at x = {x}")
+    return int(np.argmax(ok)) + 1
 
 
-def _leading_term(n: int, half_x: float) -> float:
-    # (x/2)^n / n!, in log space once direct products could overflow
-    if n <= 30:
-        t = 1.0
-        for k in range(1, n + 1):
-            t *= half_x / k
-        return t
-    return math.exp(n * math.log(half_x) - math.lgamma(n + 1.0))
+def _bessel(name: str, n, x, modified: bool):
+    orders, x = np.asarray(n), np.asarray(x, dtype=float)
+    if orders.ndim and orders.dtype.kind not in "iu":
+        raise TypeError(f"{name} needs integer orders, got dtype {orders.dtype}")
+    if orders.ndim and x.ndim:
+        raise TypeError(f"{name} takes an array of orders or of arguments, not both")
+    bad = ~(np.abs(x) < J_ARG_MAX)
+    if bad.any():
+        v = float(x.ravel()[np.argmax(bad)])
+        raise ValueError(f"{name} argument out of supported range: |{v}| >= {J_ARG_MAX}")
+    if x.ndim:
+        n = int(n)
+        values = _lockstep(abs(n), np.abs(x).ravel(), modified).reshape(x.shape)
+        return _sign(n, x, modified) * values
+    if not orders.ndim:
+        orders = np.asarray(int(n))
+    table = np.array(_table(int(np.abs(orders).max(initial=0)), abs(float(x)), modified))
+    values = _sign(orders, x, modified) * table[np.abs(orders)]
+    return values if orders.ndim else float(values)
 
 
-def _series_j(n: int, x: float) -> float:
-    half = 0.5 * x
-    term = _leading_term(n, half)
-    total = term
-    q = half * half
-    for k in range(1, 400):
-        term *= -q / (k * (n + k))
-        total += term
-        if abs(term) < 1.0e-17 * abs(total) + 1.0e-300:
-            return total
-    raise RuntimeError("J series failed to converge")  # unreachable for x <= 12
-
-
-def _series_i(n: int, x: float) -> float:
-    # all terms positive, no cancellation at any argument
-    half = 0.5 * x
-    term = _leading_term(n, half)
-    total = term
-    q = half * half
-    for k in range(1, 2000):
-        term *= q / (k * (n + k))
-        total += term
-        if term < 1.0e-17 * total + 1.0e-300:
-            return total
-    raise RuntimeError("I series failed to converge")
+def _sign(n, x, modified: bool):
+    # (-1)^n where the parity rules flip the sign: negative x for both
+    # families, and negative n for J only
+    flip = np.less(x, 0.0) if modified else np.less(x, 0.0) != np.less(n, 0)
+    return np.where(flip & (np.asarray(n) % 2 == 1), -1.0, 1.0)
 
 
 def _miller_start(n: int, x: float) -> int:
     # start far enough above max(n, x) that the seed contamination decays
-    # below 1e-17 by the time the recurrence reaches the target order
-    return int(max(n, math.ceil(x)) + 12.0 * max(1.0, x) ** (1.0 / 3.0) + 18)
+    # below 1e-17 by the time the recurrence reaches the target order; even,
+    # so that the J norm collects J_0 on the last step
+    m = int(max(n, math.ceil(x)) + 12.0 * max(1.0, x) ** (1.0 / 3.0) + 18)
+    return m + m % 2
 
 
-def _miller_j(n: int, x: float) -> float:
-    m = _miller_start(n, x)
-    if m % 2:
-        m += 1
-    upper = 0.0
-    cur = 1.0e-30
-    norm = 0.0
-    target = 0.0
-    for k in range(m, 0, -1):
-        prev = (2.0 * k / x) * cur - upper
-        upper = cur
-        cur = prev
-        if k % 2 == 1:
-            # after this step cur = J_{k-1}, an even order
+def _table(top: int, x: float, modified: bool) -> list:
+    """[f_0, ..., f_top] at x >= 0, f_k = J_k(x), or e^{-x} I_k(x) if modified."""
+    if x < _TINY_ARG:
+        scale = math.exp(-x) if modified else 1.0
+        term, out = 1.0, [scale]
+        for k in range(1, top + 1):
+            term *= 0.5 * x / k
+            out.append(scale * term)
+        return out
+    s = 1.0 if modified else -1.0
+    upper, cur, norm = 0.0, 1.0e-30, 0.0
+    vals = [0.0] * (top + 1)
+    for k in range(_miller_start(top, x), 0, -1):
+        upper, cur = cur, (2.0 * k / x) * cur + s * upper
+        if modified or k % 2:  # cur = f_{k-1}; J weights only the even orders
             norm += 2.0 * cur
-        if k - 1 == n:
-            target = cur
+        if k <= top + 1:
+            vals[k - 1] = cur
         if abs(cur) > _RESCALE_LIMIT:
             cur /= _RESCALE_LIMIT
             upper /= _RESCALE_LIMIT
             norm /= _RESCALE_LIMIT
-            target /= _RESCALE_LIMIT
-    norm -= cur  # J_0 was added with weight 2
-    return target / norm
+            vals = [v / _RESCALE_LIMIT for v in vals]
+    norm -= cur  # f_0 was added with weight 2
+    return [v / norm for v in vals]
 
 
-def _bessel_j_array(n: int, x: np.ndarray) -> np.ndarray:
-    # the scalar bessel_j, path by path, on every element of x at once
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    bad = ~(np.abs(flat) < J_ARG_MAX)
-    if bad.any():
-        v = float(flat[np.argmax(bad)])
-        raise ValueError(f"bessel_j argument out of supported range: |{v}| >= {J_ARG_MAX}")
-    sign = np.where(((flat < 0.0) != (n < 0)) & (n % 2 == 1), -1.0, 1.0)
-    n = abs(n)
-    ax = np.abs(flat)
-    out = np.full(flat.shape, 1.0 if n == 0 else 0.0)
-    miller = ax >= min(2.0 * (n + 1), _J_SERIES_ARG_MAX)
-    series = (ax > 0.0) & ~miller
-    if series.any():
-        out[series] = sign[series] * _series_j_array(n, ax[series])
-    if miller.any():
-        out[miller] = sign[miller] * _miller_j_array(n, ax[miller])
-    return out.reshape(x.shape)
-
-
-def _series_j_array(n: int, x: np.ndarray) -> np.ndarray:
-    half = 0.5 * x
-    if n <= 30:
-        term = np.ones_like(half)
-        for k in range(1, n + 1):
-            term *= half / k
-    else:
-        term = np.array([_leading_term(n, h) for h in half.tolist()])
-    total = term.copy()
-    q = half * half
-    out = np.empty_like(x)
-    idx = np.arange(x.size)  # elements still summing
-    for k in range(1, 400):
-        term *= -q / (k * (n + k))
-        total += term
-        done = np.abs(term) < 1.0e-17 * np.abs(total) + 1.0e-300
-        if done.any():
-            out[idx[done]] = total[done]
-            keep = ~done
-            idx, term, total, q = idx[keep], term[keep], total[keep], q[keep]
-            if not idx.size:
-                return out
-    raise RuntimeError("J series failed to converge")  # unreachable for x <= 12
-
-
-def _miller_j_array(n: int, x: np.ndarray) -> np.ndarray:
-    starts = np.fromiter((_miller_start(n, float(v)) for v in x), dtype=np.int64, count=x.size)
-    starts += starts % 2
+def _lockstep(n: int, x: np.ndarray, modified: bool) -> np.ndarray:
+    """_table(n, v, modified)[n] for every element v >= 0 of x, the passes in lockstep."""
+    out = np.empty(x.size)
+    tiny = x < _TINY_ARG
+    out[tiny] = [_table(n, v, modified)[n] for v in x[tiny].tolist()]
+    x = x[~tiny]
+    if not x.size:
+        return out
+    starts = np.fromiter((_miller_start(n, v) for v in x.tolist()), dtype=np.int64, count=x.size)
     # sorted by descending start, the elements already recurring form a prefix
     order = np.argsort(-starts, kind="stable")
     xs, seeds = x[order], starts[order]
     size = xs.size
+    s = 1.0 if modified else -1.0
     upper, cur = np.empty(size), np.empty(size)
     norm, target = np.zeros(size), np.zeros(size)
     a = 0
@@ -251,11 +178,11 @@ def _miller_j_array(n: int, x: np.ndarray) -> np.ndarray:
             upper[a:enter] = 0.0
             cur[a:enter] = 1.0e-30
             a = enter
-        prev = (2.0 * k / xs[:a]) * cur[:a] - upper[:a]
+        prev = (2.0 * k / xs[:a]) * cur[:a] + s * upper[:a]
         upper[:a] = cur[:a]
         cur[:a] = prev
         c = cur[:a]
-        if k % 2 == 1:
+        if modified or k % 2:
             norm[:a] += 2.0 * c
         if k - 1 == n:
             target[:a] = c
@@ -263,29 +190,5 @@ def _miller_j_array(n: int, x: np.ndarray) -> np.ndarray:
             big = np.abs(c) > _RESCALE_LIMIT
             for arr in (cur, upper, norm, target):
                 arr[:a][big] /= _RESCALE_LIMIT
-    out = np.empty(size)
-    out[order] = target / (norm - cur)  # J_0 was added with weight 2
+    out[np.flatnonzero(~tiny)[order]] = target / (norm - cur)
     return out
-
-
-def _miller_i(n: int, x: float) -> float:
-    m = _miller_start(n, x)
-    upper = 0.0
-    cur = 1.0e-30
-    norm = 0.0
-    target = 0.0
-    for k in range(m, 0, -1):
-        prev = (2.0 * k / x) * cur + upper
-        upper = cur
-        cur = prev
-        norm += 2.0 * upper
-        if k - 1 == n:
-            target = cur
-        if abs(cur) > _RESCALE_LIMIT:
-            cur /= _RESCALE_LIMIT
-            upper /= _RESCALE_LIMIT
-            norm /= _RESCALE_LIMIT
-            target /= _RESCALE_LIMIT
-    norm += cur  # I_0 enters with weight 1
-    # target/norm = I_n e^{-x}, bounded by 1; scale back up afterwards
-    return (target / norm) * math.exp(x)

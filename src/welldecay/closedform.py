@@ -25,6 +25,9 @@ at E0 + n omega:
                    second term + i alpha omega / (d_n^2 - omega^2) generated
                    by the w(t) prefactor (d_n = E - E0 - n omega + i Gamma/2).
 
+Each weight list, n = -n_max .. n_max, is one bessel_j or bessel_ive table
+(one Miller pass at u/omega or xi; e^{-xi} I_n is finite for any xi < 1e4).
+
 The sign of that second term is fixed by direct quadrature of the
 time-domain integral, which is the authoritative reference. By partial
 fractions it is (i alpha / 2)(1/d_{n+1} - 1/d_{n-1}), so both spectra are
@@ -55,7 +58,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bessel import bessel_i, bessel_j, truncation_order
+from .bessel import bessel_ive, bessel_j, truncation_order
 from .model import ModelError, SystemParams, TWO_PI
 
 FLOQUET_TAIL_TOL = 1.0e-10
@@ -66,9 +69,7 @@ _LOG_GROWTH = math.log(_PANEL_GROWTH)
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
 
 
-def _phase4(n: int) -> complex:
-    # (-i)^n exactly, for any integer n
-    return (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)[n % 4]
+_PHASE4 = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^n exactly, indexed by n % 4
 
 
 def _as_float_array(x):
@@ -208,7 +209,8 @@ def floquet_spectrum_level(params: SystemParams, e_r):
     u, om = params.level_drive.u, params.level_drive.omega
     x = u / om
     n_max = truncation_order(abs(x), FLOQUET_TAIL_TOL)
-    coef = np.array([_phase4(n) * bessel_j(n, x) for n in range(-n_max, n_max + 1)])
+    orders = np.arange(-n_max, n_max + 1)
+    coef = _PHASE4[orders % 4] * bessel_j(orders, x)
     out = _pole_sum_sq(coef, e_r - params.e0, om, g)
     out *= g / TWO_PI
     return _maybe_scalar(out, scalar)
@@ -231,7 +233,7 @@ def floquet_spectrum_barrier(params: SystemParams, e_r):
         raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
     xi = al * g / om
     n_max = truncation_order(xi, FLOQUET_TAIL_TOL)
-    a = np.pad([math.exp(-xi) * bessel_i(n, xi) for n in range(-n_max, n_max + 1)], 2)
+    a = np.pad(bessel_ive(np.arange(-n_max, n_max + 1), xi), 2)
     coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
     out = _pole_sum_sq(coef, e_r - params.e0, om, g)
     out *= g / TWO_PI

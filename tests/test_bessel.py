@@ -1,6 +1,8 @@
 """Special-function checks against independent power-series oracles and scipy."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from welldecay.bessel import bessel_i, bessel_j, truncation_order
+from welldecay.bessel import bessel_ive, bessel_j, truncation_order
 
 
 def series_j(n, x, terms=200):
@@ -62,14 +64,14 @@ def test_j_series_oracle_value():
 
 
 def test_i_trivial_values():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(2, 0.0) == 0.0
+    assert bessel_ive(0, 0.0) == 1.0
+    assert bessel_ive(2, 0.0) == 0.0
 
 
 def test_i_series_oracle_value():
     expected = series_i(1, 0.05)
     assert abs(expected - 0.02500781331384448) < 1e-16
-    assert abs(bessel_i(1, 0.05) - expected) < 1e-13
+    assert abs(bessel_ive(1, 0.05) - math.exp(-0.05) * expected) < 1e-13
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 40])
@@ -79,10 +81,37 @@ def test_j_against_scipy(n, x):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 40])
-@pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 7.3, 25.0, 120.0, 650.0])
+@pytest.mark.parametrize(
+    "x", [1e-3, 0.5, 2.0, 7.3, 25.0, 120.0, 650.0, 699.0, 700.0, 701.0, 900.0, 9999.0]
+)
 def test_i_against_scipy(n, x):
-    ref = sp.ive(n, x) * math.exp(x)  # scaled form stays finite at x = 650
-    assert abs(bessel_i(n, x) - ref) < 1e-10 * abs(ref)
+    ref = sp.ive(n, x)
+    assert abs(bessel_ive(n, x) - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [1e-9, 0.5, 7.3, 11.9, 200.0, 9999.0])
+def test_order_tables_match_scipy(x):
+    m = truncation_order(x, 1e-12) + 10
+    n = np.arange(-m, m + 1)
+    assert np.max(np.abs(bessel_j(n, x) - sp.jv(n, x))) < 1e-12
+    ref = sp.ive(n, x)
+    big = ref > 1e-280
+    assert np.max(np.abs(bessel_ive(n, x)[big] - ref[big]) / ref[big]) < 1e-10
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-9])
+def test_tiny_arguments_give_the_leading_term(x):
+    # (x/2)^n / n!, rounded once from exact rationals; e^{-x} for I
+    n = np.arange(6)
+    lead = np.array([float(Fraction(x) ** k / (2**k * math.factorial(k))) for k in range(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, scale in ((bessel_j, 1.0), (bessel_ive, math.exp(-x))):
+            expected = scale * lead
+            scalars = [fn(int(k), x) for k in n]
+            arrays = [fn(int(k), np.array([x]))[0] for k in n]
+            for got in (fn(n, x), scalars, arrays):
+                assert np.allclose(got, expected, rtol=1e-15, atol=1e-320)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -90,11 +119,13 @@ def test_i_against_scipy(n, x):
 def test_parity_reductions(n, x):
     assert bessel_j(-n, x) == (-1.0) ** n * bessel_j(n, x)
     assert bessel_j(n, -x) == (-1.0) ** n * bessel_j(n, x)
-    assert bessel_i(-n, x) == bessel_i(n, x)
-    assert bessel_i(n, -x) == (-1.0) ** n * bessel_i(n, x)
+    assert bessel_ive(-n, x) == bessel_ive(n, x)
+    assert bessel_ive(n, -x) == (-1.0) ** n * bessel_ive(n, x)
     both = np.array([x, -x])
-    for order in (n, -n):
-        assert bits(bessel_j(order, both)) == bits([bessel_j(order, v) for v in both])
+    for fn in (bessel_j, bessel_ive):
+        for order in (n, -n):
+            assert bits(fn(order, both)) == bits([fn(order, v) for v in both])
+        assert bits(fn(np.array([n, -n]), -x)) == bits([fn(n, -x), fn(-n, -x)])
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0])
@@ -104,11 +135,21 @@ def test_j_square_sum_identity(x):
     assert abs(total - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("x", [0.05, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "x", [0.05, 0.5, 2.0, 1e-3, 1.0, 10.0, 200.0, 699.0, 700.0, 701.0, 900.0, 9999.0]
+)
 def test_i_sum_identity(x):
+    # e^{-x} sum_{|n|<=m} I_n(x) = 1, across the old e^x overflow at 700
     m = truncation_order(x, 1e-12)
-    total = bessel_i(0, x) + 2.0 * sum(bessel_i(k, x) for k in range(1, m + 1))
-    assert abs(math.exp(-x) * total - 1.0) < 1e-12
+    table = bessel_ive(np.arange(m + 1), x).tolist()
+    assert abs(table[0] + 2.0 * sum(table[1:]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_ive_is_continuous_across_700(n):
+    below, at, above = np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0)
+    values = [bessel_ive(n, v) for v in (below, at, above)]
+    assert max(values) - min(values) < 1e-14 * values[1]
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -116,9 +157,9 @@ def test_i_sum_identity(x):
 def test_sideband_parseval_norms(x):
     m = truncation_order(x, 1e-12)
     j_sum = bessel_j(0, x) ** 2 + 2.0 * sum(bessel_j(k, x) ** 2 for k in range(1, m + 1))
-    i_sum = bessel_i(0, x) + 2.0 * sum(bessel_i(k, x) for k in range(1, m + 1))
+    i_sum = bessel_ive(0, x) + 2.0 * sum(bessel_ive(k, x) for k in range(1, m + 1))
     assert abs(j_sum - 1.0) < 1e-12
-    assert abs(math.exp(-x) * i_sum - 1.0) < 1e-12
+    assert abs(i_sum - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("x", [0.05, 0.5])
@@ -126,7 +167,7 @@ def test_sideband_parseval_norms(x):
 def test_j_at_imaginary_argument_relates_to_i(n, x):
     # J_n(i x) = i^n I_n(x), with J continued through its power series
     left = series_j_complex(n, 1j * x)
-    right = (1j) ** n * bessel_i(n, x)
+    right = (1j) ** n * bessel_ive(n, x) * math.exp(x)
     assert abs(left - right) < 1e-14
 
 
@@ -144,33 +185,38 @@ def test_j_recurrence_consistency(x):
     xs=st.lists(st.floats(0.0, 1.0e4, exclude_max=True), max_size=8),
 )
 def test_array_j_matches_scalar_bit_for_bit(n, xs):
-    switch = min(2.0 * (n + 1), 12.0)  # series below, Miller from here
-    edges = [0.0, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 13.0),
+    switch = 1.0e-8  # leading term below, Miller from here
+    edges = [0.0, 5e-324, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0),
              np.nextafter(1.0e4, 0.0)]
     x = np.array(edges + xs)
-    assert bits(bessel_j(n, x)) == bits([bessel_j(n, v) for v in x])
-    for bad in (1.0e4, -np.inf):
-        with pytest.raises(ValueError) as scalar_err:
-            bessel_j(n, bad)
-        with pytest.raises(ValueError) as array_err:
-            bessel_j(n, np.append(x, bad))
-        assert str(array_err.value) == str(scalar_err.value)
+    for fn in (bessel_j, bessel_ive):
+        assert bits(fn(n, x)) == bits([fn(n, v) for v in x])
+        for bad in (1.0e4, -np.inf):
+            with pytest.raises(ValueError) as scalar_err:
+                fn(n, bad)
+            with pytest.raises(ValueError) as array_err:
+                fn(n, np.append(x, bad))
+            assert str(array_err.value) == str(scalar_err.value)
 
 
 def test_domain_guards():
     with pytest.raises(ValueError):
         bessel_j(0, 1.0e4)
-    with pytest.raises(OverflowError):
-        bessel_i(0, 700.0)
-    with pytest.raises(OverflowError):
-        bessel_i(1, -705.0)
+    with pytest.raises(ValueError):
+        bessel_ive(0, 1.0e4)
+    with pytest.raises(ValueError):
+        bessel_ive(1, -1.0e4 - 5.0)
+    with pytest.raises(TypeError):
+        bessel_j(np.arange(3), np.ones(2))
+    with pytest.raises(TypeError):
+        bessel_ive(np.array([0.5]), 1.0)
 
 
 def test_nan_raises_the_range_error():
     with pytest.raises(ValueError, match="bessel_j argument out of supported range"):
         bessel_j(1, math.nan)
-    with pytest.raises(OverflowError, match="bessel_i argument out of supported range"):
-        bessel_i(1, math.nan)
+    with pytest.raises(ValueError, match="bessel_ive argument out of supported range"):
+        bessel_ive(1, math.nan)
 
 
 def test_truncation_order_floor_applies_at_zero():
@@ -193,8 +239,21 @@ def test_truncation_order_pinned(x, m):
     assert truncation_order(x, 1e-10) == m
 
 
+def test_truncation_order_large_argument():
+    # both tails at u/omega = 800, far past the old I_n overflow at 700
+    m = truncation_order(800.0, 1e-10)
+    k = np.arange(1, m + 1)
+    assert 1.0 - (sp.jv(0, 800.0) ** 2 + 2.0 * np.sum(sp.jv(k, 800.0) ** 2)) < 1e-10
+    assert 1.0 - (sp.ive(0, 800.0) + 2.0 * np.sum(sp.ive(k, 800.0))) < 1e-10
+
+
 def test_truncation_order_validation():
     with pytest.raises(ValueError):
         truncation_order(-1.0, 1e-10)
     with pytest.raises(ValueError):
         truncation_order(1.0, 2.0)
+    for x in (1.0e4, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            truncation_order(x, 1e-10)
+    with pytest.raises(ValueError, match="no sideband cutoff"):
+        truncation_order(1.0, 1e-17)  # below what the summed tables resolve

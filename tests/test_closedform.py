@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from welldecay import closedform, spectra
-from welldecay.bessel import bessel_i, bessel_j, truncation_order
+from welldecay.bessel import bessel_ive, bessel_j, truncation_order
 from welldecay.model import (
     BarrierDrive,
     LevelDrive,
@@ -261,7 +261,7 @@ def sideband_loops(params, e):
         n_max = truncation_order(xi, closedform.FLOQUET_TAIL_TOL)
         for n in range(-n_max, n_max + 1):
             d = e - e0 - n * om + 0.5j * g
-            amp += math.exp(-xi) * bessel_i(n, xi) * (1.0 / d + 1j * al * om / (d * d - om * om))
+            amp += bessel_ive(n, xi) * (1.0 / d + 1j * al * om / (d * d - om * om))
     return g / TWO_PI * np.abs(amp) ** 2
 
 
@@ -288,6 +288,23 @@ def test_floquet_spectra_match_per_sideband_loops(barrier, amp, omega, e0):
         scalar = spectrum(p, float(v))
         assert isinstance(scalar, float)
         assert abs(scalar - sideband_loops(p, np.array([v]))[0]) <= 1e-13 * np.max(ref)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(e0=0.3, level_drive=LevelDrive(u=80.0, omega=0.1)),  # u/omega = 800
+        SystemParams(e0=0.3, barrier_drive=BarrierDrive(alpha=0.9, omega=1e-3)),  # xi = 900
+    ],
+)
+def test_floquet_spectra_past_the_old_bessel_overflow(params):
+    # both arguments lie beyond the old e^x overflow of I_n at 700
+    spectrum = closedform.floquet_spectrum_level
+    if params.barrier_drive is not None:
+        spectrum = closedform.floquet_spectrum_barrier
+    e = params.e0 + np.linspace(-0.5, 0.5, 40)
+    ref = sideband_loops(params, e)
+    assert np.max(np.abs(spectrum(params, e) - ref)) <= 1e-13 * np.max(ref)
 
 
 def blocked_pole_sum_sq(coef, detuning, omega, gamma):

@@ -353,17 +353,26 @@ def test_combine_signed_grids():
         combine_signed(pos, pos)
 
 
-@pytest.mark.parametrize("e0", [0.0, 1.0, 3.0])
-def test_time_reversal_across_solvers(e0):
-    # every (reservoir, method) route of solve, each against its direct call
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-4.0, 4.0),
+    lam=st.floats(0.5, 20.0),
+    w_band=st.floats(1.0, 20.0),
+)
+@example(e0=0.0, lam=4.0, w_band=6.0)
+@example(e0=1.0, lam=4.0, w_band=6.0)
+@example(e0=3.0, lam=4.0, w_band=6.0)
+def test_time_reversal_across_solvers(e0, lam, w_band):
+    # every (reservoir, method) route of solve, each against its direct call;
+    # the draws keep dt * max(Gamma, |E0|, L, W + |E0|) <= 0.05 at dt = 2e-3
     p = SystemParams(e0=e0)
     tol = 1e-6
-    lor, semi, chain = Lorentzian(4.0), Semicircle(6.0), FiniteChain(80, 6.0)
+    lor, semi, chain = Lorentzian(lam), Semicircle(w_band), FiniteChain(80, w_band)
     routes = (
         (WideBand(), "auto", lambda cfg, t: solve_wideband(p, cfg).b0),
         (lor, "auto", lambda cfg, t: solve_lorentzian_ode(p, lor, cfg).b0),
         (lor, "volterra", lambda cfg, t: solve_volterra(p, lor, cfg).b0),
-        (lor, "closed", lambda cfg, t: closedform.b0_lorentzian_static(p, 4.0, t)),
+        (lor, "closed", lambda cfg, t: closedform.b0_lorentzian_static(p, lam, t)),
         (semi, "auto", lambda cfg, t: solve_volterra(p, semi, cfg).b0),
         (chain, "auto", lambda cfg, t: evolve_chain(p, chain, cfg, store_reservoir=False).b0),
     )
