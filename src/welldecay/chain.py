@@ -1,16 +1,17 @@
 """Exact unitary evolution of the well coupled to a finite discrete reservoir.
 
 The (N+1)-level Hamiltonian couples the well amplitude b0 to N reservoir
-levels E_r = W cos(r pi/(N+1)) through the star couplings of
-model.FiniteChain. This module is the trust anchor: no continuum
+levels E_r = W cos(r pi/(N+1)) through the star couplings
+model.FiniteChain.couplings(Gamma), with Gamma from SystemParams: the chain
+holds only N and W. This module is the trust anchor: no continuum
 approximation enters, so it exhibits the finite-size revival, in which the
 survival probability returns after the excitation crosses the reservoir
 and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
 The chain is a reservoir like the continuum ones: evolve_chain takes the
-same SystemParams (drive profiles included) and SolverConfig, builds the
-same signed grid, applies the same resolution rule with the band
-W + |E0| + u, and returns an AmplitudeTrajectory whose sd is the
+same SystemParams (level width and drive profiles) and SolverConfig,
+builds the same signed grid, applies the same resolution rule with the
+band W + |E0| + u, and returns an AmplitudeTrajectory whose sd is the
 FiniteChain; solvers.solve routes a FiniteChain here without storing the
 reservoir. It also fills the trajectory's br (reservoir amplitudes, one row
 per sample, when stored) and norm_drift (largest |<psi|psi> - 1| seen).
@@ -38,14 +39,14 @@ NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 _CHUNK_ELEMENTS = 1 << 18  # entries of the (time, mode) block formed at once
 
 
-def _hamiltonian(e0: float, chain: FiniteChain) -> np.ndarray:
+def _hamiltonian(params: SystemParams, chain: FiniteChain) -> np.ndarray:
     """Dense (N+1) x (N+1) real symmetric star Hamiltonian (w = 1)."""
     n = chain.n_levels
     h = np.zeros((n + 1, n + 1))
-    h[0, 0] = e0
+    h[0, 0] = params.e0
     idx = np.arange(1, n + 1)
     h[idx, idx] = chain.level_energies()
-    om = chain.couplings()
+    om = chain.couplings(params.gamma)
     h[0, 1:] = om
     h[1:, 0] = om
     return h
@@ -65,7 +66,7 @@ def evolve_chain(
     times = _grid(cfg)
     if params.static:
         method = "eigendecomposition"
-        b0, br, drift = _evolve_eig(params.e0, chain, times, store_reservoir)
+        b0, br, drift = _evolve_eig(params, chain, times, store_reservoir)
     else:
         method = "strang-splitting"
         b0, br, drift = _evolve_strang(chain, params, times, store_reservoir)
@@ -76,8 +77,8 @@ def evolve_chain(
     return AmplitudeTrajectory(times, b0, None, params, chain, cfg, method, br=br, norm_drift=drift)
 
 
-def _evolve_eig(e0: float, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
-    lam, vec = np.linalg.eigh(_hamiltonian(e0, chain))
+def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
+    lam, vec = np.linalg.eigh(_hamiltonian(params, chain))
     c0 = vec[0, :]  # overlap of the initial state with each eigenmode
     b0 = _uniform_sum_adjoint(c0 * c0, lam * (times[1] - times[0]), times.size)  # t_k = k dt
     b0[0] = 1.0  # U(0) = I exactly
@@ -99,7 +100,7 @@ def _evolve_strang(
     n = times.size - 1
     h = times[1] - times[0]  # signed step
     er = chain.level_energies()
-    om = chain.couplings()
+    om = chain.couplings(params.gamma)
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm
 

@@ -94,20 +94,20 @@ def _build_params(args) -> SystemParams:
     return SystemParams(e0=args.e0, gamma=1.0, level_drive=level, barrier_drive=barrier)
 
 
-def _build_reservoir(args, params: SystemParams):
+def _build_reservoir(args):
     if args.model == "wideband":
-        return WideBand(params.gamma)
+        return WideBand()
     if args.model == "lorentzian":
         if args.lam is None:
             raise ModelError("lorentzian model needs --lambda")
-        return Lorentzian(args.lam, params.gamma)
+        return Lorentzian(args.lam)
     if args.model == "semicircle":
         if args.w is None:
             raise ModelError("semicircle model needs --w")
-        return Semicircle(args.w, params.gamma)
+        return Semicircle(args.w)
     if args.n is None or args.w is None:
         raise ModelError("chain model needs --n and --w")
-    return FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
+    return FiniteChain(n_levels=args.n, w_band=args.w)
 
 
 def cmd_survival(args) -> int:
@@ -119,7 +119,7 @@ def cmd_survival(args) -> int:
         raise ModelError("--t-max must be positive and finite")
     if not -math.inf < args.t_min <= 0.0:
         raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
-    reservoir = _build_reservoir(args, params)  # validated before dt uses it
+    reservoir = _build_reservoir(args)  # validated before dt uses it
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
 
     def side(t_end):
@@ -239,7 +239,7 @@ def cmd_revival(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     params = SystemParams(e0=args.e0)
-    reservoir = FiniteChain(n_levels=args.n, w_band=args.w, gamma=params.gamma)
+    reservoir = FiniteChain(n_levels=args.n, w_band=args.w)
     t_max = 3.0 * (args.n + 1) / args.w + 20.0 if args.t_max is None else args.t_max
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
     traj = solve(params, reservoir, SolverConfig(dt=dt, t_end=t_max))

@@ -7,8 +7,10 @@ closed-form integrals; another profile is a subclass of either.
 
 Units: hbar = 1 and the wide-band level width Gamma is the energy unit
 (time in 1/Gamma). A reservoir is characterized by its spectral density
-S(E) = Omega^2(E) rho(E); the kernel entering the memory integral is its
-Fourier transform
+S(E) = Omega^2(E) rho(E) = Gamma/(2 pi) shape(E). SystemParams alone holds
+Gamma; a reservoir holds only its band shape, and its Gamma-scaled methods
+(density, kernel, FiniteChain.couplings) take Gamma as an argument. The
+kernel entering the memory integral is the Fourier transform of S,
 
     K(tau) = int S(E) e^{-i E tau} dE,
 
@@ -20,7 +22,8 @@ real and even in tau for every (even) density implemented here:
 
 on support |E| <= W for the semicircle. The finite chain discretizes the
 semicircle with N levels E_r = W cos(r pi/(N+1)) and couplings chosen so
-that Omega^2(E_r) rho(E_r) reproduces the semicircle density.
+that Omega^2(E_r) rho(E_r) reproduces the semicircle density. Neither the
+wide band nor the chain has a kernel method; solve_volterra rejects both.
 """
 
 from __future__ import annotations
@@ -177,17 +180,9 @@ class SystemParams:
 class WideBand:
     """Energy-independent reservoir, S(E) = Gamma/(2 pi); delta-function kernel."""
 
-    gamma: float = 1.0
-
-    def density(self, e):
+    def density(self, e, gamma: float):
         e = np.asarray(e, dtype=float)
-        return np.full_like(e, self.gamma / TWO_PI)
-
-    def kernel(self, tau):
-        raise ModelError("wide-band kernel is a delta function; use the wide-band solver")
-
-    def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
-        raise ModelError("wide-band kernel is a delta function; use the wide-band solver")
+        return np.full_like(e, gamma / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -195,21 +190,20 @@ class Lorentzian:
     """Lorentzian density of half-width lam, S(E) = Gamma/(2 pi) lam^2/(E^2+lam^2)."""
 
     lam: float
-    gamma: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "lam", "gamma")
+        _check_finite(self, "lam")
         if not self.lam > 0.0:
             raise ModelError(f"Lorentzian half-width must be positive, got {self.lam}")
 
-    def density(self, e):
+    def density(self, e, gamma: float):
         e = np.asarray(e, dtype=float)
         l2 = self.lam * self.lam
-        return self.gamma / TWO_PI * l2 / (e * e + l2)
+        return gamma / TWO_PI * l2 / (e * e + l2)
 
-    def kernel(self, tau):
+    def kernel(self, tau, gamma: float):
         tau = np.asarray(tau, dtype=float)
-        return 0.5 * self.gamma * self.lam * np.exp(-self.lam * np.abs(tau))
+        return 0.5 * gamma * self.lam * np.exp(-self.lam * np.abs(tau))
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
         # e^{-lam tau} < rel_tol beyond this point
@@ -221,29 +215,28 @@ class Semicircle:
     """Semicircle density on |E| <= W, S(E) = Gamma/(2 pi) sqrt(1 - E^2/W^2)."""
 
     w_band: float
-    gamma: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "w_band", "gamma")
+        _check_finite(self, "w_band")
         if not self.w_band > 0.0:
             raise ModelError(f"semicircle band edge must be positive, got {self.w_band}")
 
-    def density(self, e):
+    def density(self, e, gamma: float):
         e = np.asarray(e, dtype=float)
         inside = 1.0 - (e / self.w_band) ** 2
-        return self.gamma / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
+        return gamma / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
 
-    def kernel(self, tau):
+    def kernel(self, tau, gamma: float):
         # Gamma J_1(W tau)/(2 tau); removable singularity, limit Gamma W / 4
         tau = np.abs(np.asarray(tau, dtype=float))
         scalar = tau.ndim == 0
         tau = np.atleast_1d(tau)
         out = np.empty_like(tau)
         small = tau * self.w_band < 1.0e-8
-        out[small] = self.gamma * self.w_band / 4.0
+        out[small] = gamma * self.w_band / 4.0
         big = ~small
         if np.any(big):
-            out[big] = self.gamma * bessel_j(1, self.w_band * tau[big]) / (2.0 * tau[big])
+            out[big] = gamma * bessel_j(1, self.w_band * tau[big]) / (2.0 * tau[big])
         return out[0] if scalar else out
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
@@ -263,10 +256,9 @@ class FiniteChain:
 
     n_levels: int
     w_band: float
-    gamma: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "w_band", "gamma")
+        _check_finite(self, "w_band")
         if self.n_levels < 1:
             raise ModelError(f"chain needs at least one level, got {self.n_levels}")
         if not self.w_band > 0.0:
@@ -276,9 +268,9 @@ class FiniteChain:
         r = np.arange(1, self.n_levels + 1)
         return self.w_band * np.cos(r * np.pi / (self.n_levels + 1))
 
-    def couplings(self) -> np.ndarray:
+    def couplings(self, gamma: float) -> np.ndarray:
         e = self.level_energies()
-        return np.sqrt(self.gamma * self.w_band / (2.0 * (self.n_levels + 1))) * np.sqrt(
+        return np.sqrt(gamma * self.w_band / (2.0 * (self.n_levels + 1))) * np.sqrt(
             1.0 - (e / self.w_band) ** 2
         )
 
@@ -286,18 +278,9 @@ class FiniteChain:
         e = self.level_energies()
         return (self.n_levels + 1) / (np.pi * np.sqrt(self.w_band**2 - e**2))
 
-    def density(self, e):
+    def density(self, e, gamma: float):
         # continuum envelope (the N -> infinity limit of Omega^2 rho)
-        e = np.asarray(e, dtype=float)
-        inside = 1.0 - (e / self.w_band) ** 2
-        return self.gamma / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
-
-    def kernel(self, tau):
-        raise ModelError("finite chain has no continuum kernel; evolve it exactly instead")
-
-    def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
-        raise ModelError("finite chain has no continuum kernel; evolve it exactly instead")
+        return Semicircle(self.w_band).density(e, gamma)
 
 
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]
-

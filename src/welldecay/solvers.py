@@ -257,7 +257,7 @@ def solve_volterra(
     ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [dB, (d+2)B) in reach
     kc = np.zeros((max(ndist, 1) + 1) * B)  # K[m] = K(m dt), zero at m = 0 and beyond jcut
     nk = min(jcut, kc.size - 1) + 1
-    kc[:nk] = sd.kernel(dt * np.arange(nk))  # kernel is even, |tau| grid suffices
+    kc[:nk] = sd.kernel(dt * np.arange(nk), params.gamma)  # kernel is even, |tau| grid suffices
     k0, kc[0] = float(kc[0]), 0.0
     kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
     ring = np.zeros((ndist, 2 * B), dtype=complex)  # spectrum of block i in row i % ndist
@@ -321,7 +321,7 @@ def solve_lorentzian_ode(
     n = times.size - 1
     h = times[1] - times[0]
     s = 1.0 if h > 0 else -1.0  # sgn(t), constant on this side of zero
-    lam, g = sd.lam, sd.gamma
+    lam, g = sd.lam, params.gamma
 
     # every RK4 stage time in time order: nodes at even, half-nodes at odd positions
     stages = np.empty(2 * n + 1)
@@ -386,7 +386,7 @@ def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajecto
     phase = wideband_phase(params, times)
     cfg_exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
     b = np.exp(-1j * phase)
-    return AmplitudeTrajectory(times, b, None, params, WideBand(params.gamma), cfg_exact, WIDEBAND_CLOSED)
+    return AmplitudeTrajectory(times, b, None, params, WideBand(), cfg_exact, WIDEBAND_CLOSED)
 
 
 def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> AmplitudeTrajectory:

@@ -129,7 +129,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
     windowed integral on the trajectory's uniform grid for every grid
     energy, with the trajectory's own barrier profile w(t) and weighted by
-    its own spectral density."""
+    its own spectral density at the level width of its params."""
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
@@ -147,7 +147,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     weights = np.full_like(times, dt)
     weights[0] = weights[-1] = 0.5 * dt
     g = weights * w * traj.b0
-    dens = np.asarray(traj.sd.density(energies), dtype=float)
+    dens = np.asarray(traj.sd.density(energies, traj.params.gamma), dtype=float)
     values = np.abs(_uniform_sum(g, energies * dt)) ** 2 * dens
     return EnergySpectrum.build(energies, values, time=float(times[-1]))
 

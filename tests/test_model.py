@@ -14,7 +14,6 @@ from welldecay.model import (
     ModelError,
     Semicircle,
     SystemParams,
-    WideBand,
 )
 from welldecay.solvers import SolverConfig
 
@@ -22,48 +21,48 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_density_band_center_and_half_maximum():
-    lor = Lorentzian(lam=4.0, gamma=1.0)
-    assert abs(lor.density(0.0) - 1.0 / TWO_PI) < 1e-15
-    assert abs(lor.density(4.0) - 0.5 / TWO_PI) < 1e-15
+    lor = Lorentzian(lam=4.0)
+    assert abs(lor.density(0.0, 1.0) - 1.0 / TWO_PI) < 1e-15
+    assert abs(lor.density(4.0, 1.0) - 0.5 / TWO_PI) < 1e-15
 
 
 def test_density_semicircle_band_edge():
-    semi = Semicircle(w_band=6.0, gamma=1.0)
-    assert semi.density(6.0) == 0.0
-    assert semi.density(7.5) == 0.0
-    assert abs(semi.density(0.0) - 1.0 / TWO_PI) < 1e-15
+    semi = Semicircle(w_band=6.0)
+    assert semi.density(6.0, 1.0) == 0.0
+    assert semi.density(7.5, 1.0) == 0.0
+    assert abs(semi.density(0.0, 1.0) - 1.0 / TWO_PI) < 1e-15
 
 
 def test_kernel_values_at_zero_lag():
-    assert abs(Lorentzian(4.0).kernel(0.0) - 2.0) < 1e-15  # Gamma lam / 2
+    assert abs(Lorentzian(4.0).kernel(0.0, 1.0) - 2.0) < 1e-15  # Gamma lam / 2
     # semicircle limit Gamma W / 4, cross-checked by quadrature below
-    assert abs(Semicircle(6.0).kernel(0.0) - 1.5) < 1e-12
+    assert abs(Semicircle(6.0).kernel(0.0, 1.0) - 1.5) < 1e-12
 
 
 def test_kernel_evenness():
     lor, semi = Lorentzian(4.0), Semicircle(6.0)
-    assert abs(lor.kernel(-1.0) - 2.0 * math.exp(-4.0)) < 1e-15
+    assert abs(lor.kernel(-1.0, 1.0) - 2.0 * math.exp(-4.0)) < 1e-15
     taus = np.linspace(0.05, 10.0, 40)
-    assert np.allclose(lor.kernel(taus), lor.kernel(-taus), rtol=0, atol=0)
-    assert np.allclose(semi.kernel(taus), semi.kernel(-taus), rtol=0, atol=0)
+    assert np.allclose(lor.kernel(taus, 1.0), lor.kernel(-taus, 1.0), rtol=0, atol=0)
+    assert np.allclose(semi.kernel(taus, 1.0), semi.kernel(-taus, 1.0), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
 def test_kernel_matches_density_quadrature_lorentzian(tau):
     # oracle: K(tau) = int S(E) cos(E tau) dE over the real line
-    lor = Lorentzian(lam=4.0, gamma=1.0)
+    lor = Lorentzian(lam=4.0)
     if tau == 0.0:
-        ref = quad(lambda e: lor.density(e), -np.inf, np.inf)[0]
+        ref = quad(lambda e: lor.density(e, 1.0), -np.inf, np.inf)[0]
     else:
-        ref = quad(lambda e: lor.density(e), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
-    assert abs(lor.kernel(tau) - ref) < 1e-9
+        ref = quad(lambda e: lor.density(e, 1.0), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
+    assert abs(lor.kernel(tau, 1.0) - ref) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
 def test_kernel_matches_density_quadrature_semicircle(tau):
-    semi = Semicircle(w_band=6.0, gamma=1.0)
-    ref = quad(lambda e: semi.density(e) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
-    assert abs(semi.kernel(tau) - ref) < 1e-9
+    semi = Semicircle(w_band=6.0)
+    ref = quad(lambda e: semi.density(e, 1.0) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
+    assert abs(semi.kernel(tau, 1.0) - ref) < 1e-9
 
 
 def test_matched_lorentzian_curvature():
@@ -71,8 +70,8 @@ def test_matched_lorentzian_curvature():
     w = 6.0
     semi, lor = Semicircle(w), Lorentzian(math.sqrt(2.0) * w)
     h = 1e-3
-    dd_semi = (semi.density(h) - 2 * semi.density(0.0) + semi.density(-h)) / h**2
-    dd_lor = (lor.density(h) - 2 * lor.density(0.0) + lor.density(-h)) / h**2
+    dd_semi = (semi.density(h, 1.0) - 2 * semi.density(0.0, 1.0) + semi.density(-h, 1.0)) / h**2
+    dd_lor = (lor.density(h, 1.0) - 2 * lor.density(0.0, 1.0) + lor.density(-h, 1.0)) / h**2
     assert abs(dd_semi - dd_lor) < 1e-5 * abs(dd_semi)
 
 
@@ -81,7 +80,7 @@ def test_chain_levels_and_couplings():
     e = ch.level_energies()
     assert np.all(np.diff(e) < 0)
     assert np.all(np.abs(e) < 6.0)
-    om = ch.couplings()
+    om = ch.couplings(1.0)
     assert np.all(om >= 0.0)
     # couplings vanish toward the band edges: edge levels carry the smallest
     assert om[0] < om[2] and om[-1] < om[2]
@@ -92,20 +91,13 @@ def test_chain_density_reaches_semicircle():
     n, w = 500, 6.0
     ch = FiniteChain(n, w)
     semi = Semicircle(w)
-    e, om2 = ch.level_energies(), ch.couplings() ** 2
+    e, om2 = ch.level_energies(), ch.couplings(1.0) ** 2
     sigma = 4.0 * np.pi * w / (n + 1)  # a few level spacings
     for e_test in (0.0, 1.8, -2.7):
         weights = np.exp(-0.5 * ((e_test - e) / sigma) ** 2) / (sigma * math.sqrt(TWO_PI))
         approx = float(np.sum(om2 * weights))
-        exact = float(semi.density(e_test))
+        exact = float(semi.density(e_test, 1.0))
         assert abs(approx - exact) < 0.02 * exact
-
-
-def test_kernel_rejects_variants_without_continuum_kernel():
-    with pytest.raises(ModelError):
-        WideBand().kernel(0.5)
-    with pytest.raises(ModelError):
-        FiniteChain(10, 6.0).kernel(0.5)
 
 
 def test_parameter_validation():
@@ -132,9 +124,9 @@ def test_parameter_validation():
     "build,field",
     [
         (lambda x: SystemParams(e0=0.0, gamma=x), "SystemParams.gamma"),
-        (lambda x: Lorentzian(4.0, gamma=x), "Lorentzian.gamma"),
-        (lambda x: Semicircle(6.0, gamma=x), "Semicircle.gamma"),
-        (lambda x: FiniteChain(10, 6.0, gamma=x), "FiniteChain.gamma"),
+        (lambda x: Lorentzian(x), "Lorentzian.lam"),
+        (lambda x: Semicircle(x), "Semicircle.w_band"),
+        (lambda x: FiniteChain(10, x), "FiniteChain.w_band"),
         (lambda x: BarrierDrive(alpha=0.1, omega=x), "BarrierDrive.omega"),
         (lambda x: SolverConfig(dt=0.01, t_end=1.0, tolerance=x), "SolverConfig.tolerance"),
     ],

@@ -1,6 +1,7 @@
 """Numerical solvers against closed-form oracles, symmetry, and order checks."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ from welldecay.solvers import (
 )
 
 
+@dataclass(frozen=True)
+class WeightedLorentzian(Lorentzian):
+    """Lorentzian whose kernel carries weight * Gamma: 0 decouples the level,
+    a negative weight makes the memory feed the amplitude."""
+
+    weight: float = 1.0
+
+    def kernel(self, tau, gamma):
+        return super().kernel(tau, self.weight * gamma)
+
+
 def lorentzian_oracle(params, lam):
     return lambda t: closedform.b0_lorentzian_static(params, lam, t)
 
@@ -49,7 +61,7 @@ def volterra_reference(params, sd, cfg):
     n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
     times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
     h = times[1] - times[0]
-    kern = sd.kernel(cfg.dt * np.arange(n + 1))
+    kern = sd.kernel(cfg.dt * np.arange(n + 1), params.gamma)
     cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / cfg.dt)))
     w, e0 = params.w_at(times), params.e0_at(times)
@@ -83,7 +95,7 @@ def test_volterra_free_evolution():
     # a zero-weight kernel decouples the level: pure phase rotation
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=1e-3, t_end=2.0)
-    traj = solve_volterra(p, Lorentzian(lam=4.0, gamma=0.0), cfg)
+    traj = solve_volterra(p, WeightedLorentzian(lam=4.0, weight=0.0), cfg)
     ref = np.exp(-1j * p.e0 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-5
 
@@ -132,11 +144,11 @@ def test_volterra_divergence_guard():
     # a negative-weight kernel is unphysical and feeds the amplitude: the
     # solver must detect the blow-up instead of returning garbage, at the
     # first such step and not at the end of a history block (step 33, in
-    # the first block, for gamma = -40; step 634, in the third, for -0.5)
+    # the first block, for weight = -40; step 634, in the third, for -0.5)
     p = SystemParams(e0=0.0)
-    for gamma in (-40.0, -0.5):
+    for weight in (-40.0, -0.5):
         for t_end in (8.0, -8.0):
-            sd = Lorentzian(lam=4.0, gamma=gamma)
+            sd = WeightedLorentzian(lam=4.0, weight=weight)
             cfg = SolverConfig(dt=5e-3, t_end=t_end)
             times, b = volterra_reference(p, sd, cfg)
             assert abs(b[-1]) > DIVERGENCE_LIMIT
@@ -394,6 +406,28 @@ def test_time_reversal_across_solvers(e0):
 def test_time_reversal_across_solvers_random(e0, lam, w_band):
     # the draws keep dt * max(Gamma, |E0|, L, W + |E0|) <= 0.05 at dt = 2e-3
     check_time_reversal_across_solvers(e0, lam, w_band)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)  # 8 with the two below
+@given(gamma=st.floats(0.2, 5.0), e0=st.floats(-2.0, 2.0))
+@example(gamma=2.0, e0=0.5)
+@example(gamma=4.0, e0=0.5)
+def test_every_route_reads_gamma_from_params(gamma, e0):
+    # one level width for every reservoir: the routes agree at any Gamma
+    p = SystemParams(e0=e0, gamma=gamma)
+    cfg = SolverConfig(dt=2e-3, t_end=3.0)
+    closed = solve(p, Lorentzian(4.0), cfg, "closed").b0
+    # measured over Gamma in [0.2, 5], E0 in [-2, 2]: 3.2e-11 and 1.3e-5
+    assert np.max(np.abs(solve(p, Lorentzian(4.0), cfg, "ode").b0 - closed)) < 1e-10
+    assert np.max(np.abs(solve(p, Lorentzian(4.0), cfg, "volterra").b0 - closed)) < 2e-5
+    for t_end in (3.0, -3.0):
+        wide = solve(p, WideBand(), SolverConfig(dt=2e-3, t_end=t_end))
+        assert np.max(np.abs(wide.p0 - np.exp(-gamma * np.abs(wide.times)))) < 1e-14
+    cfg = SolverConfig(dt=5e-3, t_end=5.0)
+    semi = solve(p, Semicircle(6.0), cfg)
+    chain = solve(p, FiniteChain(250, 6.0), cfg)
+    # measured 2.9e-5 at Gamma = 5, the Volterra discretization error
+    assert np.max(np.abs(semi.p0 - chain.p0)) < 4e-5
 
 
 def test_convergence_order_ode_is_fourth():

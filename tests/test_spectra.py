@@ -258,7 +258,7 @@ def direct_spectrum(traj, energies):
     weights = np.full_like(t, t[1] - t[0])
     weights[[0, -1]] *= 0.5
     amp = np.exp(1j * np.outer(energies, t)) @ (weights * traj.params.w_at(t) * traj.b0)
-    return np.abs(amp) ** 2 * traj.sd.density(energies)
+    return np.abs(amp) ** 2 * traj.sd.density(energies, traj.params.gamma)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
