@@ -126,6 +126,12 @@ def _miller_start(n: int, x: float) -> int:
     return m + m % 2
 
 
+def _miller_starts(n: int, x: np.ndarray) -> np.ndarray:
+    """_miller_start(n, v) for every element v of x, as one array expression."""
+    m = (np.maximum(n, np.ceil(x)) + 12.0 * np.maximum(1.0, x) ** (1.0 / 3.0) + 18).astype(np.int64)
+    return m + m % 2
+
+
 def _table(top: int, x: float, modified: bool) -> list:
     """[f_0, ..., f_top] at x >= 0, f_k = J_k(x), or e^{-x} I_k(x) if modified."""
     if x < _TINY_ARG:
@@ -161,7 +167,7 @@ def _lockstep(n: int, x: np.ndarray, modified: bool) -> np.ndarray:
     x = x[~tiny]
     if not x.size:
         return out
-    starts = np.fromiter((_miller_start(n, v) for v in x.tolist()), dtype=np.int64, count=x.size)
+    starts = _miller_starts(n, x)
     # sorted by descending start, the elements already recurring form a prefix
     order = np.argsort(-starts, kind="stable")
     xs, seeds = x[order], starts[order]

@@ -19,10 +19,15 @@ per sample, when stored) and norm_drift (largest |<psi|psi> - 1| seen).
 Static Hamiltonians are propagated through the exact eigendecomposition of
 the real symmetric matrix, then a NUFFT to ~1e-14 (b0 = sum_j |c_j|^2
 e^{-i lam_j t} on every sample at once, no error accumulation). Driven
-Hamiltonians use a Strang splitting of diagonal phases and the
-star-coupling rotation, with every drive factor evaluated once as an array;
-each factor is exactly unitary, so the norm is conserved to rounding
-regardless of step count.
+Hamiltonians take a Strang step of diagonal phases, the star-coupling
+rotation of (b0, vhat.br) and the phases again. The bright direction vhat
+is fixed and the reservoir phases are diagonal, so the rotation's update
+delta_k of the bright component reaches later steps only through
+vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2 e^{-i E_r j h}:
+b0 is a scalar recurrence with a Toeplitz memory, run by the Volterra
+solver's sub-block helper. The reservoir amplitudes, and the norm at every
+_PHASE_BLOCK-th step and the last, follow from prefix sums of
+delta_m e^{i E_r m h}.
 """
 
 from __future__ import annotations
@@ -32,11 +37,19 @@ from typing import Optional
 import numpy as np
 
 from .model import FiniteChain, ModelError, SystemParams
-from .solvers import AmplitudeTrajectory, SolverConfig, SolverError, _check_resolution, _grid
+from .solvers import (
+    AmplitudeTrajectory,
+    SolverConfig,
+    SolverError,
+    _check_resolution,
+    _grid,
+    _memory_recurrence,
+)
 from .spectra import EnergySpectrum, _uniform_sum_adjoint
 
 NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 _CHUNK_ELEMENTS = 1 << 18  # entries of the (time, mode) block formed at once
+_PHASE_BLOCK = 256  # driven steps per block of the reservoir phase sums
 
 
 def _hamiltonian(params: SystemParams, chain: FiniteChain) -> np.ndarray:
@@ -104,7 +117,6 @@ def _evolve_strang(
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm
 
-    phase_r_half = np.exp(-1j * er * (h / 2.0))
     # every drive value the steps need, evaluated once: nodes, midpoints, step ends
     mids = times[:-1] + 0.5 * h
     wmid = params.w_at(mids)
@@ -113,38 +125,53 @@ def _evolve_strang(
         i = low[0]
         raise SolverError(f"barrier profile w(t) reached {wmid[i]:.3g} at t = {mids[i]:.4g}")
     e0_mid = params.e0_integral(mids)
-    phase1 = np.exp(-1j * (e0_mid - params.e0_integral(times[:-1]))).tolist()
-    phase2 = np.exp(-1j * (params.e0_integral(times[:-1] + h) - e0_mid)).tolist()
-    cos_t, sin_t = (f(vnorm * wmid * h).tolist() for f in (np.cos, np.sin))
+    phase1 = np.exp(-1j * (e0_mid - params.e0_integral(times[:-1])))
+    phase2 = np.exp(-1j * (params.e0_integral(times[:-1] + h) - e0_mid))
+    theta = vnorm * wmid * h
 
+    # Strang step k: the phase ph1, the star-coupling rotation of (b, vhat.br) by
+    # (c, s), the phase ph2, with e^{-i E_r h/2} on br before and after. br then
+    # gains delta_k e^{-i E_r h/2} vhat per step and turns by e^{-i E_r h}, so the
+    # bright projection is proj_k = sum_{m<k} K_{k-m} delta_m
+    def strang(x, proj, v):
+        ph1, c, s, ph2 = v
+        b = ph1 * x[0]
+        return (ph2 * (c * b - 1j * s * proj),), -1j * s * b + (c - 1.0) * proj
+
+    # K_j = sum_r vhat_r^2 e^{-i E_r j h}, and the reservoir sums below, a block of
+    # _PHASE_BLOCK steps at a time: e^{-i E_r (q P + t) h} = shift[q, r] turn[t, r]
+    P = _PHASE_BLOCK
+    theta_r = er * h
+    turn = np.exp(-1j * np.outer(np.arange(P), theta_r))
+    shift = np.exp(-1j * np.outer(P * np.arange(n // P + 1), theta_r))
+    kern = ((shift * (vhat * vhat)) @ turn.T).ravel()[: n + 1]
     b0 = np.empty(n + 1, dtype=complex)
-    br_hist = np.empty((n + 1, chain.n_levels), dtype=complex) if store_reservoir else None
-    b = 1.0 + 0.0j
-    br = np.zeros(chain.n_levels, dtype=complex)
-    b0[0] = b
-    if store_reservoir:
-        br_hist[0] = br
-    drift = 0.0
-    for k, (ph1, c, s, ph2) in enumerate(zip(phase1, cos_t, sin_t, phase2)):
-        # first half: diagonal phases
-        b *= ph1
-        br = br * phase_r_half
-        # full step of the star-coupling rotation at the midpoint barrier value
-        proj = complex(vhat @ br)
-        b_new = c * b - 1j * s * proj
-        br = br + (-1j * s * b + (c - 1.0) * proj) * vhat
-        b = b_new
-        # second half: diagonal phases
-        b *= ph2
-        br = br * phase_r_half
+    b0[0] = 1.0
+    b0[1:], delta = _memory_recurrence(
+        strang, (phase1, np.cos(theta), np.sin(theta), phase2), (1.0,), kern
+    )
 
-        b0[k + 1] = b
-        if store_reservoir:
-            br_hist[k + 1] = br
-        if (k + 1) % 256 == 0 or k == n - 1:
-            norm = abs(b) ** 2 + float(np.sum(np.abs(br) ** 2))
-            drift = max(drift, abs(norm - 1.0))
-    return b0, br_hist, drift
+    # br_k = vhat e^{i E_r h/2} sum_{m<k} delta_m e^{-i E_r (k-m) h}; the norm at every
+    # block end and at the last node from the block sums of delta_m e^{i E_r m h}
+    nd = -(-n // P)
+    blocks = np.pad(delta, (0, nd * P - n)).reshape(nd, P)
+    sums = np.cumsum((blocks @ turn.conj()) * shift[:nd].conj(), axis=0)
+    ends = np.minimum(P * np.arange(1, nd + 1), n)
+    drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(sums) ** 2 @ vhat**2 - 1.0)))
+    if not store_reservoir:
+        return b0, None, drift
+    br = np.empty((n + 1, chain.n_levels), dtype=complex)
+    br[0] = 0.0
+    carry = 0.0  # sum_{m<lo} delta_m e^{-i E_r (lo-m) h}
+    for lo in range(0, n, P):
+        j = min(P, n - lo)
+        rows = np.cumsum(delta[lo : lo + j, None] * turn[:j].conj(), axis=0)
+        rows += carry
+        rows *= turn[:j]  # sum_{m<=k} delta_m e^{-i E_r (k-m) h}, k = lo .. lo + j - 1
+        carry = rows[-1] * turn[1]
+        br[lo + 1 : lo + j + 1] = rows
+    br[1:] *= np.exp(-0.5j * theta_r) * vhat
+    return b0, br, drift
 
 
 def revival_time(

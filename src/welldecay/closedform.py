@@ -67,6 +67,8 @@ _CHEB_POINTS = 28  # Chebyshev points per panel of the sideband sums
 _PANEL_GROWTH = 1.5  # width ratio of successive panels beyond the pole range
 _LOG_GROWTH = math.log(_PANEL_GROWTH)
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
+# below, (gamma/2)^2 nears the smallest normal float and |A|^2 ~ (2/gamma)^2 the largest
+_TINY_GAMMA = 1.0e-150
 
 
 _PHASE4 = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^n exactly, indexed by n % 4
@@ -211,8 +213,7 @@ def floquet_spectrum_level(params: SystemParams, e_r):
     n_max = truncation_order(abs(x), FLOQUET_TAIL_TOL)
     orders = np.arange(-n_max, n_max + 1)
     coef = _PHASE4[orders % 4] * bessel_j(orders, x)
-    out = _pole_sum_sq(coef, e_r - params.e0, om, g)
-    out *= g / TWO_PI
+    out = _pole_sum_sq(coef, e_r - params.e0, om, g, g / TWO_PI)
     return _maybe_scalar(out, scalar)
 
 
@@ -235,13 +236,12 @@ def floquet_spectrum_barrier(params: SystemParams, e_r):
     n_max = truncation_order(xi, FLOQUET_TAIL_TOL)
     a = np.pad(bessel_ive(np.arange(-n_max, n_max + 1), xi), 2)
     coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
-    out = _pole_sum_sq(coef, e_r - params.e0, om, g)
-    out *= g / TWO_PI
+    out = _pole_sum_sq(coef, e_r - params.e0, om, g, g / TWO_PI)
     return _maybe_scalar(out, scalar)
 
 
-def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: float):
-    """|A(d)|^2, A(d) = sum_m coef_m / (d - m omega + i gamma/2), at every detuning d,
+def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: float, weight):
+    """weight |A(d)|^2, A(d) = sum_m coef_m / (d - m omega + i gamma/2), at every detuning d,
     with m centred on 0; all sums in real arithmetic,
     1/(d + i gamma/2) = (d - i gamma/2) / (d^2 + gamma^2/4).
 
@@ -258,7 +258,10 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     The direct sum serves every target when M <= 2p, where one interpolated
     target costs more than its M pole terms, and when gamma/4 is below 2^-52
     of the targets' reach, where panel numbers would not be exact integers
-    and the outer panels' coordinate could overflow.
+    and the outer panels' coordinate could overflow. Below gamma = 1e-150,
+    where (gamma/2)^2 underflows and |A|^2 overflows, it takes complex
+    reciprocals (numpy divides by Smith's rule) and scales A by sqrt(weight)
+    before squaring.
     """
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
@@ -279,11 +282,14 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
             re[lo : lo + step], im[lo : lo + step] = x @ cr + inv @ ci, x @ ci - inv @ cr
         return re, im
 
-    def direct(d):  # |A|^2 at d
+    def direct(d):  # weight |A|^2 at d
+        if gamma < _TINY_GAMMA:
+            a = (1.0 / (d[:, None] - poles + 1j * half)) @ coef * math.sqrt(weight)
+            return a.real * a.real + a.imag * a.imag
         re, im = pole_sum(d)
-        return re * re + im * im
+        return weight * (re * re + im * im)
 
-    def interpolated(d, lower, upper, size):  # |A|^2 at d, the next size[i] of them in panel i
+    def interpolated(d, lower, upper, size):  # weight |A|^2 at d, size[i] of them in panel i
         mid, rad = 0.5 * (upper + lower), 0.5 * (upper - lower)
         at_points = np.stack(pole_sum(np.repeat(mid, _CHEB_POINTS), np.outer(rad, nodes).ravel()))
         cheb_coef = (at_points.reshape(2, -1, _CHEB_POINTS) @ to_coef.T).transpose(1, 0, 2)
@@ -299,13 +305,13 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
         end = np.cumsum(size)
         for c, a, b in zip(cheb_coef, end - size, end):  # c: (Re, Im) x T_j coefficients
             re, im = c @ cheb[:, a:b]
-            vals[a:b] = re * re + im * im
+            vals[a:b] = weight * (re * re + im * im)
         return vals
 
     flat = np.atleast_1d(detuning).ravel()
     out = np.empty(flat.size)
     reach = max(flat.max(initial=0.0), -flat.min(initial=0.0)) + poles[-1] - poles[0] + 2.0 * gamma
-    if coef.size <= 2 * _CHEB_POINTS or not reach < 2.0**50 * gamma:
+    if coef.size <= 2 * _CHEB_POINTS or not reach < 2.0**50 * gamma or gamma < _TINY_GAMMA:
         for lo in range(0, flat.size, step):
             out[lo : lo + step] = direct(flat[lo : lo + step])
         return out.reshape(np.shape(detuning))

@@ -11,13 +11,16 @@ Three routes, all starting from b0(0) = 1:
   per step; second-order accurate. The integral keeps its signed
   orientation, so integrating toward negative t needs no special casing.
   Exponentially decaying kernels are truncated after jcut steps, below
-  1e-18 of their peak. The history sum of step k, sum_{j<k} K((k-j) dt)
-  w_j b_j, takes one path for every kernel: earlier blocks of B = 256 steps
-  by a uniformly partitioned FFT convolution (Hairer, Lubich & Schlichte,
-  SIAM J. Sci. Stat. Comput. 6:532, 1985), earlier sub-blocks of S = 8
-  steps in the current block by a dense Toeplitz product, and the current
-  sub-block in the step loop. The loop does O(n S) scalar work, the vector
-  work is O(n (log B + B + jcut/B)) and the memory O(n).
+  1e-18 of their peak. The Heun step is linear in the state (b0, db0/dt)
+  and in its history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
+  call of _memory_recurrence, which advances a linear recurrence with a
+  Toeplitz memory a sub-block of S = 16 steps at a time: earlier blocks of
+  B = 256 steps enter by a uniformly partitioned FFT convolution (Hairer,
+  Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985), earlier
+  sub-blocks of the block by a dense Toeplitz product, and the sub-block's
+  own steps through one transfer matrix built from the node values (once
+  for a static run). The work is O(n (log B + B + S^2 + jcut/B)) and the
+  memory O(n). The driven finite chain (chain.py) runs on the same helper.
 
 * solve_lorentzian_ode: the equivalent second-order ODE for the Lorentzian
   kernel,
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -80,8 +82,9 @@ RESOLUTION_LIMIT = 0.05
 KERNEL_TRUNCATION = 1.0e-18
 DIVERGENCE_LIMIT = 2.0
 _RK4_CHUNK = 256  # RK4 steps whose step matrices are held at once
-_BLOCK = 256  # Volterra history block: earlier blocks enter by FFT
-_SUB = 8  # Volterra sub-block: earlier ones in the block by a dense product; divides _BLOCK
+_BLOCK = 256  # memory history block: earlier blocks enter by FFT
+_SUB = 16  # sub-block: earlier ones in the block by a dense product; divides _BLOCK
+_CHUNK_BLOCKS = 8  # blocks whose transfer matrices are built at once
 
 
 class SolverError(RuntimeError):
@@ -250,65 +253,135 @@ def solve_volterra(
     cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / dt)))
 
-    # history base_k = sum_{j<k} K[k-j] g_j, g_j = w_j b_j with half weight at j = 0,
-    # from earlier blocks (far), earlier sub-blocks (near) and the current sub-block (kr)
-    B, S = _BLOCK, _SUB
-    nblocks = n // B + 1  # block i holds the nodes iB .. iB + B - 1
-    ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [dB, (d+2)B) in reach
-    kc = np.zeros((max(ndist, 1) + 1) * B)  # K[m] = K(m dt), zero at m = 0 and beyond jcut
-    nk = min(jcut, kc.size - 1) + 1
-    kc[:nk] = sd.kernel(dt * np.arange(nk), params.gamma)  # kernel is even, |tau| grid suffices
-    k0, kc[0] = float(kc[0]), 0.0
-    kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
-    ring = np.zeros((ndist, 2 * B), dtype=complex)  # spectrum of block i in row i % ndist
-    near = sliding_window_view(kc[1 : B + S], B)[:, ::-1].astype(complex)  # K[B + r - c]
-    kr = kc[S - 1 : 0 : -1].tolist()  # K[S-1] .. K[1]
+    # K[m] = K(m dt) up to the truncation; the kernel is even, the |tau| grid suffices
+    kern = sd.kernel(dt * np.arange(jcut + 1), params.gamma)
+    k0 = float(kern[0])
+    hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
+
+    def heun(x, base, v):  # step k reaches node k + 1, where w = v[0] and -i E0 = v[1]
+        (bk, fk), (wk, ie) = x, v
+        bp = bk + h * fk
+        integral = h * (base + c0 * wk * bp)
+        fp = ie * bp - wk * integral
+        bnew = bk + hh * (fk + fp)
+        integral = integral + c1 * wk * (bnew - bp)
+        return (bnew, ie * bnew - wk * integral), wk * bnew
 
     w = params.w_at(times)
     e0 = params.e0_at(times)
-    hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
+    # the trapezoid gives node 0 half weight: g_0 = w_0 b_0 / 2 enters every step as forcing
+    forcing = np.zeros(n)
+    forcing[:jcut] = 0.5 * float(w[0]) * kern[1:]
     b = np.empty(n + 1, dtype=complex)
-    g = np.zeros(2 * B, dtype=complex)  # g of the current block, zero-padded for the FFT
-    far = np.zeros(B, dtype=complex)  # history from earlier blocks, per node of this block
-    bk, fk = 1.0 + 0.0j, -1j * float(e0[0])  # b0 and db0/dt at the last node
-    for lo in range(0, n + 1, B):
-        hi = min(lo + B, n + 1)
-        if lo:
-            p = (lo // B - 1) % ndist
-            np.fft.fft(g, out=ring[p])
-            spec = np.zeros(2 * B, dtype=complex)
-            for d in range(min(ndist, lo // B)):  # partition d meets the block d + 1 back
-                spec += ring[(p - d) % ndist] * kspec[d]
-            far = np.fft.ifft(spec)[B:]
-        wl = w[lo:hi].tolist()
-        el = e0[lo:hi].tolist()
-        bl = [] if lo else [bk]
-        for s0 in range(lo, hi, S):
-            c = s0 - lo
-            acc = (far[c : c + S] + near[:, B - c :] @ g[:c]).tolist()
-            gs = [] if s0 else [0.5 * wl[0]]  # g of this sub-block so far
-            first, last = (s0 or 1) - lo, min(s0 + S, hi) - lo
-            for k, wk, ek in zip(range(first, last), wl[first:last], el[first:last]):
-                r = k - c  # node lo + k is node r of the sub-block
-                base = acc[r] + sum(map(mul, kr[S - 1 - r :], gs))
-                ie = -1j * ek
-                bp = bk + h * fk
-                integral = h * (base + c0 * wk * bp)
-                fp = ie * bp - wk * integral
-                bnew = bk + hh * (fk + fp)
-                integral += c1 * wk * (bnew - bp)
-                fk = ie * bnew - wk * integral
-                bk = bnew
-                bl.append(bk)
-                gs.append(wk * bk)
-                if abs(bk) > DIVERGENCE_LIMIT:
-                    raise SolverError(
-                        f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[lo + k]:.4g}"
-                    )
-            g[c : c + len(gs)] = gs
-        b[lo:hi] = bl
+    b[0] = 1.0
+    b[1:] = _memory_recurrence(
+        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), kern, forcing,
+        DIVERGENCE_LIMIT, times[1:],
+    )[0]
 
     return AmplitudeTrajectory(times, b, None, params, sd, cfg, VOLTERRA_PC)
+
+
+def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=None):
+    """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
+    the Toeplitz memory base_k = forcing_k + sum_{m<k} kern[k - m] g_m.
+
+    step must be linear in (x, base): it is called on coefficient arrays
+    to build each sub-block's transfer matrix. values holds the n node
+    values v_k, one array per value; x0 is the initial state and kern the
+    kernel on lags 0 .. jcut (kern[0] is not used, zero beyond jcut);
+    forcing defaults to zero.
+    Returns y (the first state component of x_1 .. x_n) and g. With a
+    limit, |y_k| > limit raises SolverError naming ends[k].
+
+    The history sum takes three routes (Hairer, Lubich & Schlichte, SIAM J.
+    Sci. Stat. Comput. 6:532, 1985): earlier blocks of _BLOCK steps by a
+    uniformly partitioned FFT convolution, earlier sub-blocks of _SUB steps
+    in the block by a dense Toeplitz product, and the sub-block's own steps
+    through its transfer matrix, which maps the incoming state and the
+    sub-block's history sums to all of its outputs at once. Transfer
+    matrices are built _CHUNK_BLOCKS blocks at a time, or once when no node
+    value varies.
+    """
+    B, S, dim = _BLOCK, _SUB, len(x0)
+    n = values[0].size
+    nblocks = -(-n // B)
+    jcut = kern.size - 1
+    ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [jB, (j+2)B) in reach
+    kc = np.zeros((max(ndist, 1) + 1) * B, dtype=kern.dtype)  # zero at lag 0 and beyond jcut
+    nk = min(kern.size, kc.size)
+    kc[1:nk] = kern[1:nk]
+    kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
+    near = sliding_window_view(kc[1 : B + S], B)[:, ::-1].astype(complex)  # K[B + r - c]
+
+    # the steps run in whole blocks; padded steps repeat the last node values
+    size = nblocks * B
+
+    def padded(v, lo, hi):  # v[lo:hi] padded to whole sub-blocks, as (sub-blocks, S)
+        return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
+
+    forcing = np.zeros(size) if forcing is None else np.pad(forcing, (0, size - n))
+    if all(np.all(v == v[0]) for v in values):
+        one = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
+    else:
+        one = None
+    g = np.zeros(size, dtype=complex)
+    y = np.empty(size, dtype=complex)
+    inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
+    inp[:dim] = x0
+    z = np.empty(2 * S + dim, dtype=complex)  # the sub-block's g, y and outgoing state
+    specs = np.empty((nblocks, 2 * B), dtype=complex)  # FFT of each zero-padded block of g
+    block = np.zeros(2 * B, dtype=complex)
+    span = _CHUNK_BLOCKS * B
+    for clo in range(0, size, span):
+        chi = min(clo + span, size)
+        if one is None:
+            mats = _transfers(step, [padded(v, clo, chi) for v in values], kc[:S], dim)
+        else:
+            mats = np.broadcast_to(one, ((chi - clo) // S,) + one.shape[1:])
+        for lo in range(clo, chi, B):
+            i = lo // B
+            far = forcing[lo : lo + B]
+            if i:
+                block[:B] = g[lo - B : lo]
+                specs[i - 1] = np.fft.fft(block)
+                m = min(ndist, i)  # partition j meets the block j + 1 back
+                spec = np.einsum("jk,jk->k", specs[i - m : i], kspec[m - 1 :: -1])
+                far = far + np.fft.ifft(spec)[B:]
+            for c in range(0, B, S):
+                s0 = lo + c
+                inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[lo:s0]
+                np.matmul(mats[(s0 - clo) // S], inp, out=z)
+                g[s0 : s0 + S] = z[:S]
+                y[s0 : s0 + S] = z[S : 2 * S]
+                inp[:dim] = z[2 * S :]
+            if limit is not None:
+                bad = np.flatnonzero(np.abs(y[lo : min(lo + B, n)]) > limit)
+                if bad.size:
+                    raise SolverError(f"|b0| exceeded {limit} at t = {ends[lo + bad[0]]:.4g}")
+    return y[:n], g[:n]
+
+
+def _transfers(step, values, kr, dim: int) -> np.ndarray:
+    """Transfer matrices of m sub-blocks, shape (m, 2 _SUB + dim, dim + _SUB).
+
+    values holds (m, _SUB) arrays of node values and kr the kernel on lags
+    0 .. _SUB - 1. Row r < _SUB of each matrix gives g of step r, row
+    _SUB + r the first state component after it, and the last dim rows the
+    outgoing state; the columns take the incoming state, then the
+    sub-block's history sums.
+    """
+    S = _SUB
+    m, cols = values[0].shape[0], dim + _SUB
+    eye = np.eye(cols, dtype=complex)
+    x = tuple(np.broadcast_to(eye[j], (m, cols)) for j in range(dim))
+    rows = np.empty((2 * S + dim, m, cols), dtype=complex)  # g rows, then y rows, then x
+    for r in range(S):
+        base = eye[dim + r] + (kr[r:0:-1] @ rows[:r].reshape(r, m * cols)).reshape(m, cols)
+        x, rows[r] = step(x, base, tuple(v[:, r, None] for v in values))
+        rows[S + r] = x[0]
+    rows[2 * S :] = x
+    return rows.transpose(1, 0, 2)
 
 
 def solve_lorentzian_ode(

@@ -18,10 +18,14 @@ from welldecay.model import (
     SystemParams,
 )
 from welldecay.solvers import (
+    _BLOCK,
+    _CHUNK_BLOCKS,
+    _SUB,
     AmplitudeTrajectory,
     ResolutionError,
     SolverConfig,
     SolverError,
+    _grid,
     combine_signed,
     default_dt,
     solve_volterra,
@@ -39,6 +43,54 @@ def synthetic(times, b0):
     return AmplitudeTrajectory(
         times, b0, None, SystemParams(e0=0.0), FiniteChain(10, 6.0), cfg, "synthetic"
     )
+
+
+def strang_reference(params, chain, cfg):
+    """The Strang splitting stepped one step at a time on the full state.
+
+    Each step is the phase e^{-i int E0} over the first half step on b and
+    e^{-i E_r h/2} on br, the star-coupling rotation of (b, vhat.br) by the
+    angle |v| w(t_mid) h, then the second half step's phases. Returns b0,
+    br (one row per node) and the largest |<psi|psi> - 1| over the nodes.
+    """
+    times = _grid(cfg)
+    h = times[1] - times[0]
+    er = chain.level_energies()
+    om = chain.couplings(params.gamma)
+    vnorm = float(np.linalg.norm(om))
+    vhat = om / vnorm
+    half = np.exp(-1j * er * (h / 2.0))
+    b0 = np.empty(times.size, dtype=complex)
+    br = np.zeros((times.size, chain.n_levels), dtype=complex)
+    b, state = 1.0 + 0.0j, br[0]
+    b0[0] = b
+    for k, t in enumerate(times[:-1]):
+        mid = t + 0.5 * h
+        theta = vnorm * float(params.w_at(mid)) * h
+        c, s = np.cos(theta), np.sin(theta)
+        b *= np.exp(-1j * (params.e0_integral(mid) - params.e0_integral(t)))
+        state = state * half
+        proj = complex(vhat @ state)
+        b, state = c * b - 1j * s * proj, state + (-1j * s * b + (c - 1.0) * proj) * vhat
+        b *= np.exp(-1j * (params.e0_integral(t + h) - params.e0_integral(mid)))
+        state = state * half
+        b0[k + 1], br[k + 1] = b, state
+    norms = np.abs(b0) ** 2 + np.sum(np.abs(br) ** 2, axis=1)
+    return b0, br, float(np.max(np.abs(norms - 1.0)))
+
+
+def check_against_strang_reference(params, chain, dt, t_end):
+    cfg = SolverConfig(dt=dt, t_end=t_end)
+    b0, br, drift = strang_reference(params, chain, cfg)
+    for store in (True, False):
+        traj = evolve_chain(params, chain, cfg, store)
+        assert traj.method == "strang-splitting"
+        assert np.max(np.abs(traj.b0 - b0)) <= 1e-12
+        if store:
+            assert np.max(np.abs(traj.br - br)) <= 1e-12
+        else:
+            assert traj.br is None
+        assert traj.norm_drift <= 1e-12 and drift <= 1e-12
 
 
 class DecoupledChain(FiniteChain):
@@ -267,3 +319,42 @@ def test_reversal_and_unitarity_over_small_chains(n, w, e0, u, omega):
         norms = traj.p0 + np.sum(np.abs(traj.br) ** 2, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-8 * np.abs(traj.times))
         assert traj.norm_drift <= 1e-8 * t_end
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+@pytest.mark.parametrize(
+    "drive",
+    [{"level_drive": LevelDrive(u=1.5, omega=2.0)}, {"barrier_drive": BarrierDrive(0.6, 1.5)}],
+    ids=["level", "barrier"],
+)
+def test_driven_chain_matches_step_by_step_strang(drive, t_end):
+    check_against_strang_reference(SystemParams(e0=0.4, **drive), FiniteChain(40, 5.0), 4e-3, t_end)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, _SUB - 1, _SUB, _SUB + 1, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5],
+)
+def test_driven_chain_sub_block_edges(steps):
+    # fewer steps than one sub-block, a partial last sub-block, one past a
+    # block, and one past the first batch of transfer matrices
+    params = SystemParams(e0=-0.3, level_drive=LevelDrive(u=1.0, omega=3.0))
+    check_against_strang_reference(params, FiniteChain(12, 4.0), 2e-3, steps * 2e-3)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-2.0, 2.0),
+    u=st.floats(0.0, 3.0),
+    omega=st.floats(0.5, 4.0),
+    alpha=st.floats(0.0, 0.9),
+    level=st.booleans(),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_driven_chain_matches_strang_reference_random(e0, u, omega, alpha, level, sign):
+    if level:
+        params = SystemParams(e0=e0, level_drive=LevelDrive(u, omega))
+    else:
+        params = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, omega))
+    chain = FiniteChain(20, 4.0)
+    check_against_strang_reference(params, chain, default_dt(params, chain), sign * 1.5)

@@ -307,9 +307,9 @@ def test_floquet_spectra_past_the_old_bessel_overflow(params):
     assert np.max(np.abs(spectrum(params, e) - ref)) <= 1e-13 * np.max(ref)
 
 
-def blocked_pole_sum_sq(coef, detuning, omega, gamma):
+def blocked_pole_sum_sq(coef, detuning, omega, gamma, weight):
     """The direct sum over every (energy, pole) pair, in bounded blocks, that
-    the panel interpolation of closedform._pole_sum_sq replaced."""
+    the panel interpolation of closedform._pole_sum_sq replaced, times weight."""
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     flat = np.atleast_1d(detuning).ravel()
     out = np.empty(flat.size)
@@ -322,6 +322,7 @@ def blocked_pole_sum_sq(coef, detuning, omega, gamma):
         inv *= half
         re, im = d @ coef.real + inv @ coef.imag, d @ coef.imag - inv @ coef.real
         out[lo : lo + step] = re * re + im * im
+    out *= weight
     return out.reshape(np.shape(detuning))
 
 
@@ -395,6 +396,31 @@ def test_floquet_tiny_gamma_falls_back_to_the_direct_sum():
     got = closedform.floquet_spectrum_level(p, e)
     ref = blocked_reference(closedform.floquet_spectrum_level, p, e)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+@pytest.mark.parametrize("barrier", [False, True])
+def test_floquet_gamma_below_the_float_square_root_stays_finite(barrier):
+    # at gamma = 1e-160 (gamma/2)^2 underflows and |A|^2 ~ (2/gamma)^2 overflows;
+    # on sideband n the spectrum is 2 |c_n|^2 / (pi gamma), between them
+    # (gamma / 2 pi) |sum_m c_m / (E - m omega)|^2 to the same relative order
+    g, om, e = 1.0e-160, 0.2, np.array([0.0, 0.1, 0.2])
+    if barrier:
+        p = SystemParams(e0=0.0, gamma=g, barrier_drive=BarrierDrive(alpha=0.2, omega=om))
+        coef = np.array([-0.1j, 1.0, 0.1j])  # I_n(xi) e^{-xi} = delta_n0 at xi = 1e-160
+        got = closedform.floquet_spectrum_barrier(p, e)
+    else:
+        p = SystemParams(e0=0.0, gamma=g, level_drive=LevelDrive(u=0.2, omega=om))
+        orders = np.arange(-20, 21)
+        coef = (-1j) ** orders * bessel_j(orders, 1.0)
+        got = closedform.floquet_spectrum_level(p, e)
+    m = np.arange(coef.size) - coef.size // 2
+    ref = np.array([
+        2.0 * abs(coef[m == 0][0]) ** 2 / (math.pi * g),
+        g / (2.0 * math.pi) * abs(np.sum(coef / (0.1 - m * om))) ** 2,
+        2.0 * abs(coef[m == 1][0]) ** 2 / (math.pi * g),
+    ])
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
 
 def test_floquet_level_panel_route_on_the_benchmark_grid():

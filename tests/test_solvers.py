@@ -21,6 +21,9 @@ from welldecay.model import (
     WideBand,
 )
 from welldecay.solvers import (
+    _BLOCK,
+    _CHUNK_BLOCKS,
+    _SUB,
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
     MismatchError,
@@ -156,11 +159,11 @@ def test_volterra_divergence_guard():
                 solve_volterra(p, sd, cfg)
 
 
-@settings(max_examples=18, derandomize=True, deadline=None)  # 20 with the two below
+@settings(max_examples=18, derandomize=True, deadline=None)  # 22 with the four below
 @given(
     semicircle=st.booleans(),
     width=st.floats(5.0, 20.0),
-    n=st.sampled_from([1, 5, 256, 257, 1600]),
+    n=st.sampled_from([1, 5, _SUB, _SUB + 1, 256, 257, 1600]),
     e0=st.floats(-2.0, 2.0),
     drive=st.sampled_from([None, "level", "barrier"]),
     sign=st.sampled_from([1.0, -1.0]),
@@ -168,10 +171,15 @@ def test_volterra_divergence_guard():
 )
 @example(semicircle=False, width=20.0, n=1600, e0=0.5, drive=None, sign=1.0, frac=0.99)
 @example(semicircle=True, width=6.0, n=1600, e0=-1.0, drive="level", sign=-1.0, frac=0.8)
+@example(semicircle=False, width=8.0, n=_CHUNK_BLOCKS * _BLOCK + 5, e0=0.3, drive="barrier",
+         sign=1.0, frac=0.9)
+@example(semicircle=True, width=5.0, n=_CHUNK_BLOCKS * _BLOCK + 5, e0=1.2, drive="level",
+         sign=-1.0, frac=0.7)
 def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, sign, frac):
-    # the blocked history (FFT blocks, dense sub-blocks, scalar tail) against
-    # the direct sum: below one sub-block, at one and one past one block, and
-    # over several blocks, with the Lorentzian's jcut < n when lam dt ~ 0.05
+    # the blocked history (FFT blocks, dense sub-blocks, transfer matrices) against
+    # the direct sum: below one sub-block, at one and one past one sub-block and
+    # block, over several blocks, and one past the first batch of driven transfer
+    # matrices, with the Lorentzian's jcut < n when lam dt ~ 0.05
     sd = Semicircle(width) if semicircle else Lorentzian(width)
     level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
     barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
@@ -185,6 +193,24 @@ def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, si
     if p.static:
         mirror = solve_volterra(p, sd, SolverConfig(dt=dt, t_end=-cfg.t_end))
         assert np.max(np.abs(mirror.b0 - np.conj(traj.b0))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, 2, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 5, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5],
+)
+@pytest.mark.parametrize("driven", [False, True])
+def test_volterra_sub_block_edges(steps, driven):
+    # node 0 enters with half weight as forcing of every step; a run shorter
+    # than one sub-block, partial last sub-blocks, one past a block and one
+    # past the first batch of transfer matrices all match the direct sum
+    drive = LevelDrive(u=1.0, omega=2.0) if driven else None
+    p = SystemParams(e0=0.7, level_drive=drive)
+    cfg = SolverConfig(dt=4e-3, t_end=steps * 4e-3)
+    traj = solve_volterra(p, Semicircle(6.0), cfg)
+    times, ref = volterra_reference(p, Semicircle(6.0), cfg)
+    assert traj.times.size == steps + 1 and traj.b0[0] == 1.0
+    assert np.max(np.abs(traj.b0 - ref)) <= 1e-13
 
 
 def test_volterra_norm_bound_holds():
