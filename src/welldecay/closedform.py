@@ -259,9 +259,12 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     target costs more than its M pole terms, and when gamma/4 is below 2^-52
     of the targets' reach, where panel numbers would not be exact integers
     and the outer panels' coordinate could overflow. Below gamma = 1e-150,
-    where (gamma/2)^2 underflows and |A|^2 overflows, it takes complex
-    reciprocals (numpy divides by Smith's rule) and scales A by sqrt(weight)
-    before squaring.
+    where (gamma/2)^2 underflows and |A|^2 overflows, it divides each
+    denominator by sqrt(weight) before the complex reciprocal (numpy divides
+    by Smith's rule), so that 1/(i gamma/2) never forms and sqrt(weight) A is
+    squared. On a sideband the result, about 2 |coef_m|^2 / (pi gamma), then
+    stays finite as long as that value is a float: down to gamma = 1e-308
+    for |coef_m| <= 1.
     """
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
@@ -283,8 +286,10 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
         return re, im
 
     def direct(d):  # weight |A|^2 at d
-        if gamma < _TINY_GAMMA:
-            a = (1.0 / (d[:, None] - poles + 1j * half)) @ coef * math.sqrt(weight)
+        if gamma < _TINY_GAMMA:  # sqrt(weight) A, from denominators divided by sqrt(weight)
+            s = math.sqrt(weight)
+            with np.errstate(over="ignore"):  # a term whose scaled detuning overflows is 1/inf = 0
+                a = (1.0 / ((d[:, None] - poles) / s + 1j * (half / s))) @ coef
             return a.real * a.real + a.imag * a.imag
         re, im = pole_sum(d)
         return weight * (re * re + im * im)

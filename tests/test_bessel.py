@@ -200,19 +200,6 @@ def test_array_j_matches_scalar_bit_for_bit(n, xs):
             assert str(array_err.value) == str(scalar_err.value)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 60])
-def test_array_miller_starts_match_the_scalar_rule(n):
-    # the lockstep pass starts every element where its scalar call starts, on
-    # cube arguments, where 12 x^(1/3) is an integer, their neighbours,
-    # integers and a dense sweep
-    cubes = np.arange(1, 22, dtype=float) ** 3
-    sweep = np.linspace(0.0, 1.0e4, 20_011, endpoint=False)
-    x = np.concatenate([cubes, np.nextafter(cubes, 0.0), np.nextafter(cubes, 2e4),
-                        np.arange(0.0, 1.0e4, 1.0), sweep])
-    expected = [bessel._miller_start(n, v) for v in x.tolist()]
-    assert bessel._miller_starts(n, x).tolist() == expected
-
-
 def test_domain_guards():
     with pytest.raises(ValueError):
         bessel_j(0, 1.0e4)

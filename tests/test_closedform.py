@@ -398,15 +398,17 @@ def test_floquet_tiny_gamma_falls_back_to_the_direct_sum():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
+@pytest.mark.parametrize("g", [1.0e-160, 1.0e-308])
 @pytest.mark.parametrize("barrier", [False, True])
-def test_floquet_gamma_below_the_float_square_root_stays_finite(barrier):
-    # at gamma = 1e-160 (gamma/2)^2 underflows and |A|^2 ~ (2/gamma)^2 overflows;
-    # on sideband n the spectrum is 2 |c_n|^2 / (pi gamma), between them
+def test_floquet_gamma_below_the_float_square_root_stays_finite(barrier, g):
+    # below gamma = 1e-150 (gamma/2)^2 underflows and |A|^2 ~ (2/gamma)^2
+    # overflows, and at 1e-308 so does 1/(gamma/2), while the spectrum is a
+    # float: on sideband n it is 2 |c_n|^2 / (pi gamma), between them
     # (gamma / 2 pi) |sum_m c_m / (E - m omega)|^2 to the same relative order
-    g, om, e = 1.0e-160, 0.2, np.array([0.0, 0.1, 0.2])
+    om, e = 0.2, np.array([0.0, 0.1, 0.2])
     if barrier:
         p = SystemParams(e0=0.0, gamma=g, barrier_drive=BarrierDrive(alpha=0.2, omega=om))
-        coef = np.array([-0.1j, 1.0, 0.1j])  # I_n(xi) e^{-xi} = delta_n0 at xi = 1e-160
+        coef = np.array([-0.1j, 1.0, 0.1j])  # I_n(xi) e^{-xi} = delta_n0 at xi = alpha gamma / omega
         got = closedform.floquet_spectrum_barrier(p, e)
     else:
         p = SystemParams(e0=0.0, gamma=g, level_drive=LevelDrive(u=0.2, omega=om))
