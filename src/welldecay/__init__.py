@@ -33,9 +33,6 @@ from .solvers import (
     convergence_order,
     default_dt,
     solve,
-    solve_lorentzian_ode,
-    solve_volterra,
-    solve_wideband,
 )
 from .spectra import (
     EnergySpectrum,

@@ -50,6 +50,7 @@ from .spectra import EnergySpectrum, _uniform_sum_adjoint
 NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 _CHUNK_ELEMENTS = 1 << 18  # entries of the (time, mode) block formed at once
 _PHASE_BLOCK = 256  # driven steps per block of the reservoir phase sums
+_REVIVAL_DROP, _REVIVAL_RISE = 0.01, 0.05  # revival_time: P0 empties below, returns above
 
 
 def _hamiltonian(params: SystemParams, chain: FiniteChain) -> np.ndarray:
@@ -87,7 +88,7 @@ def evolve_chain(
     span = max(abs(cfg.t_end), 1.0)
     if drift > NORM_DRIFT_LIMIT * span:
         raise SolverError(f"norm drifted by {drift:.3g} over |t| = {abs(cfg.t_end):.3g}")
-    return AmplitudeTrajectory(times, b0, None, params, chain, cfg, method, br=br, norm_drift=drift)
+    return AmplitudeTrajectory(times, b0, params, chain, cfg, method, br=br, norm_drift=drift)
 
 
 def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
@@ -174,23 +175,22 @@ def _evolve_strang(
     return b0, br, drift
 
 
-def revival_time(
-    traj: AmplitudeTrajectory, drop: float = 0.01, rise: float = 0.05
-) -> Optional[float]:
+def revival_time(traj: AmplitudeTrajectory) -> Optional[float]:
     """First return of the survival probability after it has emptied out.
 
-    Returns the first time past the initial crossing below `drop` at which
-    P0 exceeds `rise`, or None if it never does. Raises if the series never
-    reaches the `drop` threshold (too short to judge).
+    Returns the first time past the initial crossing below _REVIVAL_DROP at
+    which P0 exceeds _REVIVAL_RISE, or None if it never does. Raises if the
+    series never falls below _REVIVAL_DROP (too short to judge).
     """
     p0 = traj.p0
-    below = np.nonzero(p0 < drop)[0]
+    below = np.nonzero(p0 < _REVIVAL_DROP)[0]
     if below.size == 0:
         raise SolverError(
-            f"series too short: P0 never fell below {drop} (min {float(p0.min()):.3g})"
+            f"series too short: P0 never fell below {_REVIVAL_DROP} "
+            f"(min {float(p0.min()):.3g})"
         )
     start = below[0]
-    above = np.nonzero(p0[start:] > rise)[0]
+    above = np.nonzero(p0[start:] > _REVIVAL_RISE)[0]
     if above.size == 0:
         return None
     return float(traj.times[start + above[0]])

@@ -32,20 +32,9 @@ from .model import (
     SystemParams,
     WideBand,
 )
-from .solvers import (
-    ResolutionError,
-    SolverConfig,
-    SolverError,
-    combine_signed,
-    default_dt,
-    solve,
-    solve_lorentzian_ode,
-    solve_volterra,
-    solve_wideband,
-)
+from .solvers import ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, solve
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
-TRAJ_SAFETY = 0.98
 _CSV_BLOCK = 4096  # rows formatted per % operation
 
 
@@ -67,7 +56,20 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _emit_manifest(outdir: Path, record: dict) -> None:
+def _emit_manifest(args, t0: float, parameters: dict, outputs: list, solver=None,
+                   norm_checks=None, checks=None) -> None:
+    """Write the run's record to manifest.json and append it to manifest.jsonl."""
+    record = {
+        "command": f"{args.subcommand} {' '.join(args.raw_argv)}",
+        "parameters": parameters,
+        "solver": solver or {},
+        "norm_checks": norm_checks or {},
+        "qualitative_checks": checks or {},
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "outputs": outputs,
+    }
+    outdir = Path(args.out)
     text = json.dumps(record, indent=2, allow_nan=False)
     (outdir / "manifest.json").write_text(text + "\n", encoding="utf-8")
     with open(outdir / "manifest.jsonl", "a", encoding="utf-8") as fh:
@@ -151,30 +153,22 @@ def cmd_survival(args) -> int:
         norm_checks["max_oracle_gap"] = float(np.max(np.abs(p0 - oracle)))
 
     _write_csv(outdir / "survival.csv", header, columns)
-    record = {
-        "command": "survival " + " ".join(args.raw_argv),
-        "parameters": {
-            "model": args.model,
-            "e0": args.e0,
-            "drive": args.drive,
-            "u": args.u,
-            "alpha": args.alpha,
-            "omega": args.omega,
-            "lambda": args.lam,
-            "w": args.w,
-            "n": args.n,
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            **extra,
-        },
-        "solver": {"method": traj.method, "dt": float(times[1] - times[0]), "rows": len(times)},
-        "norm_checks": norm_checks,
-        "qualitative_checks": {},
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": ["survival.csv"],
+    parameters = {
+        "model": args.model,
+        "e0": args.e0,
+        "drive": args.drive,
+        "u": args.u,
+        "alpha": args.alpha,
+        "omega": args.omega,
+        "lambda": args.lam,
+        "w": args.w,
+        "n": args.n,
+        "t_min": args.t_min,
+        "t_max": args.t_max,
+        **extra,
     }
-    _emit_manifest(outdir, record)
+    solver = {"method": traj.method, "dt": float(times[1] - times[0]), "rows": len(times)}
+    _emit_manifest(args, t0, parameters, ["survival.csv"], solver, norm_checks)
     print(f"wrote {outdir / 'survival.csv'} ({len(times)} rows)")
     return 0
 
@@ -198,10 +192,8 @@ def cmd_spectrum(args) -> int:
         p0_final = math.exp(-params.gamma * t_spec)  # wide band: exact for both drives
         window = spectra.conservation_window(params, p0_final)
         grid = spectra.energy_grid(params, tail_halfwidth=window)
-        dt = TRAJ_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-        dt = min(dt, default_dt(params, WideBand()))
-        dt = t_spec / math.ceil(t_spec / dt)  # land exactly on the requested time
-        traj = solve_wideband(params, SolverConfig(dt=dt, t_end=t_spec))
+        dt = spectra.trajectory_dt(params, grid, t_spec)
+        traj = solve(params, WideBand(), SolverConfig(dt=dt, t_end=t_spec))
         spec = spectra.spectrum_from_trajectory(traj, grid)
         conservation = float(traj.p0[-1]) + spec.norm
         norm_checks["conservation"] = conservation
@@ -210,28 +202,18 @@ def cmd_spectrum(args) -> int:
     norm_checks["norm"] = spec.norm
 
     _write_csv(outdir / "spectrum.csv", ["E_in_Gamma", "Pbar"], [spec.energies, spec.values])
-    record = {
-        "command": "spectrum " + " ".join(args.raw_argv),
-        "parameters": {
-            "drive": args.drive,
-            "e0": args.e0,
-            "u": args.u,
-            "alpha": args.alpha,
-            "omega": args.omega,
-            "method": args.method,
-            "t": args.t if args.method == "trajectory" else None,
-        },
-        "solver": solver,
-        "norm_checks": norm_checks,
-        "qualitative_checks": {},
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": ["spectrum.csv"],
+    parameters = {
+        "drive": args.drive,
+        "e0": args.e0,
+        "u": args.u,
+        "alpha": args.alpha,
+        "omega": args.omega,
+        "method": args.method,
+        "t": args.t if args.method == "trajectory" else None,
     }
-    _emit_manifest(outdir, record)
+    _emit_manifest(args, t0, parameters, ["spectrum.csv"], solver, norm_checks)
     print(f"wrote {outdir / 'spectrum.csv'} ({len(spec.energies)} rows, norm {spec.norm:.6f})")
     return 0
-
 
 
 def cmd_revival(args) -> int:
@@ -245,18 +227,14 @@ def cmd_revival(args) -> int:
     traj = solve(params, reservoir, SolverConfig(dt=dt, t_end=t_max))
     t_rev = chain.revival_time(traj)
     _write_csv(outdir / "revival.csv", ["t_in_1/Gamma", "P0"], [traj.times, traj.p0])
-    record = {
-        "command": "revival " + " ".join(args.raw_argv),
-        "parameters": {"n": args.n, "w": args.w, "e0": args.e0, "t_max": t_max,
-                       "revival_time": t_rev},
-        "solver": {"method": traj.method, "dt": dt, "rows": len(traj.times)},
-        "norm_checks": {"norm_drift": traj.norm_drift},
-        "qualitative_checks": {"revival_found": t_rev is not None},
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": ["revival.csv"],
-    }
-    _emit_manifest(outdir, record)
+    _emit_manifest(
+        args, t0,
+        {"n": args.n, "w": args.w, "e0": args.e0, "t_max": t_max, "revival_time": t_rev},
+        ["revival.csv"],
+        {"method": traj.method, "dt": dt, "rows": len(traj.times)},
+        {"norm_drift": traj.norm_drift},
+        {"revival_found": t_rev is not None},
+    )
     if t_rev is None:
         print("no revival found in the simulated window")
     else:
@@ -276,9 +254,7 @@ def _fig2(outdir: Path) -> tuple[dict, dict, list]:
     revivals = {}
     cfg = SolverConfig(dt=dt, t_end=t_max)
     for n in (150, 250):
-        traj = chain.evolve_chain(
-            SystemParams(e0=e0), FiniteChain(n, w_band), cfg, store_reservoir=False
-        )
+        traj = solve(SystemParams(e0=e0), FiniteChain(n, w_band), cfg)
         series[n] = traj
         revivals[n] = chain.revival_time(traj)
     times = series[250].times
@@ -314,7 +290,7 @@ def _driven_pair(lam, e0, drive_kind, amp, omega, t_max, dt):
     else:
         driven = SystemParams(e0=e0, barrier_drive=BarrierDrive(amp, omega))
     cfg = SolverConfig(dt=dt, t_end=t_max)
-    return tuple(solve_lorentzian_ode(p, Lorentzian(lam), cfg) for p in (static, driven))
+    return tuple(solve(p, Lorentzian(lam), cfg, "ode") for p in (static, driven))
 
 
 def _fig34(outdir: Path, which: str) -> tuple[dict, dict, list]:
@@ -389,17 +365,8 @@ def cmd_reproduce(args) -> int:
     runner = {"fig2": _fig2, "fig3": lambda o: _fig34(o, "fig3"),
               "fig4": lambda o: _fig34(o, "fig4"), "fig5": _fig5}[args.figure]
     checks, details, outputs = runner(outdir)
-    record = {
-        "command": "reproduce " + " ".join(args.raw_argv),
-        "parameters": {"figure": args.figure, **{k: _json_safe(v) for k, v in details.items()}},
-        "solver": {},
-        "norm_checks": {},
-        "qualitative_checks": checks,
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": outputs,
-    }
-    _emit_manifest(outdir, record)
+    parameters = {"figure": args.figure, **{k: _json_safe(v) for k, v in details.items()}}
+    _emit_manifest(args, t0, parameters, outputs, checks=checks)
     ok = all(checks.values())
     for name, passed in checks.items():
         print(f"[{'PASS' if passed else 'FAIL'}] {args.figure}: {name}")
@@ -417,7 +384,7 @@ def cmd_selftest(args) -> int:
 
     params = SystemParams(e0=0.0)
     cfg = SolverConfig(dt=0.005, t_end=4.0)
-    traj = solve_wideband(params, cfg)
+    traj = solve(params, WideBand(), cfg)
     gap = float(np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times)))))
     report("wideband static survival is exp(-Gamma|t|)", gap < 1e-12, f"max gap {gap:.2e}")
 
@@ -425,8 +392,8 @@ def cmd_selftest(args) -> int:
     lam = 4.0
     for t_end in (4.0, -4.0):
         cfg = SolverConfig(dt=0.002, t_end=t_end)
-        tv = solve_volterra(p1, Lorentzian(lam), cfg)
-        to = solve_lorentzian_ode(p1, Lorentzian(lam), cfg)
+        tv = solve(p1, Lorentzian(lam), cfg, "volterra")
+        to = solve(p1, Lorentzian(lam), cfg, "ode")
         ex = closedform.b0_lorentzian_static(p1, lam, tv.times)
         g1 = float(np.max(np.abs(tv.p0 - np.abs(ex) ** 2)))
         g2 = float(np.max(np.abs(to.p0 - np.abs(ex) ** 2)))
@@ -438,13 +405,13 @@ def cmd_selftest(args) -> int:
 
     cfgp = SolverConfig(dt=0.002, t_end=3.0)
     cfgm = SolverConfig(dt=0.002, t_end=-3.0)
-    fwd = solve_volterra(p1, Lorentzian(lam), cfgp)
-    bwd = solve_volterra(p1, Lorentzian(lam), cfgm)
+    fwd = solve(p1, Lorentzian(lam), cfgp, "volterra")
+    bwd = solve(p1, Lorentzian(lam), cfgm, "volterra")
     sym = float(np.max(np.abs(bwd.b0 - np.conj(fwd.b0))))
     report("time reversal b0(-t) = conj b0(t)", sym < 1e-10, f"max {sym:.2e}")
 
-    ct = chain.evolve_chain(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
-    cs = solve_volterra(p1, Semicircle(6.0), SolverConfig(dt=0.005, t_end=5.0))
+    ct = solve(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
+    cs = solve(p1, Semicircle(6.0), SolverConfig(dt=0.005, t_end=5.0))
     gap = float(np.max(np.abs(ct.p0 - cs.p0)))
     report("chain matches semicircle memory solution", gap < 0.02, f"max gap {gap:.2e}")
     report("chain norm conserved", ct.norm_drift < 1e-8, f"drift {ct.norm_drift:.2e}")
@@ -452,8 +419,8 @@ def cmd_selftest(args) -> int:
     lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(lev, tail_halfwidth=None)
     spec = spectra.spectrum_asymptotic(lev, "level", grid)
-    dt = TRAJ_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    tw = solve_wideband(lev, SolverConfig(dt=dt, t_end=12.0))
+    dt = spectra.trajectory_dt(lev, grid, 12.0)
+    tw = solve(lev, WideBand(), SolverConfig(dt=dt, t_end=12.0))
     st = spectra.spectrum_from_trajectory(tw, grid)
     peaks = [n * 2.0 for n in range(-3, 2)]
     rels = [

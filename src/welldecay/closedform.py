@@ -98,27 +98,18 @@ def b0_markovian_static(params: SystemParams, t):
 
 
 def b0_markovian_driven(params: SystemParams, t, linear_alpha: bool = False):
-    """Wide-band amplitude with one sinusoidal drive, any sign of t.
+    """Wide-band amplitude b0 = exp(-i Phi(t)) under the drives of params, any sign of t.
 
-    The barrier drive keeps the full w^2 integral by default;
-    linear_alpha=True drops the O(alpha^2) part of w^2, the variant used by
-    the sideband resummation.
+    Phi(t) = int_0^t E0(t') dt' - i sgn(t) (Gamma/2) int_0^t w^2(t') dt' is
+    exact for a level drive, a barrier drive or both; its imaginary part is
+    <= 0 for either sign of t, so |b0| <= 1. The barrier drive keeps the
+    full w^2 integral by default; linear_alpha=True drops the O(alpha^2)
+    part of w^2, the variant used by the sideband resummation.
     """
-    if params.level_drive is not None and params.barrier_drive is not None:
-        raise ModelError("simultaneous level and barrier drives are not supported here")
     t, scalar = _as_float_array(t)
-    phase = wideband_phase(params, t, linear_alpha=linear_alpha)
-    return _maybe_scalar(np.exp(-1j * phase), scalar)
-
-
-def wideband_phase(params: SystemParams, t, linear_alpha: bool = False):
-    """Accumulated complex phase Phi(t) with b0 = exp(-i Phi(t)).
-
-    Phi(t) = int_0^t E0(t') dt' - i sgn(t) (Gamma/2) int_0^t w^2(t') dt';
-    its imaginary part is <= 0 for either sign of t, so |b0| <= 1.
-    """
     w2_int = params.w2_integral(t, linear_alpha)
-    return params.e0_integral(t) - 0.5j * params.gamma * np.sign(t) * w2_int
+    phase = params.e0_integral(t) - 0.5j * params.gamma * np.sign(t) * w2_int
+    return _maybe_scalar(np.exp(-1j * phase), scalar)
 
 
 def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:
@@ -185,12 +176,12 @@ def lineshape_markovian(params: SystemParams, e_r, t: float):
         raise ModelError("the reservoir line shape is defined for t >= 0")
     e_r, scalar = _as_float_array(e_r)
     e0, g = params.e0, params.gamma
-    denom = (e_r - e0) ** 2 + 0.25 * g * g
+    h = np.hypot(e_r - e0, 0.5 * g)  # the denominator's root: no Gamma^2 to underflow
     if math.isinf(t):
         num = 1.0
     else:
         num = 1.0 - 2.0 * np.cos((e0 - e_r) * t) * math.exp(-0.5 * g * t) + math.exp(-g * t)
-    return _maybe_scalar(g / TWO_PI * num / denom, scalar)
+    return _maybe_scalar(num * (g / TWO_PI / h / h), scalar)
 
 
 def floquet_spectrum_level(params: SystemParams, e_r):
@@ -206,8 +197,7 @@ def floquet_spectrum_level(params: SystemParams, e_r):
     e_r, scalar = _finite_energies(e_r)
     g = params.gamma
     if params.level_drive is None or params.level_drive.u == 0.0:
-        denom = (e_r - params.e0) ** 2 + 0.25 * g * g
-        return _maybe_scalar(g / TWO_PI * 1.0 / denom, scalar)
+        return lineshape_markovian(params, e_r, math.inf)
     u, om = params.level_drive.u, params.level_drive.omega
     x = u / om
     n_max = truncation_order(abs(x), FLOQUET_TAIL_TOL)
@@ -227,8 +217,7 @@ def floquet_spectrum_barrier(params: SystemParams, e_r):
     e_r, scalar = _finite_energies(e_r)
     g = params.gamma
     if params.barrier_drive is None or params.barrier_drive.alpha == 0.0:
-        denom = (e_r - params.e0) ** 2 + 0.25 * g * g
-        return _maybe_scalar(g / TWO_PI * 1.0 / denom, scalar)
+        return lineshape_markovian(params, e_r, math.inf)
     al, om = params.barrier_drive.alpha, params.barrier_drive.omega
     if al >= 1.0:
         raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")

@@ -1,8 +1,10 @@
 """Time-domain solvers for the survival amplitude b0(t) on signed time grids.
 
-Three routes, all starting from b0(0) = 1:
+solve(params, reservoir, cfg, method) is the one way in: it picks the route
+from the reservoir (see ROUTES; "auto" takes the first), and every route
+starts from b0(0) = 1:
 
-* solve_volterra: the memory-integral equation
+* "volterra" (solve_volterra): the memory-integral equation
 
       db0/dt = -i E0(t) b0(t) - w(t) int_0^t K(t - t') w(t') b0(t') dt'
 
@@ -22,8 +24,8 @@ Three routes, all starting from b0(0) = 1:
   for a static run). The work is O(n (log B + B + S^2 + jcut/B)) and the
   memory O(n). The driven finite chain (chain.py) runs on the same helper.
 
-* solve_lorentzian_ode: the equivalent second-order ODE for the Lorentzian
-  kernel,
+* "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
+  Lorentzian kernel,
 
       i b0'' = [E0(t) - i s L + i w'/w] b0'
                + [E0'(t) + (s L - w'/w) E0(t) - i L Gamma w^2 / 2] b0,
@@ -34,11 +36,14 @@ Three routes, all starting from b0(0) = 1:
   step's node and half-node times. The second initial condition is
   b0'(0) = -i E0(0): the memory integral vanishes at t = 0.
 
-* solve_wideband: the closed-form wide-band amplitude evaluated on the
-  grid, from the drive integrals of SystemParams.
+* "closed": closedform.b0_markovian_driven for the wide band (solve_wideband,
+  either drive or both) and closedform.b0_lorentzian_static for a static
+  Lorentzian, evaluated on the grid. Both obey the resolution rule and carry
+  a tolerance of at most 1e-12.
 
-Every route reads E0(t) and w(t) from its SystemParams, and solve(params,
-reservoir, cfg, method) picks the route from the reservoir (see ROUTES).
+* "exact": chain.evolve_chain for a FiniteChain.
+
+Every route reads E0(t) and w(t) from its SystemParams.
 
 Grids always contain t = 0 as a node and satisfy the resolution rule
 dt * max(Gamma, band, |E0| + u, omega) <= 0.05, the band being 0 for the
@@ -54,7 +59,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .closedform import b0_lorentzian_static, wideband_phase
+from .closedform import b0_lorentzian_static, b0_markovian_driven
 from .model import (
     FiniteChain,
     Lorentzian,
@@ -129,7 +134,6 @@ class AmplitudeTrajectory:
 
     times: np.ndarray
     b0: np.ndarray
-    b0_dot: Optional[np.ndarray]
     params: SystemParams
     sd: Optional[SpectralDensity]
     cfg: SolverConfig
@@ -232,10 +236,19 @@ def solve(
         return solve_volterra(params, reservoir, cfg)
     if not params.static:
         raise ModelError("the closed-form method covers the static Hamiltonian only")
+    return _closed_form(
+        params, reservoir, cfg, lambda t: b0_lorentzian_static(params, reservoir.lam, t),
+        LORENTZIAN_CLOSED,
+    )
+
+
+def _closed_form(params, reservoir, cfg, amplitude, method) -> AmplitudeTrajectory:
+    """A closed-form amplitude on the grid of cfg: the resolution rule holds as for
+    the integrators, and the tolerance is at most 1e-12, the closed forms' own error."""
+    _check_resolution(cfg, params, reservoir)
     times = _grid(cfg)
-    b0 = b0_lorentzian_static(params, reservoir.lam, times)
-    exact = SolverConfig(cfg.dt, cfg.t_end, tolerance=1.0e-12)
-    return AmplitudeTrajectory(times, b0, None, params, reservoir, exact, LORENTZIAN_CLOSED)
+    exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
+    return AmplitudeTrajectory(times, amplitude(times), params, reservoir, exact, method)
 
 
 def solve_volterra(
@@ -279,7 +292,7 @@ def solve_volterra(
         DIVERGENCE_LIMIT, times[1:],
     )[0]
 
-    return AmplitudeTrajectory(times, b, None, params, sd, cfg, VOLTERRA_PC)
+    return AmplitudeTrajectory(times, b, params, sd, cfg, VOLTERRA_PC)
 
 
 def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=None):
@@ -413,19 +426,18 @@ def solve_lorentzian_ode(
     a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0v - 0.5j * lam * g * wv * wv)
 
     b = np.empty(n + 1, dtype=complex)
-    bdot = np.empty(n + 1, dtype=complex)
     y0, y1 = 1.0 + 0.0j, -1j * float(e0v[0])
-    b[0], bdot[0] = y0, y1
+    b[0] = y0
     for lo in range(0, n, _RK4_CHUNK):  # chunks bound the memory of the step matrices
         hi = min(lo + _RK4_CHUNK, n)
         prop = _rk4_propagators(a[2 * lo : 2 * hi + 1], bc[2 * lo : 2 * hi + 1], h)
         for k, (p11, p12, p21, p22) in enumerate(zip(*(p.tolist() for p in prop)), lo + 1):
             y0, y1 = p11 * y0 + p12 * y1, p21 * y0 + p22 * y1
-            b[k], bdot[k] = y0, y1
+            b[k] = y0
             if abs(y0) > DIVERGENCE_LIMIT:
                 raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k]:.4g}")
 
-    return AmplitudeTrajectory(times, b, bdot, params, sd, cfg, LORENTZIAN_ODE)
+    return AmplitudeTrajectory(times, b, params, sd, cfg, LORENTZIAN_ODE)
 
 
 def _rk4_propagators(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
@@ -453,13 +465,10 @@ def _rk4_propagators(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
 
 
 def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajectory:
-    """Evaluate the wide-band amplitude b0 = exp(-i Phi(t)) on the grid."""
-    _check_resolution(cfg, params, WideBand())
-    times = _grid(cfg)
-    phase = wideband_phase(params, times)
-    cfg_exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
-    b = np.exp(-1j * phase)
-    return AmplitudeTrajectory(times, b, None, params, WideBand(), cfg_exact, WIDEBAND_CLOSED)
+    """The wide-band amplitude closedform.b0_markovian_driven on the grid."""
+    return _closed_form(
+        params, WideBand(), cfg, lambda t: b0_markovian_driven(params, t), WIDEBAND_CLOSED
+    )
 
 
 def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> AmplitudeTrajectory:
@@ -476,7 +485,7 @@ def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> Amplit
     if neg.norm_drift is not None and pos.norm_drift is not None:
         drift = max(neg.norm_drift, pos.norm_drift)
     return AmplitudeTrajectory(
-        join(neg.times, pos.times), join(neg.b0, pos.b0), join(neg.b0_dot, pos.b0_dot),
+        join(neg.times, pos.times), join(neg.b0, pos.b0),
         pos.params, pos.sd, pos.cfg, pos.method, join(neg.br, pos.br), drift,
     )
 

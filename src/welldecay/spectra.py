@@ -10,7 +10,8 @@ Two routes to P_r:
   t_k = k dt. The sum over k for every energy of the requested grid is one
   Gaussian-gridding non-uniform FFT, accurate to ~1e-15 of the peak at cost
   O(N_t log N_t + N_E). The trajectory step must resolve the fastest phase:
-  dt * max|E_r| <= 0.2.
+  dt * max|E_r| <= 0.2. trajectory_dt is the one rule for that step: 0.98 of
+  the limit, no coarser than the wide band's default_dt, landing on t_end.
 
 * asymptotically (t -> infinity, wide band), dispatching to the closed-form
   sideband sums.
@@ -19,7 +20,7 @@ Energy grids combine a uniformly sampled core with extra refinement around
 every predicted peak E0 + n omega and, optionally, logarithmic tails. The
 tails matter for conservation checks: the line wings carry mass
 ~ P0(t) Gamma/(pi L) beyond |E| = L, so the window has to grow as 1/P0
-to push the truncated mass below a given budget.
+to push the truncated mass below 5e-4 (conservation_window).
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ import numpy as np
 
 from . import closedform
 from .bessel import truncation_order
-from .model import ModelError, SystemParams
-from .solvers import AmplitudeTrajectory
+from .model import ModelError, SystemParams, WideBand
+from .solvers import AmplitudeTrajectory, default_dt
 
 TRAJECTORY_PHASE_LIMIT = 0.2  # max tolerated dt * |E|
+TRAJECTORY_SAFETY = 0.98  # trajectory_dt keeps dt * max|E| at this share of the limit
+_GRID_POINTS, _GRID_REFINE = 4001, 5  # energy_grid's core points, refinement at sidebands
+_WING_BUDGET = 5.0e-4  # line-wing mass conservation_window leaves outside
 _OVERSAMPLE = 2  # the FFT grid has at least this many points per time sample
 _SPREAD = 16  # FFT grid points on each side of a target in the Gaussian interpolation
 
@@ -67,13 +71,15 @@ class EnergySpectrum:
         return float(self.values[i])
 
 
-def sideband_count(params: SystemParams, tail_tol: float = closedform.FLOQUET_TAIL_TOL) -> int:
-    """Number of sidebands carrying weight above tail_tol, 0 when undriven."""
+def sideband_count(params: SystemParams) -> int:
+    """Number of sidebands carrying weight above closedform.FLOQUET_TAIL_TOL, 0 when
+    undriven."""
+    tol = closedform.FLOQUET_TAIL_TOL
     if params.level_drive is not None and params.level_drive.u != 0.0:
-        return truncation_order(abs(params.level_drive.u / params.level_drive.omega), tail_tol)
+        return truncation_order(abs(params.level_drive.u / params.level_drive.omega), tol)
     if params.barrier_drive is not None and params.barrier_drive.alpha != 0.0:
         return truncation_order(
-            params.barrier_drive.alpha * params.gamma / params.barrier_drive.omega, tail_tol
+            params.barrier_drive.alpha * params.gamma / params.barrier_drive.omega, tol
         )
     return 0
 
@@ -81,17 +87,15 @@ def sideband_count(params: SystemParams, tail_tol: float = closedform.FLOQUET_TA
 def energy_grid(
     params: SystemParams,
     core_halfwidth: Optional[float] = None,
-    points: int = 4001,
-    refine: int = 5,
     tail_halfwidth: Optional[float] = 2000.0,
     tail_points: int = 800,
 ) -> np.ndarray:
     """Symmetric grid around E0: uniform core, peak refinement, optional log tails.
 
-    The core spans E0 +/- (8 Gamma + n_max omega) by default and is refined
-    five-fold within one Gamma of every sideband E0 + n omega. Tails extend
-    the window logarithmically (default to 2000 Gamma, leaving ~1.6e-4 of a
-    Lorentzian line outside).
+    The core of _GRID_POINTS points spans E0 +/- (8 Gamma + n_max omega) by
+    default and is refined _GRID_REFINE-fold within one Gamma of every
+    sideband E0 + n omega. Tails extend the window logarithmically (default
+    to 2000 Gamma, leaving ~1.6e-4 of a Lorentzian line outside).
     """
     g = params.gamma
     n_max = sideband_count(params)
@@ -102,12 +106,12 @@ def energy_grid(
         omega = params.barrier_drive.omega
     if core_halfwidth is None:
         core_halfwidth = 8.0 * g + n_max * omega
-    core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, points)
+    core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, _GRID_POINTS)
     step = core[1] - core[0]
     segments = [core]
     peaks = [params.e0 + n * omega for n in range(-n_max, n_max + 1)] if omega else [params.e0]
     for p in peaks:
-        segments.append(np.arange(p - g, p + g + 0.5 * step / refine, step / refine))
+        segments.append(np.arange(p - g, p + g + 0.5 * step / _GRID_REFINE, step / _GRID_REFINE))
     if tail_halfwidth is not None and tail_halfwidth > core_halfwidth:
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
         segments.append(params.e0 + t)
@@ -115,14 +119,28 @@ def energy_grid(
     return np.unique(np.concatenate(segments))
 
 
-def conservation_window(params: SystemParams, p0_final: float, budget: float = 5.0e-4) -> float:
-    """Half-width needed so the line wings outside carry less than `budget` mass.
+def conservation_window(params: SystemParams, p0_final: float) -> float:
+    """Half-width needed so the line wings outside carry less than _WING_BUDGET mass.
 
     The sudden switch-on at t = 0 gives P_r the permanent large-|E| envelope
     (Gamma/2 pi)(1 + P0(t))/E^2, so both wings together hold
     (Gamma/pi)(1 + P0)/L beyond |E - E0| = L.
     """
-    return max(8.0 * params.gamma, (1.0 + p0_final) * params.gamma / (math.pi * budget))
+    return max(8.0 * params.gamma, (1.0 + p0_final) * params.gamma / (math.pi * _WING_BUDGET))
+
+
+def trajectory_dt(params: SystemParams, energies, t_end: float) -> float:
+    """Wide-band step for a trajectory spectrum over `energies` at t_end > 0.
+
+    TRAJECTORY_SAFETY of the phase limit over max|E| (no limit when every
+    energy is 0), no coarser than solvers.default_dt, then shortened so that
+    a whole number of steps lands on t_end.
+    """
+    dt = default_dt(params, WideBand())
+    emax = float(np.max(np.abs(energies)))
+    if emax > 0.0:
+        dt = min(dt, TRAJECTORY_SAFETY * TRAJECTORY_PHASE_LIMIT / emax)
+    return t_end / math.ceil(t_end / dt)
 
 
 def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) -> EnergySpectrum:

@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
-
 from welldecay import spectra
-from welldecay.solvers import SolverConfig, solve_wideband
+from welldecay.model import WideBand
+from welldecay.solvers import SolverConfig, solve
 from welldecay.spectra import spectrum_from_trajectory
 
 
@@ -26,14 +25,14 @@ def conservation_gap(params, t_end):
     """|P0(t) + integral of P_r - 1| from one wide-band run at t = t_end.
 
     The energy window leaves under 5e-4 of mass in the 1/E^2 wings; one time
-    step, at 0.98 of the phase limit of the outermost energy, serves the
-    whole grid and lands exactly on t_end.
+    step, spectra.trajectory_dt, serves the whole grid and lands exactly on
+    t_end.
     """
     p0_final = math.exp(-params.gamma * t_end)  # >= the barrier-driven P0: a wider window
     window = spectra.conservation_window(params, p0_final)
     n_tail = tail_points_for(t_end, window, p0_final)
     grid = spectra.energy_grid(params, tail_halfwidth=window, tail_points=n_tail)
-    dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    traj = solve_wideband(params, SolverConfig(dt=t_end / math.ceil(t_end / dt), t_end=t_end))
+    dt = spectra.trajectory_dt(params, grid, t_end)
+    traj = solve(params, WideBand(), SolverConfig(dt=dt, t_end=t_end))
     spec = spectrum_from_trajectory(traj, grid)
     return abs(float(traj.p0[-1]) + spec.norm - 1.0)

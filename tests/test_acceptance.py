@@ -207,7 +207,7 @@ def test_c07_floquet_spectrum_consistency():
     # level drive
     p_lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(p_lev, tail_halfwidth=None)
-    dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
+    dt = spectra.trajectory_dt(p_lev, grid, 12.0)
     traj = solve_wideband(p_lev, SolverConfig(dt=dt, t_end=12.0))
     spec = spectra.spectrum_from_trajectory(traj, grid)
     lev_rel = max(
@@ -217,12 +217,12 @@ def test_c07_floquet_spectrum_consistency():
     # barrier drive, matching (linear-alpha) amplitude
     p_bar = SystemParams(e0=0.0, barrier_drive=BarrierDrive(0.1, 2.0))
     grid_b = spectra.energy_grid(p_bar, tail_halfwidth=None)
-    dt_b = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid_b)))
+    dt_b = spectra.trajectory_dt(p_bar, grid_b, 12.0)
     base = solve_wideband(p_bar, SolverConfig(dt=dt_b, t_end=12.0))
     lin = AmplitudeTrajectory(
         base.times,
         closedform.b0_markovian_driven(p_bar, base.times, linear_alpha=True),
-        None, p_bar, base.sd, base.cfg, base.method,
+        p_bar, base.sd, base.cfg, base.method,
     )
     spec_b = spectra.spectrum_from_trajectory(lin, grid_b)
     bar_rel = max(

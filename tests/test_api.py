@@ -6,6 +6,7 @@ import types
 import pytest
 
 import welldecay
+from welldecay import chain, solvers, spectra
 from welldecay.model import FiniteChain, Lorentzian, Semicircle, WideBand
 
 PUBLIC_NAMES = {
@@ -41,9 +42,6 @@ PUBLIC_NAMES = {
     "revival_time",
     "short_time_coefficients",
     "solve",
-    "solve_lorentzian_ode",
-    "solve_volterra",
-    "solve_wideband",
     "spectrum_asymptotic",
     "spectrum_from_trajectory",
     "truncation_order",
@@ -56,7 +54,7 @@ def test_public_names_are_pinned():
         for name in dir(welldecay)
         if not name.startswith("_") and not isinstance(getattr(welldecay, name), types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 35
     assert exported == PUBLIC_NAMES
 
 
@@ -72,3 +70,20 @@ def test_public_names_are_pinned():
 def test_reservoirs_hold_only_their_band_shape(cls, fields):
     assert tuple(f.name for f in dataclasses.fields(cls)) == fields
 
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        (solvers, "solve_volterra"),
+        (solvers, "solve_lorentzian_ode"),
+        (solvers, "solve_wideband"),
+        (chain, "evolve_chain"),
+        (spectra, "sideband_count"),
+    ],
+)
+def test_traced_routes_stay_module_functions(module, name):
+    # the benchmark's per-layer trace keys its solver, chain and sideband
+    # metrics on these module functions, so they stay there by name
+    fn = getattr(module, name)
+    assert isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__

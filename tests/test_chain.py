@@ -41,7 +41,7 @@ def synthetic(times, b0):
     """Trajectory with a prescribed amplitude, for the revival detector."""
     cfg = SolverConfig(dt=times[1] - times[0], t_end=times[-1])
     return AmplitudeTrajectory(
-        times, b0, None, SystemParams(e0=0.0), FiniteChain(10, 6.0), cfg, "synthetic"
+        times, b0, SystemParams(e0=0.0), FiniteChain(10, 6.0), cfg, "synthetic"
     )
 
 

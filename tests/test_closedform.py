@@ -73,12 +73,18 @@ def test_markovian_driven_barrier_matches_sharp_lorentzian_volterra():
     assert np.max(np.abs(traj.b0 - ref)) < 1e-3
 
 
-def test_markovian_driven_rejects_double_drive():
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_markovian_driven_double_drive_matches_sharp_lorentzian_volterra(t_end):
+    # the wide-band phase is exact for a level and a barrier drive at once;
+    # the memory solver at lam = 1e3 Gamma sits 5.0e-4 from it at either sign,
+    # where either drive's phase alone would move b0 by ~0.1 or more
     p = SystemParams(
-        e0=0.0, level_drive=LevelDrive(1.0, 1.0), barrier_drive=BarrierDrive(0.1, 1.0)
+        e0=0.5, level_drive=LevelDrive(1.0, 1.0), barrier_drive=BarrierDrive(alpha=0.1, omega=2.0)
     )
-    with pytest.raises(ModelError):
-        closedform.b0_markovian_driven(p, 1.0)
+    cfg = SolverConfig(dt=5.0e-5, t_end=t_end, tolerance=1e-2)
+    traj = solve_volterra(p, Lorentzian(lam=1.0e3), cfg)
+    ref = closedform.b0_markovian_driven(p, traj.times)
+    assert np.max(np.abs(traj.b0 - ref)) < 6e-4
 
 
 def test_linear_alpha_variant_matches_full_to_first_order():
@@ -423,6 +429,22 @@ def test_floquet_gamma_below_the_float_square_root_stays_finite(barrier, g):
     ])
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("g", [1.0e-160, 1.0e-162, 1.0e-300])
+@pytest.mark.parametrize("kind", ["lineshape", "level", "barrier"])
+def test_undriven_line_forms_no_gamma_squared(kind, g):
+    # (E - E0)^2 + gamma^2/4 is subnormal at gamma = 1e-160 (relative error
+    # 1.1e-5) and zero at 1e-162 (a division by zero); the line is a float
+    p = SystemParams(e0=0.0, gamma=g)
+    e = np.array([0.0, 0.5 * g, -g])
+    got = {
+        "lineshape": lambda: closedform.lineshape_markovian(p, e, math.inf),
+        "level": lambda: closedform.floquet_spectrum_level(p, e),
+        "barrier": lambda: closedform.floquet_spectrum_barrier(p, e),
+    }[kind]()
+    ref = np.array([2.0, 1.0, 0.4]) / (math.pi * g)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
 
 
 def test_floquet_level_panel_route_on_the_benchmark_grid():

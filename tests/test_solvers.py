@@ -230,8 +230,6 @@ def test_ode_matches_closed_form_tightly():
     traj = solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
     ref = np.abs(closedform.b0_lorentzian_static(p, 4.0, traj.times)) ** 2
     assert np.max(np.abs(traj.p0 - ref)) < 1e-8
-    assert traj.b0_dot is not None
-    assert traj.b0_dot[0] == -1j * p.e0
 
 
 @pytest.mark.parametrize("e0", [0.0, 1.0, 3.0])
@@ -416,6 +414,17 @@ def check_time_reversal_across_solvers(e0, lam, w_band):
     driven = SystemParams(e0=e0, level_drive=LevelDrive(1.0, 2.0))
     with pytest.raises(ModelError):
         solve(driven, lor, SolverConfig(dt=2e-3, t_end=4.0), "closed")
+
+
+@pytest.mark.parametrize("reservoir", [WideBand(), Lorentzian(4.0)])
+def test_closed_routes_share_one_rule(reservoir):
+    # both closed forms keep the resolution rule and a tolerance of at most 1e-12
+    p = SystemParams(e0=1.0)
+    with pytest.raises(ResolutionError):
+        solve(p, reservoir, SolverConfig(dt=0.1, t_end=1.0), "closed")
+    for tol, kept in ((1e-6, 1e-12), (1e-14, 1e-14)):
+        traj = solve(p, reservoir, SolverConfig(dt=2e-3, t_end=1.0, tolerance=tol), "closed")
+        assert traj.cfg.tolerance == kept
 
 
 @pytest.mark.parametrize("e0", [0.0, 1.0, 3.0])

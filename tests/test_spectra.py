@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from welldecay import closedform, spectra
+from welldecay import closedform, solvers, spectra
 from welldecay.model import (
     BarrierDrive,
     LevelDrive,
@@ -26,7 +26,7 @@ from welldecay.spectra import (
 
 def wideband_run(params, t_end, grid):
     """Trajectory with a step fine enough for the grid's fastest phase."""
-    dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
+    dt = spectra.trajectory_dt(params, grid, t_end)
     return solve_wideband(params, SolverConfig(dt=dt, t_end=t_end))
 
 
@@ -71,12 +71,10 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
     # quadrature the matching variant
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
-    dt = 0.98 * spectra.TRAJECTORY_PHASE_LIMIT / float(np.max(np.abs(grid)))
-    base = solve_wideband(p, SolverConfig(dt=dt, t_end=12.0))
+    base = wideband_run(p, 12.0, grid)
     lin = AmplitudeTrajectory(
         base.times,
         closedform.b0_markovian_driven(p, base.times, linear_alpha=True),
-        None,
         p,
         base.sd,
         base.cfg,
@@ -136,6 +134,30 @@ def test_conservation_property(kind, e0, t_end, u, alpha, omega):
     }[kind]
     gap = conservation_gap(SystemParams(e0=e0, **drive), t_end)
     assert gap < 1e-3, f"{kind} drive, E0 = {e0}, t = {t_end}: {gap}"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-5.0, 5.0),
+    u=st.floats(0.0, 20.0),
+    omega=st.floats(0.05, 10.0),
+    barrier=st.booleans(),
+    emax=st.floats(1.0e-2, 1.0e5),
+    t_end=st.floats(1.0e-3, 500.0),
+)
+@example(e0=0.0, u=0.0, omega=1.0, barrier=False, emax=0.98, t_end=1.0)
+@example(e0=0.0, u=3.0, omega=2.0, barrier=False, emax=33.0, t_end=12.0)
+@example(e0=0.0, u=0.0, omega=1.0, barrier=False, emax=0.0, t_end=1.0)  # no phase limit
+def test_trajectory_dt_lands_on_t_end_within_both_limits(e0, u, omega, barrier, emax, t_end):
+    drive = {"barrier_drive": BarrierDrive(0.5, omega)} if barrier else {
+        "level_drive": LevelDrive(u, omega)}
+    p = SystemParams(e0=e0, **drive)
+    energies = np.array([-0.5 * emax, e0, emax])
+    dt = spectra.trajectory_dt(p, energies, t_end)
+    n = round(t_end / dt)
+    assert n >= 1 and abs(n * dt - t_end) <= math.ulp(t_end)
+    assert dt * emax <= spectra.TRAJECTORY_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT
+    assert dt * solvers._resolution_scale(p, WideBand()) <= RESOLUTION_LIMIT
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -246,7 +268,7 @@ def test_nonuniform_grid_rejected():
     p = SystemParams(e0=0.0)
     times = np.array([0.0, 0.1, 0.25, 0.3])
     traj = AmplitudeTrajectory(
-        times, np.exp(-0.5 * times) + 0j, None, p, WideBand(), SolverConfig(0.1, 0.3), "hand-built"
+        times, np.exp(-0.5 * times) + 0j, p, WideBand(), SolverConfig(0.1, 0.3), "hand-built"
     )
     with pytest.raises(ModelError, match="uniform"):
         spectrum_from_trajectory(traj, np.linspace(-1.0, 1.0, 11))
@@ -280,9 +302,10 @@ def test_fast_sum_matches_direct_sum(n_t, dt, seed, barrier):
     b0 = rng.uniform(0.0, 1.0, n_t) * np.exp(2j * np.pi * rng.uniform(size=n_t))
     b0[0] = 1.0
     traj = AmplitudeTrajectory(
-        times, b0, None, p, WideBand(), SolverConfig(dt, times[-1]), "hand-built"
+        times, b0, p, WideBand(), SolverConfig(dt, times[-1]), "hand-built"
     )
-    edge = np.nextafter(spectra.TRAJECTORY_PHASE_LIMIT / dt, 0.0)  # dt * edge <= the limit
+    limit = spectra.TRAJECTORY_PHASE_LIMIT
+    edge = np.nextafter(limit / dt, 0.0)  # dt * edge <= the limit
     grid = np.unique(np.concatenate([[-edge, 0.0, edge], rng.uniform(-edge, edge, 200)]))
     got = spectrum_from_trajectory(traj, grid).values
     ref = direct_spectrum(traj, grid)
