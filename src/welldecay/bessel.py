@@ -16,11 +16,9 @@ the order is avoided (it amplifies the dominant companion solution). Below
 x = 1e-8 the leading term (x/2)^n / n! (times e^{-x} for I) is exact to
 rounding and replaces the pass, whose ratio 2k/x overflows at subnormal x.
 
-Two loops run the recurrence, chosen by the shape of the input: a scalar
-argument runs one pass on Python floats and reads any array of orders from
-its table; an array of arguments at one order runs all passes in lockstep,
-each element with the start and the operations of its scalar call, so the
-two agree bit for bit.
+The argument is a scalar: one pass on Python floats gives the table of
+every order up to the highest one asked for, and an integer array of orders
+reads its values from that table.
 """
 
 from __future__ import annotations
@@ -35,24 +33,22 @@ _RESCALE_LIMIT = 1.0e250
 _TINY_ARG = 1.0e-8  # below, the leading term is exact to rounding
 
 
-def bessel_j(n: int | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+def bessel_j(n: int | np.ndarray, x: float) -> float | np.ndarray:
     """Bessel function of the first kind J_n(x), integer order.
 
-    Supports |x| < 1e4. Negative order and argument reduce through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x). Either n is an
-    integer array at scalar x (one recurrence gives the whole table), or x
-    is a numpy array at integer n (equal element by element to the scalar
-    calls); the result has the shape of the array.
+    Supports scalar |x| < 1e4. Negative order and argument reduce through
+    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x). n may be an
+    integer array (one recurrence gives the whole table); the result then
+    has its shape.
     """
     return _bessel("bessel_j", n, x, False)
 
 
-def bessel_ive(n: int | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+def bessel_ive(n: int | np.ndarray, x: float) -> float | np.ndarray:
     """Scaled modified Bessel function e^{-|x|} I_n(x), integer order.
 
-    Supports |x| < 1e4 and matches scipy.special.ive. Reductions:
-    I_{-n}(x) = I_n(x) and I_n(-x) = (-1)^n I_n(x). Array arguments as for
-    bessel_j.
+    Supports scalar |x| < 1e4 and matches scipy.special.ive. Reductions:
+    I_{-n}(x) = I_n(x) and I_n(-x) = (-1)^n I_n(x). Orders as for bessel_j.
     """
     return _bessel("bessel_ive", n, x, True)
 
@@ -91,22 +87,17 @@ def truncation_order(x: float, tolerance: float) -> int:
 
 
 def _bessel(name: str, n, x, modified: bool):
-    orders, x = np.asarray(n), np.asarray(x, dtype=float)
+    orders = np.asarray(n)
     if orders.ndim and orders.dtype.kind not in "iu":
         raise TypeError(f"{name} needs integer orders, got dtype {orders.dtype}")
-    if orders.ndim and x.ndim:
-        raise TypeError(f"{name} takes an array of orders or of arguments, not both")
-    bad = ~(np.abs(x) < J_ARG_MAX)
-    if bad.any():
-        v = float(x.ravel()[np.argmax(bad)])
-        raise ValueError(f"{name} argument out of supported range: |{v}| >= {J_ARG_MAX}")
-    if x.ndim:
-        n = int(n)
-        values = _lockstep(abs(n), np.abs(x).ravel(), modified).reshape(x.shape)
-        return _sign(n, x, modified) * values
+    if np.ndim(x):
+        raise TypeError(f"{name} needs a scalar argument, got shape {np.shape(x)}")
+    x = float(x)
+    if not abs(x) < J_ARG_MAX:
+        raise ValueError(f"{name} argument out of supported range: |{x}| >= {J_ARG_MAX}")
     if not orders.ndim:
         orders = np.asarray(int(n))
-    table = np.array(_table(int(np.abs(orders).max(initial=0)), abs(float(x)), modified))
+    table = np.array(_table(int(np.abs(orders).max(initial=0)), abs(x), modified))
     values = _sign(orders, x, modified) * table[np.abs(orders)]
     return values if orders.ndim else float(values)
 
@@ -121,8 +112,7 @@ def _sign(n, x, modified: bool):
 def _miller_start(n: int, x: np.ndarray) -> np.ndarray:
     # start far enough above max(n, x) that the seed contamination decays
     # below 1e-17 by the time the recurrence reaches the target order; even,
-    # so that the J norm collects J_0 on the last step. Scalar callers pass a
-    # one-element array, so every start comes from the same array power.
+    # so that the J norm collects J_0 on the last step
     m = (np.maximum(n, np.ceil(x)) + 12.0 * np.maximum(1.0, x) ** (1.0 / 3.0) + 18).astype(np.int64)
     return m + m % 2
 
@@ -152,44 +142,3 @@ def _table(top: int, x: float, modified: bool) -> list:
             vals = [v / _RESCALE_LIMIT for v in vals]
     norm -= cur  # f_0 was added with weight 2
     return [v / norm for v in vals]
-
-
-def _lockstep(n: int, x: np.ndarray, modified: bool) -> np.ndarray:
-    """_table(n, v, modified)[n] for every element v >= 0 of x, the passes in lockstep."""
-    out = np.empty(x.size)
-    tiny = x < _TINY_ARG
-    out[tiny] = [_table(n, v, modified)[n] for v in x[tiny].tolist()]
-    x = x[~tiny]
-    if not x.size:
-        return out
-    starts = _miller_start(n, x)
-    # sorted by descending start, the elements already recurring form a prefix
-    order = np.argsort(-starts, kind="stable")
-    xs, seeds = x[order], starts[order]
-    size = xs.size
-    s = 1.0 if modified else -1.0
-    upper, cur = np.empty(size), np.empty(size)
-    norm, target = np.zeros(size), np.zeros(size)
-    a = 0
-    for k in range(int(seeds[0]), 0, -1):
-        enter = a
-        while enter < size and seeds[enter] == k:
-            enter += 1
-        if enter > a:  # these elements start here, with the scalar seed
-            upper[a:enter] = 0.0
-            cur[a:enter] = 1.0e-30
-            a = enter
-        prev = (2.0 * k / xs[:a]) * cur[:a] + s * upper[:a]
-        upper[:a] = cur[:a]
-        cur[:a] = prev
-        c = cur[:a]
-        if modified or k % 2:
-            norm[:a] += 2.0 * c
-        if k - 1 == n:
-            target[:a] = c
-        if np.abs(c).max() > _RESCALE_LIMIT:
-            big = np.abs(c) > _RESCALE_LIMIT
-            for arr in (cur, upper, norm, target):
-                arr[:a][big] /= _RESCALE_LIMIT
-    out[np.flatnonzero(~tiny)[order]] = target / (norm - cur)
-    return out

@@ -17,17 +17,17 @@ reservoir. It also fills the trajectory's br (reservoir amplitudes, one row
 per sample, when stored) and norm_drift (largest |<psi|psi> - 1| seen).
 
 Static Hamiltonians are propagated through the exact eigendecomposition of
-the real symmetric matrix, then a NUFFT to ~1e-14 (b0 = sum_j |c_j|^2
-e^{-i lam_j t} on every sample at once, no error accumulation). Driven
-Hamiltonians take a Strang step of diagonal phases, the star-coupling
-rotation of (b0, vhat.br) and the phases again. The bright direction vhat
-is fixed and the reservoir phases are diagonal, so the rotation's update
-delta_k of the bright component reaches later steps only through
-vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2 e^{-i E_r j h}:
-b0 is a scalar recurrence with a Toeplitz memory, run by the Volterra
-solver's sub-block helper. The reservoir amplitudes, and the norm at every
-_PHASE_BLOCK-th step and the last, follow from prefix sums of
-delta_m e^{i E_r m h}.
+the real symmetric matrix, then b0 = sum_j |c_j|^2 e^{-i lam_j t} on every
+sample at once by the blocked phase sums of model._phase_sums (no error
+accumulation). Driven Hamiltonians take a Strang step of diagonal phases,
+the star-coupling rotation of (b0, vhat.br) and the phases again. The bright
+direction vhat is fixed and the reservoir phases are diagonal, so the
+rotation's update delta_k of the bright component reaches later steps only
+through vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2
+e^{-i E_r j h}: b0 is a scalar recurrence with a Toeplitz memory, run by the
+Volterra solver's sub-block helper. K_j is a phase sum too; the reservoir
+amplitudes, and the norm at every _PHASE_BLOCK-th step and the last, follow
+from prefix sums of delta_m e^{i E_r m h} over the same phase tables.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import FiniteChain, ModelError, SystemParams
+from .model import _PHASE_BLOCK, FiniteChain, ModelError, SystemParams, _phase_sums
 from .solvers import (
     AmplitudeTrajectory,
     SolverConfig,
@@ -45,11 +45,10 @@ from .solvers import (
     _grid,
     _memory_recurrence,
 )
-from .spectra import EnergySpectrum, _uniform_sum_adjoint
+from .spectra import EnergySpectrum
 
 NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 _CHUNK_ELEMENTS = 1 << 18  # entries of the (time, mode) block formed at once
-_PHASE_BLOCK = 256  # driven steps per block of the reservoir phase sums
 _REVIVAL_DROP, _REVIVAL_RISE = 0.01, 0.05  # revival_time: P0 empties below, returns above
 
 
@@ -94,7 +93,7 @@ def evolve_chain(
 def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
     lam, vec = np.linalg.eigh(_hamiltonian(params, chain))
     c0 = vec[0, :]  # overlap of the initial state with each eigenmode
-    b0 = _uniform_sum_adjoint(c0 * c0, lam * (times[1] - times[0]), times.size)  # t_k = k dt
+    b0 = _phase_sums(c0 * c0, lam * (times[1] - times[0]), times.size - 1)[0]  # t_k = k dt
     b0[0] = 1.0  # U(0) = I exactly
     # the full state on every node when stored, else on 8 nodes to spot-check unitarity
     nodes = np.linspace(0, times.size - 1, times.size if store_reservoir else 8, dtype=int)
@@ -139,13 +138,11 @@ def _evolve_strang(
         b = ph1 * x[0]
         return (ph2 * (c * b - 1j * s * proj),), -1j * s * b + (c - 1.0) * proj
 
-    # K_j = sum_r vhat_r^2 e^{-i E_r j h}, and the reservoir sums below, a block of
-    # _PHASE_BLOCK steps at a time: e^{-i E_r (q P + t) h} = shift[q, r] turn[t, r]
+    # K_j = sum_r vhat_r^2 e^{-i E_r j h}; the reservoir sums below reuse its tables,
+    # e^{-i E_r (q P + t) h} = shift[q, r] turn[t, r]
     P = _PHASE_BLOCK
     theta_r = er * h
-    turn = np.exp(-1j * np.outer(np.arange(P), theta_r))
-    shift = np.exp(-1j * np.outer(P * np.arange(n // P + 1), theta_r))
-    kern = ((shift * (vhat * vhat)) @ turn.T).ravel()[: n + 1]
+    kern, turn, shift = _phase_sums(vhat * vhat, theta_r, n)
     b0 = np.empty(n + 1, dtype=complex)
     b0[0] = 1.0
     b0[1:], delta = _memory_recurrence(

@@ -136,7 +136,7 @@ def cmd_survival(args) -> int:
     norm_checks: dict = {}
     extra: dict = {}
     if args.model == "chain":
-        norm_checks["norm_drift"] = pos.norm_drift
+        norm_checks["norm_drift"] = traj.norm_drift
         try:
             extra["revival_time"] = chain.revival_time(pos)
         except SolverError:

@@ -20,10 +20,21 @@ real and even in tau for every (even) density implemented here:
     Lorentzian    S(E) = Gamma/(2 pi) L^2/(E^2 + L^2)        K = (Gamma L / 2) e^{-L |tau|}
     semicircle    S(E) = Gamma/(2 pi) sqrt(1 - E^2/W^2)      K = Gamma J_1(W tau)/(2 tau)
 
-on support |E| <= W for the semicircle. The finite chain discretizes the
-semicircle with N levels E_r = W cos(r pi/(N+1)) and couplings chosen so
-that Omega^2(E_r) rho(E_r) reproduces the semicircle density. Neither the
-wide band nor the chain has a kernel method; solve_volterra rejects both.
+on support |E| <= W for the semicircle. A kernel method returns K on the
+one grid solve_volterra asks for, kernel(dt, n, gamma) = K(j dt) at the lags
+j = 0 .. n.
+
+The finite chain discretizes the semicircle with N levels
+E_r = W cos(r pi/(N+1)) and couplings chosen so that Omega^2(E_r) rho(E_r)
+reproduces the semicircle density: the levels and Omega_r^2 are the nodes
+and weights of the N-point Gauss-Chebyshev rule of the second kind for S(E).
+The semicircle kernel is therefore the coupling sum of a long enough chain,
+K(j dt) = sum_r Omega_r^2 cos(E_r j dt), exact once 2N exceeds the order
+beyond which the Chebyshev coefficients J_k(W n dt) of the phase have
+decayed. That sum, the static chain's b0 and the driven chain's memory
+kernel are all phase sums sum_r a_r e^{-i theta_r j}, formed by one helper,
+_phase_sums. Neither the wide band nor the chain has a kernel method;
+solve_volterra rejects both.
 """
 
 from __future__ import annotations
@@ -34,9 +45,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bessel import bessel_j
-
 TWO_PI = 2.0 * math.pi
+_PHASE_BLOCK = 256  # lags per block of _phase_sums, one matrix product each
 
 
 class ModelError(ValueError):
@@ -201,9 +211,8 @@ class Lorentzian:
         l2 = self.lam * self.lam
         return gamma / TWO_PI * l2 / (e * e + l2)
 
-    def kernel(self, tau, gamma: float):
-        tau = np.asarray(tau, dtype=float)
-        return 0.5 * gamma * self.lam * np.exp(-self.lam * np.abs(tau))
+    def kernel(self, dt: float, n: int, gamma: float) -> np.ndarray:
+        return 0.5 * gamma * self.lam * np.exp(-self.lam * (dt * np.arange(n + 1)))
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
         # e^{-lam tau} < rel_tol beyond this point
@@ -226,18 +235,16 @@ class Semicircle:
         inside = 1.0 - (e / self.w_band) ** 2
         return gamma / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
 
-    def kernel(self, tau, gamma: float):
-        # Gamma J_1(W tau)/(2 tau); removable singularity, limit Gamma W / 4
-        tau = np.abs(np.asarray(tau, dtype=float))
-        scalar = tau.ndim == 0
-        tau = np.atleast_1d(tau)
-        out = np.empty_like(tau)
-        small = tau * self.w_band < 1.0e-8
-        out[small] = gamma * self.w_band / 4.0
-        big = ~small
-        if np.any(big):
-            out[big] = gamma * bessel_j(1, self.w_band * tau[big]) / (2.0 * tau[big])
-        return out[0] if scalar else out
+    def kernel(self, dt: float, n: int, gamma: float) -> np.ndarray:
+        # Gamma J_1(W tau)/(2 tau) as the coupling sum of a chain long enough for
+        # a = W n dt: the Chebyshev coefficients J_k(a) of e^{-i a E/W} fall below
+        # 1e-17 past order a + 12 max(1, a)^{1/3} + 18 (bessel._miller_start's
+        # rule), and the M-level rule is exact to order 2M - 1
+        a = self.w_band * n * dt
+        levels = math.ceil((a + 12.0 * max(1.0, a) ** (1.0 / 3.0) + 18.0) / 2.0)
+        chain = FiniteChain(levels, self.w_band)
+        om = chain.couplings(gamma)
+        return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
         return None  # algebraic tail, keep the full history
@@ -284,3 +291,16 @@ class FiniteChain:
 
 
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]
+
+
+def _phase_sums(weights: np.ndarray, theta: np.ndarray, n: int):
+    """s_j = sum_r weights_r e^{-i theta_r j}, j = 0 .. n, and the tables forming them.
+
+    With P = _PHASE_BLOCK, e^{-i theta_r (q P + t)} = shift[q, r] turn[t, r], so
+    each block of P lags is one matrix product. Returns (s, turn, shift), turn of
+    shape (P, R) and shift of shape (n // P + 1, R), for callers that reuse them.
+    """
+    P = _PHASE_BLOCK
+    turn = np.exp(-1j * np.outer(np.arange(P), theta))
+    shift = np.exp(-1j * np.outer(P * np.arange(n // P + 1), theta))
+    return ((shift * weights) @ turn.T).ravel()[: n + 1], turn, shift

@@ -267,7 +267,7 @@ def solve_volterra(
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / dt)))
 
     # K[m] = K(m dt) up to the truncation; the kernel is even, the |tau| grid suffices
-    kern = sd.kernel(dt * np.arange(jcut + 1), params.gamma)
+    kern = sd.kernel(dt, jcut, params.gamma)
     k0 = float(kern[0])
     hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
 

@@ -110,8 +110,7 @@ def test_tiny_arguments_give_the_leading_term(x):
         for fn, scale in ((bessel_j, 1.0), (bessel_ive, math.exp(-x))):
             expected = scale * lead
             scalars = [fn(int(k), x) for k in n]
-            arrays = [fn(int(k), np.array([x]))[0] for k in n]
-            for got in (fn(n, x), scalars, arrays):
+            for got in (fn(n, x), scalars):
                 assert np.allclose(got, expected, rtol=1e-15, atol=1e-320)
 
 
@@ -122,10 +121,7 @@ def test_parity_reductions(n, x):
     assert bessel_j(n, -x) == (-1.0) ** n * bessel_j(n, x)
     assert bessel_ive(-n, x) == bessel_ive(n, x)
     assert bessel_ive(n, -x) == (-1.0) ** n * bessel_ive(n, x)
-    both = np.array([x, -x])
     for fn in (bessel_j, bessel_ive):
-        for order in (n, -n):
-            assert bits(fn(order, both)) == bits([fn(order, v) for v in both])
         assert bits(fn(np.array([n, -n]), -x)) == bits([fn(n, -x), fn(-n, -x)])
 
 
@@ -180,26 +176,6 @@ def test_j_recurrence_consistency(x):
         assert abs(lhs - rhs) < 1e-10
 
 
-@settings(max_examples=6, derandomize=True, deadline=None)
-@given(
-    n=st.integers(0, 60),
-    xs=st.lists(st.floats(0.0, 1.0e4, exclude_max=True), max_size=8),
-)
-def test_array_j_matches_scalar_bit_for_bit(n, xs):
-    switch = 1.0e-8  # leading term below, Miller from here
-    edges = [0.0, 5e-324, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0),
-             np.nextafter(1.0e4, 0.0)]
-    x = np.array(edges + xs)
-    for fn in (bessel_j, bessel_ive):
-        assert bits(fn(n, x)) == bits([fn(n, v) for v in x])
-        for bad in (1.0e4, -np.inf):
-            with pytest.raises(ValueError) as scalar_err:
-                fn(n, bad)
-            with pytest.raises(ValueError) as array_err:
-                fn(n, np.append(x, bad))
-            assert str(array_err.value) == str(scalar_err.value)
-
-
 def test_domain_guards():
     with pytest.raises(ValueError):
         bessel_j(0, 1.0e4)
@@ -211,6 +187,10 @@ def test_domain_guards():
         bessel_j(np.arange(3), np.ones(2))
     with pytest.raises(TypeError):
         bessel_ive(np.array([0.5]), 1.0)
+    for fn in (bessel_j, bessel_ive):  # one argument per call: no array of arguments
+        for x in (np.ones(3), np.array([0.5]), [2.0, 3.0]):
+            with pytest.raises(TypeError, match="needs a scalar argument"):
+                fn(1, x)
 
 
 def test_nan_raises_the_range_error():

@@ -8,6 +8,8 @@ import pytest
 
 from welldecay import cli
 from welldecay.cli import main
+from welldecay.model import FiniteChain, LevelDrive, SystemParams
+from welldecay.solvers import SolverConfig, default_dt, solve
 
 
 def read_csv(path):
@@ -55,6 +57,20 @@ def test_survival_chain_reports_revival(tmp_path):
     t_rev = manifest["parameters"]["revival_time"]
     assert t_rev is not None and 50.0 < t_rev < 54.0
     assert manifest["norm_checks"]["norm_drift"] < 1e-8
+
+
+def test_survival_chain_reports_the_drift_of_both_sides(tmp_path):
+    # with --t-min < 0 the manifest's drift is the larger of the two runs, not t > 0's
+    argv = ["survival", "--model", "chain", "--n", "40", "--w", "6", "--e0", "0.3",
+            "--drive", "level", "--u", "1", "--omega", "1", "--t-min", "-30", "--t-max", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    params = SystemParams(e0=0.3, level_drive=LevelDrive(1.0, 1.0))
+    chain = FiniteChain(40, 6.0)
+    dt = default_dt(params, chain)
+    neg, pos = (solve(params, chain, SolverConfig(dt=dt, t_end=t)).norm_drift
+                for t in (-30.0, 2.0))
+    assert neg > pos
+    assert read_manifest(tmp_path)["norm_checks"]["norm_drift"] == neg
 
 
 def test_survival_oracle_column(tmp_path):

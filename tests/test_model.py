@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from welldecay.bessel import bessel_j
 from welldecay.model import (
     BarrierDrive,
     FiniteChain,
@@ -14,8 +17,9 @@ from welldecay.model import (
     ModelError,
     Semicircle,
     SystemParams,
+    _phase_sums,
 )
-from welldecay.solvers import SolverConfig
+from welldecay.solvers import RESOLUTION_LIMIT, SolverConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,35 +38,72 @@ def test_density_semicircle_band_edge():
 
 
 def test_kernel_values_at_zero_lag():
-    assert abs(Lorentzian(4.0).kernel(0.0, 1.0) - 2.0) < 1e-15  # Gamma lam / 2
+    assert abs(Lorentzian(4.0).kernel(0.1, 0, 1.0)[0] - 2.0) < 1e-15  # Gamma lam / 2
     # semicircle limit Gamma W / 4, cross-checked by quadrature below
-    assert abs(Semicircle(6.0).kernel(0.0, 1.0) - 1.5) < 1e-12
+    assert abs(Semicircle(6.0).kernel(0.1, 0, 1.0)[0] - 1.5) < 1e-12
 
 
-def test_kernel_evenness():
-    lor, semi = Lorentzian(4.0), Semicircle(6.0)
-    assert abs(lor.kernel(-1.0, 1.0) - 2.0 * math.exp(-4.0)) < 1e-15
-    taus = np.linspace(0.05, 10.0, 40)
-    assert np.allclose(lor.kernel(taus, 1.0), lor.kernel(-taus, 1.0), rtol=0, atol=0)
-    assert np.allclose(semi.kernel(taus, 1.0), semi.kernel(-taus, 1.0), rtol=0, atol=0)
+LAG_DT = 0.05  # the lag grid of the quadrature checks; each tau is a multiple
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
 def test_kernel_matches_density_quadrature_lorentzian(tau):
-    # oracle: K(tau) = int S(E) cos(E tau) dE over the real line
+    # oracle: K(tau) = int S(E) cos(E tau) dE over the real line, at the lag j dt
     lor = Lorentzian(lam=4.0)
+    j = round(tau / LAG_DT)
+    tau = j * LAG_DT
     if tau == 0.0:
         ref = quad(lambda e: lor.density(e, 1.0), -np.inf, np.inf)[0]
     else:
         ref = quad(lambda e: lor.density(e, 1.0), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
-    assert abs(lor.kernel(tau, 1.0) - ref) < 1e-9
+    assert abs(lor.kernel(LAG_DT, j, 1.0)[j] - ref) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
 def test_kernel_matches_density_quadrature_semicircle(tau):
     semi = Semicircle(w_band=6.0)
+    j = round(tau / LAG_DT)
+    tau = j * LAG_DT
     ref = quad(lambda e: semi.density(e, 1.0) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
-    assert abs(semi.kernel(tau, 1.0) - ref) < 1e-9
+    assert abs(semi.kernel(LAG_DT, j, 1.0)[j] - ref) < 1e-9
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(w=st.floats(0.5, 20.0), n=st.integers(0, 2000), a=st.floats(1.0e-3, 9999.0))
+@example(w=6.0, n=0, a=1.0)
+@example(w=6.0, n=257, a=504.0)
+@example(w=20.0, n=300, a=9999.0)
+def test_semicircle_kernel_matches_bessel(w, n, a):
+    # the chain's coupling sum against Gamma J_1(W tau)/(2 tau) on lags up to W n dt = a
+    gamma = 1.7
+    dt = a / (w * max(n, 1))
+    kern = Semicircle(w).kernel(dt, n, gamma)
+    assert kern.shape == (n + 1,) and kern.dtype == np.float64
+    for j in {0, 1, n // 2, n, 255, 256, 257} & set(range(n + 1)):
+        tau = j * dt
+        ref = gamma * w / 4.0 if j == 0 else gamma * bessel_j(1, w * tau) / (2.0 * tau)
+        assert abs(kern[j] - ref) <= 1e-13 * gamma * w / 4.0
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    dt=st.floats(1e-3, 0.1),
+)
+def test_phase_sums_match_direct_sum(terms, dt):
+    # s_j = sum_r c_r e^{-i j lam_r dt} with |lam_r| dt up to the resolution limit
+    frac, re, im = (np.array(v) for v in zip(*terms))
+    c = re + 1j * im
+    lam = frac * RESOLUTION_LIMIT / dt
+    for n in (0, 1, 6, 255, 256, 257, 1024):
+        for h in (dt, -dt):
+            got = _phase_sums(c, lam * h, n)[0]
+            ref = np.exp(-1j * np.outer(h * np.arange(n + 1), lam)) @ c
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(c))
 
 
 def test_matched_lorentzian_curvature():

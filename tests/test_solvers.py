@@ -47,8 +47,8 @@ class WeightedLorentzian(Lorentzian):
 
     weight: float = 1.0
 
-    def kernel(self, tau, gamma):
-        return super().kernel(tau, self.weight * gamma)
+    def kernel(self, dt, n, gamma):
+        return super().kernel(dt, n, self.weight * gamma)
 
 
 def lorentzian_oracle(params, lam):
@@ -64,7 +64,7 @@ def volterra_reference(params, sd, cfg):
     n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
     times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
     h = times[1] - times[0]
-    kern = sd.kernel(cfg.dt * np.arange(n + 1), params.gamma)
+    kern = sd.kernel(cfg.dt, n, params.gamma)
     cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / cfg.dt)))
     w, e0 = params.w_at(times), params.e0_at(times)
