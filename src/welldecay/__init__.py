@@ -7,9 +7,7 @@ from .chain import evolve_chain, lineshape_exact, revival_time
 from .closedform import (
     b0_lorentzian_static,
     b0_markovian_driven,
-    b0_markovian_static,
-    floquet_spectrum_barrier,
-    floquet_spectrum_level,
+    floquet_spectrum,
     lineshape_markovian,
     short_time_coefficients,
 )

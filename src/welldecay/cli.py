@@ -145,7 +145,7 @@ def cmd_survival(args) -> int:
         norm_checks["max_abs_b0"] = float(np.max(np.abs(traj.b0)))
     if args.oracle and args.model in ("wideband", "lorentzian") and params.static:
         if args.model == "wideband":
-            oracle = np.abs(closedform.b0_markovian_static(params, times)) ** 2
+            oracle = np.abs(closedform.b0_markovian_driven(params, times)) ** 2
         else:
             oracle = np.abs(closedform.b0_lorentzian_static(params, reservoir.lam, times)) ** 2
         columns.append(oracle)
@@ -178,13 +178,12 @@ def cmd_spectrum(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     params = _build_params(args)
-    kind = {"level": "level", "barrier": "barrier", "none": "static"}[args.drive]
 
     norm_checks: dict = {}
     solver: dict = {"method": args.method}
     if args.method == "asymptotic":
         grid = spectra.energy_grid(params)
-        spec = spectra.spectrum_asymptotic(params, kind, grid)
+        spec = spectra.spectrum_asymptotic(params, grid)
     else:
         t_spec = args.t
         if not 0.0 < t_spec < math.inf:
@@ -333,8 +332,8 @@ def _fig5(outdir: Path) -> tuple[dict, dict, list]:
     level = SystemParams(e0=0.0, level_drive=LevelDrive(amp, omega))
     barrier = SystemParams(e0=0.0, barrier_drive=BarrierDrive(amp, omega))
     grid = spectra.energy_grid(level, core_halfwidth=12.0)
-    s_level = spectra.spectrum_asymptotic(level, "level", grid)
-    s_barrier = spectra.spectrum_asymptotic(barrier, "barrier", grid)
+    s_level = spectra.spectrum_asymptotic(level, grid)
+    s_barrier = spectra.spectrum_asymptotic(barrier, grid)
     _write_csv(outdir / "fig5_spectrum.csv", ["E_in_Gamma", "Pbar_level", "Pbar_barrier"],
                [grid, s_level.values, s_barrier.values])
     lv_p, lv_m, lv_0 = (s_level.value_at(omega), s_level.value_at(-omega), s_level.value_at(0.0))
@@ -418,7 +417,7 @@ def cmd_selftest(args) -> int:
 
     lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(lev, tail_halfwidth=None)
-    spec = spectra.spectrum_asymptotic(lev, "level", grid)
+    spec = spectra.spectrum_asymptotic(lev, grid)
     dt = spectra.trajectory_dt(lev, grid, 12.0)
     tw = solve(lev, WideBand(), SolverConfig(dt=dt, t_end=12.0))
     st = spectra.spectrum_from_trajectory(tw, grid)

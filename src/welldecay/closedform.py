@@ -7,7 +7,7 @@ Wide-band reservoir:
     b0(t) = exp(-i Phi(t)),  Phi(t) = int_0^t E0(t') dt'
                                       - i sgn(t) (Gamma/2) int_0^t w^2(t') dt'
     static case b0(t) = e^{-i E0 t - Gamma |t| / 2}, so P0 = e^{-Gamma |t|}
-    with a first-derivative cusp at t = 0.
+    with a first-derivative cusp at t = 0; b0_markovian_driven covers both.
 
 Lorentzian reservoir of half-width L (static Hamiltonian):
     b0(t) = e^{-i E0 t / 2 - L |t| / 2} [ cosh(Q|t|/2)
@@ -25,8 +25,12 @@ at E0 + n omega:
                    second term + i alpha omega / (d_n^2 - omega^2) generated
                    by the w(t) prefactor (d_n = E - E0 - n omega + i Gamma/2).
 
-Each weight list, n = -n_max .. n_max, is one bessel_j or bessel_ive table
-(one Miller pass at u/omega or xi; e^{-xi} I_n is finite for any xi < 1e4).
+floquet_spectrum takes the weights from the one active drive of params, a
+level drive with u != 0 or a barrier drive with alpha != 0; _sidebands owns
+that choice, the Bessel argument x (u/omega or xi) and the cutoff n_max,
+and spectra reads its sideband count and grid from the same rule. Each
+weight list, n = -n_max .. n_max, is one bessel_j or bessel_ive table (one
+Miller pass at x; e^{-xi} I_n is finite for any xi < 1e4).
 
 The sign of that second term is fixed by direct quadrature of the
 time-domain integral, which is the authoritative reference. By partial
@@ -54,7 +58,7 @@ makes b0(0) = 1 exact. Non-finite energies are rejected.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,21 +94,15 @@ def _maybe_scalar(values, scalar: bool):
     return values[()] if scalar else values
 
 
-def b0_markovian_static(params: SystemParams, t):
-    """Amplitude e^{-i E0 t - Gamma |t|/2} of the wide-band static level."""
-    t, scalar = _as_float_array(t)
-    out = np.exp(-1j * params.e0 * t - 0.5 * params.gamma * np.abs(t))
-    return _maybe_scalar(out, scalar)
-
-
 def b0_markovian_driven(params: SystemParams, t, linear_alpha: bool = False):
     """Wide-band amplitude b0 = exp(-i Phi(t)) under the drives of params, any sign of t.
 
     Phi(t) = int_0^t E0(t') dt' - i sgn(t) (Gamma/2) int_0^t w^2(t') dt' is
-    exact for a level drive, a barrier drive or both; its imaginary part is
-    <= 0 for either sign of t, so |b0| <= 1. The barrier drive keeps the
-    full w^2 integral by default; linear_alpha=True drops the O(alpha^2)
-    part of w^2, the variant used by the sideband resummation.
+    exact for a level drive, a barrier drive or both, and without a drive it
+    is e^{-i E0 t - Gamma |t|/2}; its imaginary part is <= 0 for either sign
+    of t, so |b0| <= 1. The barrier drive keeps the full w^2 integral by
+    default; linear_alpha=True drops the O(alpha^2) part of w^2, the variant
+    used by the sideband resummation.
     """
     t, scalar = _as_float_array(t)
     w2_int = params.w2_integral(t, linear_alpha)
@@ -172,7 +170,7 @@ def lineshape_markovian(params: SystemParams, e_r, t: float):
     which relaxes to the Lorentzian line of width Gamma as t -> infinity.
     Pass t = math.inf for the limit directly.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ModelError("the reservoir line shape is defined for t >= 0")
     e_r, scalar = _as_float_array(e_r)
     e0, g = params.e0, params.gamma
@@ -184,47 +182,53 @@ def lineshape_markovian(params: SystemParams, e_r, t: float):
     return _maybe_scalar(num * (g / TWO_PI / h / h), scalar)
 
 
-def floquet_spectrum_level(params: SystemParams, e_r):
-    """Long-time spectrum for the oscillating level (wide band).
+def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
+    """(x, omega, n_max) of the active drive of params, None when none is active.
 
-    Pbar(E) = Gamma/(2 pi) | sum_n (-i)^n J_n(u/omega) / d_n |^2 with
-    d_n = E - E0 - n omega + i Gamma/2. Without a drive this is the
-    Lorentzian line. The sum is cut where the J_n(u/omega)^2 tail drops
-    below 1e-10; note the sidebands at E0 + n omega and E0 - n omega are
-    *not* mirror images (the n-channels interfere through the common
-    initial condition).
+    A level drive is active when u != 0, a barrier drive when alpha != 0. x
+    is the Bessel argument of the sideband weights, u/omega for the level
+    and xi = alpha Gamma/omega for the barrier; n_max cuts both weight tails
+    below FLOQUET_TAIL_TOL. The resummation covers one drive, so two active
+    drives raise ModelError.
+    """
+    if params.u != 0.0 and params.alpha != 0.0:
+        raise ModelError("the sideband resummation covers one drive; both are active")
+    if params.u != 0.0:
+        om = params.level_drive.omega
+        x = params.u / om
+    elif params.alpha != 0.0:
+        om = params.barrier_drive.omega
+        x = params.alpha * params.gamma / om
+    else:
+        return None
+    return x, om, truncation_order(abs(x), FLOQUET_TAIL_TOL)
+
+
+def floquet_spectrum(params: SystemParams, e_r):
+    """Long-time spectrum under the active drive of params (wide band).
+
+    Pbar(E) = Gamma/(2 pi) | sum_m c_m / d_m |^2 with d_m = E - E0 - m omega
+    + i Gamma/2 and the level or barrier (alpha < 1) weights c_m of the module
+    docstring. The level sidebands at E0 + n omega and E0 - n omega are *not*
+    mirror images (the n-channels interfere through the common initial
+    condition); the barrier spectrum is symmetric about E0. Without an active
+    drive this is the Lorentzian line.
     """
     e_r, scalar = _finite_energies(e_r)
-    g = params.gamma
-    if params.level_drive is None or params.level_drive.u == 0.0:
+    sidebands = _sidebands(params)
+    if sidebands is None:
         return lineshape_markovian(params, e_r, math.inf)
-    u, om = params.level_drive.u, params.level_drive.omega
-    x = u / om
-    n_max = truncation_order(abs(x), FLOQUET_TAIL_TOL)
+    x, om, n_max = sidebands
     orders = np.arange(-n_max, n_max + 1)
-    coef = _PHASE4[orders % 4] * bessel_j(orders, x)
-    out = _pole_sum_sq(coef, e_r - params.e0, om, g, g / TWO_PI)
-    return _maybe_scalar(out, scalar)
-
-
-def floquet_spectrum_barrier(params: SystemParams, e_r):
-    """Long-time spectrum for the oscillating barrier (wide band, alpha < 1).
-
-    Pbar(E) = Gamma/(2 pi) | sum_n e^{-xi} I_n(xi) [ 1/d_n
-              + i alpha omega / (d_n^2 - omega^2) ] |^2,  xi = alpha Gamma/omega.
-    Symmetric about E0; reduces to the Lorentzian line at alpha = 0.
-    """
-    e_r, scalar = _finite_energies(e_r)
+    if params.u != 0.0:
+        coef = _PHASE4[orders % 4] * bessel_j(orders, x)
+    else:
+        al = params.alpha
+        if al >= 1.0:
+            raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
+        a = np.pad(bessel_ive(orders, x), 2)
+        coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
     g = params.gamma
-    if params.barrier_drive is None or params.barrier_drive.alpha == 0.0:
-        return lineshape_markovian(params, e_r, math.inf)
-    al, om = params.barrier_drive.alpha, params.barrier_drive.omega
-    if al >= 1.0:
-        raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
-    xi = al * g / om
-    n_max = truncation_order(xi, FLOQUET_TAIL_TOL)
-    a = np.pad(bessel_ive(np.arange(-n_max, n_max + 1), xi), 2)
-    coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
     out = _pole_sum_sq(coef, e_r - params.e0, om, g, g / TWO_PI)
     return _maybe_scalar(out, scalar)
 

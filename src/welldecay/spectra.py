@@ -13,14 +13,15 @@ Two routes to P_r:
   dt * max|E_r| <= 0.2. trajectory_dt is the one rule for that step: 0.98 of
   the limit, no coarser than the wide band's default_dt, landing on t_end.
 
-* asymptotically (t -> infinity, wide band), dispatching to the closed-form
-  sideband sums.
+* asymptotically (t -> infinity, wide band), from closedform.floquet_spectrum
+  under the drive of the params.
 
 Energy grids combine a uniformly sampled core with extra refinement around
-every predicted peak E0 + n omega and, optionally, logarithmic tails. The
-tails matter for conservation checks: the line wings carry mass
-~ P0(t) Gamma/(pi L) beyond |E| = L, so the window has to grow as 1/P0
-to push the truncated mass below 5e-4 (conservation_window).
+every predicted peak E0 + n omega of the active drive (closedform's one
+sideband rule) and, optionally, logarithmic tails. The tails matter for
+conservation checks: the line wings carry mass ~ P0(t) Gamma/(pi L) beyond
+|E| = L, so the window has to grow as 1/P0 to push the truncated mass below
+5e-4 (conservation_window).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from . import closedform
-from .bessel import truncation_order
 from .model import ModelError, SystemParams, WideBand
 from .solvers import AmplitudeTrajectory, default_dt
 
@@ -74,14 +74,8 @@ class EnergySpectrum:
 def sideband_count(params: SystemParams) -> int:
     """Number of sidebands carrying weight above closedform.FLOQUET_TAIL_TOL, 0 when
     undriven."""
-    tol = closedform.FLOQUET_TAIL_TOL
-    if params.level_drive is not None and params.level_drive.u != 0.0:
-        return truncation_order(abs(params.level_drive.u / params.level_drive.omega), tol)
-    if params.barrier_drive is not None and params.barrier_drive.alpha != 0.0:
-        return truncation_order(
-            params.barrier_drive.alpha * params.gamma / params.barrier_drive.omega, tol
-        )
-    return 0
+    sidebands = closedform._sidebands(params)
+    return 0 if sidebands is None else sidebands[2]
 
 
 def energy_grid(
@@ -94,23 +88,18 @@ def energy_grid(
 
     The core of _GRID_POINTS points spans E0 +/- (8 Gamma + n_max omega) by
     default and is refined _GRID_REFINE-fold within one Gamma of every
-    sideband E0 + n omega. Tails extend the window logarithmically (default
+    sideband E0 + n omega of the active drive. Tails extend the window logarithmically (default
     to 2000 Gamma, leaving ~1.6e-4 of a Lorentzian line outside).
     """
     g = params.gamma
-    n_max = sideband_count(params)
-    omega = 0.0
-    if params.level_drive is not None:
-        omega = params.level_drive.omega
-    elif params.barrier_drive is not None:
-        omega = params.barrier_drive.omega
+    sidebands = closedform._sidebands(params)
+    omega, n_max = (0.0, 0) if sidebands is None else sidebands[1:]
     if core_halfwidth is None:
         core_halfwidth = 8.0 * g + n_max * omega
     core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, _GRID_POINTS)
     step = core[1] - core[0]
     segments = [core]
-    peaks = [params.e0 + n * omega for n in range(-n_max, n_max + 1)] if omega else [params.e0]
-    for p in peaks:
+    for p in [params.e0 + n * omega for n in range(-n_max, n_max + 1)]:
         segments.append(np.arange(p - g, p + g + 0.5 * step / _GRID_REFINE, step / _GRID_REFINE))
     if tail_halfwidth is not None and tail_halfwidth > core_halfwidth:
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
@@ -151,7 +140,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
-    energies = np.asarray(energies, dtype=float)
+    energies, _ = closedform._finite_energies(energies)
     dt = times[1] - times[0]
     if np.max(np.abs(np.diff(times) - dt)) > 1.0e-9 * dt:
         raise ModelError("trajectory spectra need a uniform time grid t_k = k dt")
@@ -200,15 +189,8 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return math.sqrt(math.pi / tau) * np.exp(1j * centre * x) * amp
 
 
-def spectrum_asymptotic(params: SystemParams, kind: str, energies: np.ndarray) -> EnergySpectrum:
-    """Long-time wide-band spectrum over the grid: 'level', 'barrier' or 'static'."""
+def spectrum_asymptotic(params: SystemParams, energies: np.ndarray) -> EnergySpectrum:
+    """Long-time wide-band spectrum over the grid under the active drive of params."""
     energies = np.asarray(energies, dtype=float)
-    if kind == "level":
-        values = closedform.floquet_spectrum_level(params, energies)
-    elif kind == "barrier":
-        values = closedform.floquet_spectrum_barrier(params, energies)
-    elif kind == "static":
-        values = closedform.lineshape_markovian(params, energies, math.inf)
-    else:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
+    values = closedform.floquet_spectrum(params, energies)
     return EnergySpectrum.build(energies, values, time=math.inf)

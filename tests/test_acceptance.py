@@ -212,7 +212,7 @@ def test_c07_floquet_spectrum_consistency():
     spec = spectra.spectrum_from_trajectory(traj, grid)
     lev_rel = max(
         abs(spec.value_at(n * 2.0) - v) / v
-        for n, v in _significant_peaks(p_lev, closedform.floquet_spectrum_level, 2.0, 8).items()
+        for n, v in _significant_peaks(p_lev, closedform.floquet_spectrum, 2.0, 8).items()
     )
     # barrier drive, matching (linear-alpha) amplitude
     p_bar = SystemParams(e0=0.0, barrier_drive=BarrierDrive(0.1, 2.0))
@@ -227,11 +227,11 @@ def test_c07_floquet_spectrum_consistency():
     spec_b = spectra.spectrum_from_trajectory(lin, grid_b)
     bar_rel = max(
         abs(spec_b.value_at(n * 2.0) - v) / v
-        for n, v in _significant_peaks(p_bar, closedform.floquet_spectrum_barrier, 2.0, 6).items()
+        for n, v in _significant_peaks(p_bar, closedform.floquet_spectrum, 2.0, 6).items()
     )
     # asymptotic norms
-    norm_lev = spectra.spectrum_asymptotic(p_lev, "level", spectra.energy_grid(p_lev)).norm
-    norm_bar = spectra.spectrum_asymptotic(p_bar, "barrier", spectra.energy_grid(p_bar)).norm
+    norm_lev = spectra.spectrum_asymptotic(p_lev, spectra.energy_grid(p_lev)).norm
+    norm_bar = spectra.spectrum_asymptotic(p_bar, spectra.energy_grid(p_bar)).norm
     elapsed = time.perf_counter() - start
     peaks_ok = lev_rel < 0.01 and bar_rel < 0.01
     norms_ok = abs(norm_lev - 1.0) < 1e-3 and abs(norm_bar - 1.0) < 1e-3
@@ -259,11 +259,11 @@ def test_c08_sideband_comparison_at_figure_preset():
     amp = omega = 0.2
     level = SystemParams(e0=0.0, level_drive=LevelDrive(amp, omega))
     barrier = SystemParams(e0=0.0, barrier_drive=BarrierDrive(amp, omega))
-    lv_p = float(closedform.floquet_spectrum_level(level, omega))
-    lv_m = float(closedform.floquet_spectrum_level(level, -omega))
-    br = float(closedform.floquet_spectrum_barrier(barrier, omega))  # symmetric
-    lv_0 = float(closedform.floquet_spectrum_level(level, 0.0))
-    br_0 = float(closedform.floquet_spectrum_barrier(barrier, 0.0))
+    lv_p = float(closedform.floquet_spectrum(level, omega))
+    lv_m = float(closedform.floquet_spectrum(level, -omega))
+    br = float(closedform.floquet_spectrum(barrier, omega))  # symmetric
+    lv_0 = float(closedform.floquet_spectrum(level, 0.0))
+    br_0 = float(closedform.floquet_spectrum(barrier, 0.0))
     central_gap = abs(br_0 - lv_0) / lv_0
     plus_ok = br > lv_p
     minus_ok = br > lv_m

@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "WideBand",
     "b0_lorentzian_static",
     "b0_markovian_driven",
-    "b0_markovian_static",
     "bessel_ive",
     "bessel_j",
     "combine_signed",
@@ -35,8 +34,7 @@ PUBLIC_NAMES = {
     "default_dt",
     "energy_grid",
     "evolve_chain",
-    "floquet_spectrum_barrier",
-    "floquet_spectrum_level",
+    "floquet_spectrum",
     "lineshape_exact",
     "lineshape_markovian",
     "revival_time",
@@ -54,7 +52,7 @@ def test_public_names_are_pinned():
         for name in dir(welldecay)
         if not name.startswith("_") and not isinstance(getattr(welldecay, name), types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     assert exported == PUBLIC_NAMES
 
 

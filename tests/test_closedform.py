@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -31,11 +31,25 @@ TWO_PI = 2.0 * math.pi
 
 def test_markovian_static_values():
     p = SystemParams(e0=0.0)
-    assert closedform.b0_markovian_static(p, 0.0) == 1.0
-    assert abs(closedform.b0_markovian_static(p, 1.0) - math.exp(-0.5)) < 1e-15
+    assert closedform.b0_markovian_driven(p, 0.0) == 1.0
+    assert abs(closedform.b0_markovian_driven(p, 1.0) - math.exp(-0.5)) < 1e-15
     p1 = SystemParams(e0=1.0)
     expected = cmath.exp(2.0j) * math.exp(-1.0)
-    assert abs(closedform.b0_markovian_static(p1, -2.0) - expected) < 1e-15
+    assert abs(closedform.b0_markovian_driven(p1, -2.0) - expected) < 1e-15
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-50.0, 50.0),
+    log_gamma=st.floats(-6.0, 2.0),
+    t=st.one_of(st.just(0.0), st.floats(-100.0, 100.0)),
+)
+@example(e0=0.0, log_gamma=0.0, t=0.0)
+@example(e0=1.0, log_gamma=0.0, t=-2.0)
+def test_markovian_driven_without_drive_is_the_static_amplitude(e0, log_gamma, t):
+    g = 10.0**log_gamma
+    got = closedform.b0_markovian_driven(SystemParams(e0=e0, gamma=g), t)
+    assert abs(got - cmath.exp(-1j * e0 * t - 0.5 * g * abs(t))) <= 1e-15
 
 
 def test_markovian_driven_level_is_undriven_survival():
@@ -171,7 +185,7 @@ def test_time_reversal_of_closed_forms(e0):
     p = SystemParams(e0=e0)
     t = np.linspace(1e-3, 6.0, 97)
     for f in (
-        lambda tt: closedform.b0_markovian_static(p, tt),
+        lambda tt: closedform.b0_markovian_driven(p, tt),
         lambda tt: closedform.b0_lorentzian_static(p, 4.0, tt),
     ):
         assert np.max(np.abs(f(-t) - np.conj(f(t)))) < 1e-14
@@ -180,7 +194,7 @@ def test_time_reversal_of_closed_forms(e0):
 def test_cusp_markovian_one_sided_slopes():
     p = SystemParams(e0=0.7)
     h = 1e-7
-    p0 = lambda t: abs(closedform.b0_markovian_static(p, t)) ** 2
+    p0 = lambda t: abs(closedform.b0_markovian_driven(p, t)) ** 2
     right = (p0(h) - p0(0.0)) / h
     left = (p0(0.0) - p0(-h)) / h
     assert abs(right + 1.0) < 1e-6  # -Gamma
@@ -206,6 +220,12 @@ def test_cusp_lorentzian_smooth_first_derivative_third_derivative_jump():
 
 # --------------------------------------------------------------------------
 # line shapes and driven spectra
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_lineshape_markovian_rejects_negative_and_nan_time(t):
+    with pytest.raises(ModelError, match="t >= 0"):
+        closedform.lineshape_markovian(SystemParams(e0=0.0), 0.0, t)
 
 
 def test_lineshape_markovian_zero_at_t0():
@@ -242,14 +262,14 @@ def test_floquet_level_reduces_to_lorentzian_line():
     p = SystemParams(e0=0.4, level_drive=LevelDrive(u=0.0, omega=1.0))
     e = np.linspace(-6.0, 6.0, 301)
     line = closedform.lineshape_markovian(p, e, math.inf)
-    assert np.max(np.abs(closedform.floquet_spectrum_level(p, e) - line)) < 1e-14
+    assert np.max(np.abs(closedform.floquet_spectrum(p, e) - line)) < 1e-14
 
 
 def test_floquet_barrier_reduces_to_lorentzian_line():
     p = SystemParams(e0=-0.3, barrier_drive=BarrierDrive(alpha=0.0, omega=1.0))
     e = np.linspace(-6.0, 6.0, 301)
     line = closedform.lineshape_markovian(p, e, math.inf)
-    assert np.max(np.abs(closedform.floquet_spectrum_barrier(p, e) - line)) < 1e-14
+    assert np.max(np.abs(closedform.floquet_spectrum(p, e) - line)) < 1e-14
 
 
 def sideband_loops(params, e):
@@ -281,10 +301,9 @@ def sideband_loops(params, e):
 def test_floquet_spectra_match_per_sideband_loops(barrier, amp, omega, e0):
     if barrier:
         p = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha=0.99 * amp, omega=omega))
-        spectrum = closedform.floquet_spectrum_barrier
     else:
         p = SystemParams(e0=e0, level_drive=LevelDrive(u=8.0 * amp - 4.0, omega=omega))
-        spectrum = closedform.floquet_spectrum_level
+    spectrum = closedform.floquet_spectrum
     e = e0 + np.concatenate([np.linspace(-20.0, 20.0, 2001), [-500.0, 500.0]])
     ref = sideband_loops(p, e)
     got = spectrum(p, e)
@@ -305,12 +324,9 @@ def test_floquet_spectra_match_per_sideband_loops(barrier, amp, omega, e0):
 )
 def test_floquet_spectra_past_the_old_bessel_overflow(params):
     # both arguments lie beyond the old e^x overflow of I_n at 700
-    spectrum = closedform.floquet_spectrum_level
-    if params.barrier_drive is not None:
-        spectrum = closedform.floquet_spectrum_barrier
     e = params.e0 + np.linspace(-0.5, 0.5, 40)
     ref = sideband_loops(params, e)
-    assert np.max(np.abs(spectrum(params, e) - ref)) <= 1e-13 * np.max(ref)
+    assert np.max(np.abs(closedform.floquet_spectrum(params, e) - ref)) <= 1e-13 * np.max(ref)
 
 
 def blocked_pole_sum_sq(coef, detuning, omega, gamma, weight):
@@ -371,11 +387,10 @@ def test_floquet_panel_route_matches_blocked_pole_sum(
     g = 10.0**log_gamma
     if barrier:
         drive = {"barrier_drive": BarrierDrive(alpha=alpha, omega=alpha * g / order)}
-        spectrum = closedform.floquet_spectrum_barrier
     else:
         u = order * omega if seed % 2 else -order * omega
         drive = {"level_drive": LevelDrive(u=u, omega=omega)}
-        spectrum = closedform.floquet_spectrum_level
+    spectrum = closedform.floquet_spectrum
     p = SystemParams(e0=e0, gamma=g, **drive)
     e = np.concatenate(([e0 - 1.0e4], thinned_grid(p, 60_000), [e0 + 1.0e4]))
     got = spectrum(p, e)
@@ -399,8 +414,8 @@ def test_floquet_tiny_gamma_falls_back_to_the_direct_sum():
     # the outer panel keys of energies 1e120 away would overflow at gamma = 1e-200
     p = SystemParams(e0=0.0, gamma=1.0e-200, level_drive=LevelDrive(u=3.0, omega=0.1))
     e = np.concatenate((np.arange(-3.05, 3.0, 0.1), 1.0e120 * (1.0 + 1.0e-3 * np.arange(64))))
-    got = closedform.floquet_spectrum_level(p, e)
-    ref = blocked_reference(closedform.floquet_spectrum_level, p, e)
+    got = closedform.floquet_spectrum(p, e)
+    ref = blocked_reference(closedform.floquet_spectrum, p, e)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
@@ -415,12 +430,12 @@ def test_floquet_gamma_below_the_float_square_root_stays_finite(barrier, g):
     if barrier:
         p = SystemParams(e0=0.0, gamma=g, barrier_drive=BarrierDrive(alpha=0.2, omega=om))
         coef = np.array([-0.1j, 1.0, 0.1j])  # I_n(xi) e^{-xi} = delta_n0 at xi = alpha gamma / omega
-        got = closedform.floquet_spectrum_barrier(p, e)
+        got = closedform.floquet_spectrum(p, e)
     else:
         p = SystemParams(e0=0.0, gamma=g, level_drive=LevelDrive(u=0.2, omega=om))
         orders = np.arange(-20, 21)
         coef = (-1j) ** orders * bessel_j(orders, 1.0)
-        got = closedform.floquet_spectrum_level(p, e)
+        got = closedform.floquet_spectrum(p, e)
     m = np.arange(coef.size) - coef.size // 2
     ref = np.array([
         2.0 * abs(coef[m == 0][0]) ** 2 / (math.pi * g),
@@ -438,10 +453,12 @@ def test_undriven_line_forms_no_gamma_squared(kind, g):
     # 1.1e-5) and zero at 1e-162 (a division by zero); the line is a float
     p = SystemParams(e0=0.0, gamma=g)
     e = np.array([0.0, 0.5 * g, -g])
-    got = {
+    got = {  # the spectrum without an active drive, with a zero-amplitude one
         "lineshape": lambda: closedform.lineshape_markovian(p, e, math.inf),
-        "level": lambda: closedform.floquet_spectrum_level(p, e),
-        "barrier": lambda: closedform.floquet_spectrum_barrier(p, e),
+        "level": lambda: closedform.floquet_spectrum(
+            SystemParams(e0=0.0, gamma=g, level_drive=LevelDrive(0.0, 1.0)), e),
+        "barrier": lambda: closedform.floquet_spectrum(
+            SystemParams(e0=0.0, gamma=g, barrier_drive=BarrierDrive(0.0, 1.0)), e),
     }[kind]()
     ref = np.array([2.0, 1.0, 0.4]) / (math.pi * g)
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
@@ -450,8 +467,8 @@ def test_undriven_line_forms_no_gamma_squared(kind, g):
 def test_floquet_level_panel_route_on_the_benchmark_grid():
     # every 97th energy of the 302,307: the full all-pairs sum would cost 137 M terms
     p, grid = spectrum_level_case()
-    got = closedform.floquet_spectrum_level(p, grid)
-    ref = blocked_reference(closedform.floquet_spectrum_level, p, grid[::97])
+    got = closedform.floquet_spectrum(p, grid)
+    ref = blocked_reference(closedform.floquet_spectrum, p, grid[::97])
     assert np.max(np.abs(got[::97] - ref)) <= 1e-13 * np.max(ref)
 
 
@@ -461,7 +478,7 @@ def test_floquet_level_memory_is_output_plus_blocks():
     p, grid = spectrum_level_case()
     tracemalloc.start()
     try:
-        closedform.floquet_spectrum_level(p, grid)
+        closedform.floquet_spectrum(p, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,8 +493,8 @@ def test_floquet_level_mirror_symmetry(u, omega, e0):
     p = SystemParams(e0=e0, level_drive=LevelDrive(u=u, omega=omega))
     mirror = SystemParams(e0=-e0, level_drive=LevelDrive(u=-u, omega=omega))
     e = thinned_grid(p, 40_000)
-    got = closedform.floquet_spectrum_level(p, e)
-    mirrored = closedform.floquet_spectrum_level(mirror, -e)
+    got = closedform.floquet_spectrum(p, e)
+    mirrored = closedform.floquet_spectrum(mirror, -e)
     assert np.max(np.abs(mirrored - got)) <= 1e-13 * np.max(got)
 
 
@@ -487,8 +504,8 @@ def test_floquet_barrier_symmetry_about_e0(alpha, xi, e0):
     # P(E0 + x) = P(E0 - x) to rounding, for up to about 130 poles
     p = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha=alpha, omega=alpha / xi))
     e = thinned_grid(p, 40_000)
-    got = closedform.floquet_spectrum_barrier(p, e)
-    mirrored = closedform.floquet_spectrum_barrier(p, 2.0 * e0 - e)
+    got = closedform.floquet_spectrum(p, e)
+    mirrored = closedform.floquet_spectrum(p, 2.0 * e0 - e)
     assert np.max(np.abs(mirrored - got)) <= 1e-13 * np.max(got)
 
 
@@ -499,21 +516,19 @@ def test_floquet_spectra_reject_non_finite_energies(barrier, driven, bad):
     amp = 0.3 if driven else 0.0
     if barrier:
         p = SystemParams(e0=0.1, barrier_drive=BarrierDrive(alpha=amp, omega=0.5))
-        spectrum = closedform.floquet_spectrum_barrier
     else:
         p = SystemParams(e0=0.1, level_drive=LevelDrive(u=amp, omega=0.5))
-        spectrum = closedform.floquet_spectrum_level
     with pytest.raises(ModelError, match="finite"):
-        spectrum(p, [0.1, bad, 1.0])
+        closedform.floquet_spectrum(p, [0.1, bad, 1.0])
     with pytest.raises(ModelError, match="finite"):
-        spectrum(p, bad)
+        closedform.floquet_spectrum(p, bad)
 
 
 @pytest.mark.parametrize("e", [0.0, 0.2, -0.2, 0.4, -0.4])
 def test_floquet_level_matches_trajectory_oracle(e):
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.2, omega=0.2))
     ref = floquet_trajectory_oracle(p, e)
-    got = closedform.floquet_spectrum_level(p, e)
+    got = closedform.floquet_spectrum(p, e)
     assert abs(got - ref) < 2e-5 * max(ref, 1e-3)
 
 
@@ -522,14 +537,14 @@ def test_floquet_barrier_matches_trajectory_oracle(e):
     # pins the sign of the prefactor-generated second term
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
     ref = floquet_trajectory_oracle(p, e, linear_alpha=True)
-    got = closedform.floquet_spectrum_barrier(p, e)
+    got = closedform.floquet_spectrum(p, e)
     assert abs(got - ref) < 2e-5 * max(ref, 1e-3)
 
 
 def test_floquet_level_normalization():
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     total = quad(
-        lambda e: float(closedform.floquet_spectrum_level(p, e)), -np.inf, np.inf, limit=800
+        lambda e: float(closedform.floquet_spectrum(p, e)), -np.inf, np.inf, limit=800
     )[0]
     assert abs(total - 1.0) < 1e-3
 
@@ -543,7 +558,7 @@ def test_floquet_barrier_normalization_matches_its_parseval_value():
     w2 = (1.0 + 0.2 * np.sin(0.2 * t)) ** 2
     parseval = float(np.trapezoid(w2 * np.abs(b0) ** 2, t))
     total = quad(
-        lambda e: float(closedform.floquet_spectrum_barrier(p, e)), -np.inf, np.inf, limit=800
+        lambda e: float(closedform.floquet_spectrum(p, e)), -np.inf, np.inf, limit=800
     )[0]
     assert abs(total - parseval) < 5e-4
     assert abs(parseval - 1.0019) < 5e-4  # the O(alpha^2) excess, frozen
@@ -559,7 +574,7 @@ def test_floquet_barrier_normalization_small_drive():
     w2 = (1.0 + 0.1 * np.sin(2.0 * t)) ** 2
     parseval = float(np.trapezoid(w2 * np.abs(b0) ** 2, t))
     total = quad(
-        lambda e: float(closedform.floquet_spectrum_barrier(p, e)), -np.inf, np.inf, limit=800
+        lambda e: float(closedform.floquet_spectrum(p, e)), -np.inf, np.inf, limit=800
     )[0]
     assert abs(total - parseval) < 5e-4
     assert abs(total - 1.0043028) < 5e-5  # frozen measurement of the excess
@@ -568,12 +583,12 @@ def test_floquet_barrier_normalization_small_drive():
 def test_floquet_barrier_rejects_full_modulation():
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.0, omega=1.0))
     with pytest.raises(ModelError):
-        closedform.floquet_spectrum_barrier(p, 0.0)
+        closedform.floquet_spectrum(p, 0.0)
 
 
 def test_first_sideband_more_pronounced_for_barrier_drive():
     level = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.2, omega=0.2))
     barrier = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
-    lv = closedform.floquet_spectrum_level(level, 0.2)
-    br = closedform.floquet_spectrum_barrier(barrier, 0.2)
+    lv = closedform.floquet_spectrum(level, 0.2)
+    br = closedform.floquet_spectrum(barrier, 0.2)
     assert br > lv

@@ -499,7 +499,7 @@ def test_convergence_order_degenerate_is_infinite():
     p = SystemParams(e0=1.0)
     a = solve_wideband(p, SolverConfig(dt=1e-2, t_end=2.0))
     b = solve_wideband(p, SolverConfig(dt=5e-3, t_end=2.0))
-    assert convergence_order(a, b, lambda t: closedform.b0_markovian_static(p, t)) == math.inf
+    assert convergence_order(a, b, lambda t: closedform.b0_markovian_driven(p, t)) == math.inf
 
 
 def test_convergence_order_mismatch_raises():
@@ -507,7 +507,7 @@ def test_convergence_order_mismatch_raises():
     a = solve_wideband(p1, SolverConfig(dt=1e-2, t_end=2.0))
     b = solve_wideband(p2, SolverConfig(dt=5e-3, t_end=2.0))
     with pytest.raises(MismatchError):
-        convergence_order(a, b, lambda t: closedform.b0_markovian_static(p1, t))
+        convergence_order(a, b, lambda t: closedform.b0_markovian_driven(p1, t))
 
 
 def test_default_dt_obeys_resolution_rule():

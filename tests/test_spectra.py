@@ -59,9 +59,9 @@ def test_level_drive_spectrum_matches_floquet_sum_at_peaks():
     grid = energy_grid(p, tail_halfwidth=None)
     traj = wideband_run(p, 12.0, grid)
     spec = spectrum_from_trajectory(traj, grid)
-    for n in significant_sidebands(p, closedform.floquet_spectrum_level, 2.0, 8):
+    for n in significant_sidebands(p, closedform.floquet_spectrum, 2.0, 8):
         e_peak = n * 2.0
-        ref = float(closedform.floquet_spectrum_level(p, e_peak))
+        ref = float(closedform.floquet_spectrum(p, e_peak))
         got = spec.value_at(e_peak)
         assert abs(got - ref) / ref < 0.01, f"sideband n={n}"
 
@@ -81,9 +81,9 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
         base.method,
     )
     spec = spectrum_from_trajectory(lin, grid)
-    for n in significant_sidebands(p, closedform.floquet_spectrum_barrier, 2.0, 6):
+    for n in significant_sidebands(p, closedform.floquet_spectrum, 2.0, 6):
         e_peak = n * 2.0
-        ref = float(closedform.floquet_spectrum_barrier(p, e_peak))
+        ref = float(closedform.floquet_spectrum(p, e_peak))
         got = spec.value_at(e_peak)
         assert abs(got - ref) / ref < 0.01, f"sideband n={n}"
 
@@ -95,7 +95,7 @@ def test_exact_barrier_trajectory_vs_floquet_sum_gap_is_order_alpha_squared():
     grid = energy_grid(p, tail_halfwidth=None)
     traj = wideband_run(p, 12.0, grid)
     spec = spectrum_from_trajectory(traj, grid)
-    ref = float(closedform.floquet_spectrum_barrier(p, 0.0))
+    ref = float(closedform.floquet_spectrum(p, 0.0))
     rel = abs(spec.value_at(0.0) - ref) / ref
     assert 0.005 < rel < 0.03
 
@@ -163,7 +163,7 @@ def test_trajectory_dt_lands_on_t_end_within_both_limits(e0, u, omega, barrier, 
 def test_asymptotic_static_is_normalized_lorentzian():
     p = SystemParams(e0=0.0)
     grid = energy_grid(p)
-    spec = spectrum_asymptotic(p, "static", grid)
+    spec = spectrum_asymptotic(p, grid)
     assert math.isinf(spec.time)
     assert abs(spec.norm - 1.0) < 1e-3
     ref = closedform.lineshape_markovian(p, grid, math.inf)
@@ -172,7 +172,7 @@ def test_asymptotic_static_is_normalized_lorentzian():
 
 def test_asymptotic_level_norm():
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=3.0, omega=2.0))
-    spec = spectrum_asymptotic(p, "level", energy_grid(p))
+    spec = spectrum_asymptotic(p, energy_grid(p))
     assert abs(spec.norm - 1.0) < 1e-3
 
 
@@ -185,7 +185,7 @@ def test_peak_locations_sit_on_sidebands():
     # slots, so the scan keeps maxima above 5% of the tallest peak.
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     grid = energy_grid(p, tail_halfwidth=None)
-    spec = spectrum_asymptotic(p, "level", grid)
+    spec = spectrum_asymptotic(p, grid)
     v = spec.values
     interior = np.nonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] > 0.05 * v.max()))[0] + 1
     assert interior.size >= 4
@@ -200,8 +200,8 @@ def test_peak_locations_sit_on_sidebands():
 def test_barrier_spectrum_is_symmetric_at_band_center():
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
     e = np.linspace(0.05, 3.0, 37)
-    plus = closedform.floquet_spectrum_barrier(p, e)
-    minus = closedform.floquet_spectrum_barrier(p, -e)
+    plus = closedform.floquet_spectrum(p, e)
+    minus = closedform.floquet_spectrum(p, -e)
     assert np.max(np.abs(plus - minus) / plus) < 1e-6
 
 
@@ -212,11 +212,11 @@ def test_level_spectrum_mirror_maps_to_opposite_drive_sign():
     plus = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.2, omega=0.2))
     minus = SystemParams(e0=0.0, level_drive=LevelDrive(u=-0.2, omega=0.2))
     e = np.linspace(-2.0, 2.0, 41)
-    left = closedform.floquet_spectrum_level(plus, -e)
-    right = closedform.floquet_spectrum_level(minus, e)
+    left = closedform.floquet_spectrum(plus, -e)
+    right = closedform.floquet_spectrum(minus, e)
     assert np.max(np.abs(left - right) / right) < 1e-10
     # and the asymmetry itself is real: emission wins over absorption
-    assert closedform.floquet_spectrum_level(plus, -0.2) > 1.2 * closedform.floquet_spectrum_level(
+    assert closedform.floquet_spectrum(plus, -0.2) > 1.2 * closedform.floquet_spectrum(
         plus, 0.2
     )
 
@@ -224,9 +224,9 @@ def test_level_spectrum_mirror_maps_to_opposite_drive_sign():
 def test_fig5_preset_comparison_values():
     level = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.2, omega=0.2))
     barrier = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
-    lv_p = float(closedform.floquet_spectrum_level(level, 0.2))
-    lv_m = float(closedform.floquet_spectrum_level(level, -0.2))
-    br = float(closedform.floquet_spectrum_barrier(barrier, 0.2))
+    lv_p = float(closedform.floquet_spectrum(level, 0.2))
+    lv_m = float(closedform.floquet_spectrum(level, -0.2))
+    br = float(closedform.floquet_spectrum(barrier, 0.2))
     # frozen from the trajectory-quadrature oracle (see test_closedform)
     assert abs(lv_p - 0.465299) < 1e-4
     assert abs(lv_m - 0.617045) < 1e-4
@@ -298,6 +298,40 @@ def test_energy_spectrum_validation():
         EnergySpectrum.build(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 1.0)
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        spectrum_asymptotic(SystemParams(e0=0.0), "nope", np.linspace(-1, 1, 11))
+def test_asymptotic_spectrum_follows_the_drive_of_params():
+    # a barrier drive gives the barrier sideband sum, not the undriven line 2/pi
+    p = SystemParams(e0=0.3, barrier_drive=BarrierDrive(alpha=0.5, omega=0.5))
+    grid = energy_grid(p, tail_halfwidth=None)
+    spec = spectrum_asymptotic(p, grid)
+    assert np.array_equal(spec.values, closedform.floquet_spectrum(p, grid))
+    assert abs(spec.value_at(0.3) - 0.457474) < 1e-6
+
+
+def test_two_active_drives_are_rejected():
+    p = SystemParams(
+        e0=0.0, level_drive=LevelDrive(u=0.2, omega=0.2), barrier_drive=BarrierDrive(0.2, 0.2)
+    )
+    e = np.linspace(-1.0, 1.0, 11)
+    for call in (
+        lambda: closedform.floquet_spectrum(p, e),
+        lambda: spectrum_asymptotic(p, e),
+        lambda: energy_grid(p),
+    ):
+        with pytest.raises(ModelError, match="one drive"):
+            call()
+
+
+def test_zero_amplitude_drive_leaves_the_grid_to_the_active_one():
+    # the idle level drive's omega = 5 must not space the barrier's sidebands
+    barrier = BarrierDrive(alpha=0.5, omega=0.05)
+    alone = SystemParams(e0=0.5, barrier_drive=barrier)
+    both = SystemParams(e0=0.5, level_drive=LevelDrive(u=0.0, omega=5.0), barrier_drive=barrier)
+    assert np.array_equal(energy_grid(both), energy_grid(alone))
+    assert spectra.sideband_count(both) == spectra.sideband_count(alone) == 23
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trajectory_spectrum_rejects_non_finite_energies(bad):
+    traj = solve_wideband(SystemParams(e0=0.0), SolverConfig(dt=1e-2, t_end=1.0))
+    with pytest.raises(ModelError, match="finite"):
+        spectrum_from_trajectory(traj, [0.0, bad])
