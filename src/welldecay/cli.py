@@ -2,9 +2,12 @@
 detection, bundled figure presets, and a self-test of the oracle network.
 
 All energies are entered in units of the wide-band level width (Gamma = 1
-internally) and times in its inverse. Every run writes CSV data plus a
-manifest: manifest.json describes the latest run, manifest.jsonl
-accumulates one record per run (append-only log).
+internally) and times in its inverse. Each command that takes --out returns
+its CSV tables, its manifest blocks and a status line; one runner (_run)
+writes them. manifest.json describes the latest run, manifest.jsonl
+accumulates one record per run (append-only log), and the record's
+parameters are the parsed flags plus the values the command derived.
+Nothing is written unless the command returned and every flag is finite.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 a qualitative
 check of a figure preset failed.
@@ -32,10 +35,11 @@ from .model import (
     SystemParams,
     WideBand,
 )
-from .solvers import ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, solve
+from .solvers import ROUTES, ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, solve
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
 _CSV_BLOCK = 4096  # rows formatted per % operation
+_NOT_FLAGS = ("func", "raw_argv", "subcommand", "out")  # namespace keys kept out of parameters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,24 +60,35 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _emit_manifest(args, t0: float, parameters: dict, outputs: list, solver=None,
-                   norm_checks=None, checks=None) -> None:
-    """Write the run's record to manifest.json and append it to manifest.jsonl."""
+def _run(args) -> int:
+    """Run an output-writing command, then write its CSVs and its manifest record."""
+    t0 = time.perf_counter()
+    tables, blocks, message = args.func(args)
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS}
+    for name, value in flags.items():  # after the command, so models name their own fields
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "lambda" if name == "lam" else name.replace("_", "-")
+            raise ModelError(f"--{flag} must be finite, got {value}")
     record = {
         "command": f"{args.subcommand} {' '.join(args.raw_argv)}",
-        "parameters": parameters,
-        "solver": solver or {},
-        "norm_checks": norm_checks or {},
-        "qualitative_checks": checks or {},
+        "parameters": {**flags, **blocks.get("parameters", {})},
+        **{key: blocks.get(key, {}) for key in ("solver", "norm_checks", "qualitative_checks")},
         "version": __version__,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": outputs,
+        "wall_time_s": 0.0,
+        "outputs": list(tables),
     }
+    json.dumps(record, allow_nan=False)  # a record that cannot be written stops the run here
     outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, columns) in tables.items():
+        _write_csv(outdir / name, header, columns)
+    record["wall_time_s"] = round(time.perf_counter() - t0, 3)
     text = json.dumps(record, indent=2, allow_nan=False)
     (outdir / "manifest.json").write_text(text + "\n", encoding="utf-8")
     with open(outdir / "manifest.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, allow_nan=False) + "\n")
+    print(message)
+    return 0 if all(record["qualitative_checks"].values()) else CHECK_FAILURE
 
 
 def _json_safe(x):
@@ -112,16 +127,16 @@ def _build_reservoir(args):
     return FiniteChain(n_levels=args.n, w_band=args.w)
 
 
-def cmd_survival(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_survival(args) -> tuple[dict, dict, str]:
     params = _build_params(args)
     if not 0.0 < args.t_max < math.inf:
         raise ModelError("--t-max must be positive and finite")
     if not -math.inf < args.t_min <= 0.0:
         raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
     reservoir = _build_reservoir(args)  # validated before dt uses it
+    if args.oracle and not (params.static and "closed" in ROUTES[type(reservoir)]):
+        raise ModelError("--oracle needs a static run of a model with a closed form "
+                         "(wideband or lorentzian)")
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
 
     def side(t_end):
@@ -134,16 +149,16 @@ def cmd_survival(args) -> int:
     columns = [times, p0]
     header = ["t_in_1/Gamma", "P0"]
     norm_checks: dict = {}
-    extra: dict = {}
+    derived: dict = {}
     if args.model == "chain":
         norm_checks["norm_drift"] = traj.norm_drift
         try:
-            extra["revival_time"] = chain.revival_time(pos)
+            derived["revival_time"] = chain.revival_time(pos)
         except SolverError:
-            extra["revival_time"] = None
+            derived["revival_time"] = None
     else:
         norm_checks["max_abs_b0"] = float(np.max(np.abs(traj.b0)))
-    if args.oracle and args.model in ("wideband", "lorentzian") and params.static:
+    if args.oracle:
         if args.model == "wideband":
             oracle = np.abs(closedform.b0_markovian_driven(params, times)) ** 2
         else:
@@ -152,33 +167,14 @@ def cmd_survival(args) -> int:
         header.append("P0_oracle")
         norm_checks["max_oracle_gap"] = float(np.max(np.abs(p0 - oracle)))
 
-    _write_csv(outdir / "survival.csv", header, columns)
-    parameters = {
-        "model": args.model,
-        "e0": args.e0,
-        "drive": args.drive,
-        "u": args.u,
-        "alpha": args.alpha,
-        "omega": args.omega,
-        "lambda": args.lam,
-        "w": args.w,
-        "n": args.n,
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        **extra,
-    }
     solver = {"method": traj.method, "dt": float(times[1] - times[0]), "rows": len(times)}
-    _emit_manifest(args, t0, parameters, ["survival.csv"], solver, norm_checks)
-    print(f"wrote {outdir / 'survival.csv'} ({len(times)} rows)")
-    return 0
+    blocks = {"parameters": derived, "solver": solver, "norm_checks": norm_checks}
+    message = f"wrote {Path(args.out) / 'survival.csv'} ({len(times)} rows)"
+    return {"survival.csv": (header, columns)}, blocks, message
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_spectrum(args) -> tuple[dict, dict, str]:
     params = _build_params(args)
-
     norm_checks: dict = {}
     solver: dict = {"method": args.method}
     if args.method == "asymptotic":
@@ -200,52 +196,36 @@ def cmd_spectrum(args) -> int:
     solver["rows"] = len(spec.energies)
     norm_checks["norm"] = spec.norm
 
-    _write_csv(outdir / "spectrum.csv", ["E_in_Gamma", "Pbar"], [spec.energies, spec.values])
-    parameters = {
-        "drive": args.drive,
-        "e0": args.e0,
-        "u": args.u,
-        "alpha": args.alpha,
-        "omega": args.omega,
-        "method": args.method,
-        "t": args.t if args.method == "trajectory" else None,
-    }
-    _emit_manifest(args, t0, parameters, ["spectrum.csv"], solver, norm_checks)
-    print(f"wrote {outdir / 'spectrum.csv'} ({len(spec.energies)} rows, norm {spec.norm:.6f})")
-    return 0
+    tables = {"spectrum.csv": (["E_in_Gamma", "Pbar"], [spec.energies, spec.values])}
+    message = (f"wrote {Path(args.out) / 'spectrum.csv'} "
+               f"({len(spec.energies)} rows, norm {spec.norm:.6f})")
+    return tables, {"solver": solver, "norm_checks": norm_checks}, message
 
 
-def cmd_revival(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_revival(args) -> tuple[dict, dict, str]:
     params = SystemParams(e0=args.e0)
     reservoir = FiniteChain(n_levels=args.n, w_band=args.w)
     t_max = 3.0 * (args.n + 1) / args.w + 20.0 if args.t_max is None else args.t_max
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
     traj = solve(params, reservoir, SolverConfig(dt=dt, t_end=t_max))
     t_rev = chain.revival_time(traj)
-    _write_csv(outdir / "revival.csv", ["t_in_1/Gamma", "P0"], [traj.times, traj.p0])
-    _emit_manifest(
-        args, t0,
-        {"n": args.n, "w": args.w, "e0": args.e0, "t_max": t_max, "revival_time": t_rev},
-        ["revival.csv"],
-        {"method": traj.method, "dt": dt, "rows": len(traj.times)},
-        {"norm_drift": traj.norm_drift},
-        {"revival_found": t_rev is not None},
-    )
+    blocks = {
+        "parameters": {"t_max": t_max, "revival_time": t_rev},
+        "solver": {"method": traj.method, "dt": dt, "rows": len(traj.times)},
+        "norm_checks": {"norm_drift": traj.norm_drift},
+    }
     if t_rev is None:
-        print("no revival found in the simulated window")
+        message = "no revival found in the simulated window"
     else:
-        print(f"revival at Gamma t = {t_rev:.4g}")
-    return 0
+        message = f"revival at Gamma t = {t_rev:.4g}"
+    return {"revival.csv": (["t_in_1/Gamma", "P0"], [traj.times, traj.p0])}, blocks, message
 
 
 # ---------------------------------------------------------------------------
-# figure presets
+# figure presets: each returns (tables, checks, details)
 
 
-def _fig2(outdir: Path) -> tuple[dict, dict, list]:
+def _fig2() -> tuple[dict, dict, dict]:
     w_band, e0 = 6.0, 1.0
     dt = 0.005
     t_max = 120.0
@@ -259,8 +239,7 @@ def _fig2(outdir: Path) -> tuple[dict, dict, list]:
     times = series[250].times
     exp_ref = np.exp(-times)
     header = ["t_in_1/Gamma", "P0_exponential", "P0_chain_N150", "P0_chain_N250"]
-    _write_csv(outdir / "fig2_survival.csv", header,
-               [times, exp_ref, series[150].p0, series[250].p0])
+    tables = {"fig2_survival.csv": (header, [times, exp_ref, series[150].p0, series[250].p0])}
     early = times <= 5.0
     late = (times >= 1.0) & (times <= 5.0)
     checks = {
@@ -279,33 +258,24 @@ def _fig2(outdir: Path) -> tuple[dict, dict, list]:
         "max_dev_from_exp_t_below_5": float(np.max(np.abs(series[250].p0[early] - exp_ref[early]))),
         "max_dev_from_exp_t_1_to_5": float(np.max(np.abs(series[250].p0[late] - exp_ref[late]))),
     }
-    return checks, details, ["fig2_survival.csv"]
+    return tables, checks, details
 
 
-def _driven_pair(lam, e0, drive_kind, amp, omega, t_max, dt):
-    static = SystemParams(e0=e0)
-    if drive_kind == "level":
-        driven = SystemParams(e0=e0, level_drive=LevelDrive(amp, omega))
+def _fig34(which: str) -> tuple[dict, dict, dict]:
+    lam, omega, cfg = 4.0, 2.0, SolverConfig(dt=0.002, t_end=6.0)
+    if which == "fig3":
+        drive = {"level_drive": LevelDrive(3.0, omega)}
     else:
-        driven = SystemParams(e0=e0, barrier_drive=BarrierDrive(amp, omega))
-    cfg = SolverConfig(dt=dt, t_end=t_max)
-    return tuple(solve(p, Lorentzian(lam), cfg, "ode") for p in (static, driven))
-
-
-def _fig34(outdir: Path, which: str) -> tuple[dict, dict, list]:
-    lam, omega, t_max, dt = 4.0, 2.0, 6.0, 0.002
-    drive_kind, amp = ("level", 3.0) if which == "fig3" else ("barrier", 0.1)
-    data = {}
-    for e0 in (3.0, 0.0):
-        data[e0] = _driven_pair(lam, e0, drive_kind, amp, omega, t_max, dt)
+        drive = {"barrier_drive": BarrierDrive(0.1, omega)}
+    data = {e0: [solve(SystemParams(e0=e0, **d), Lorentzian(lam), cfg, "ode") for d in ({}, drive)]
+            for e0 in (3.0, 0.0)}
     times = data[3.0][0].times
     header = [
         "t_in_1/Gamma",
         "P0_static_e0_3", "P0_driven_e0_3",
         "P0_static_e0_0", "P0_driven_e0_0",
     ]
-    _write_csv(outdir / f"{which}_survival.csv", header,
-               [times, data[3.0][0].p0, data[3.0][1].p0, data[0.0][0].p0, data[0.0][1].p0])
+    columns = [times, data[3.0][0].p0, data[3.0][1].p0, data[0.0][0].p0, data[0.0][1].p0]
     i4 = data[3.0][0].index_of(4.0)
     p = {e0: (data[e0][0].p0[i4], data[e0][1].p0[i4]) for e0 in (3.0, 0.0)}
     if which == "fig3":
@@ -324,18 +294,18 @@ def _fig34(outdir: Path, which: str) -> tuple[dict, dict, list]:
         "P0_at_t4_static_e0_0": float(p[0.0][0]),
         "P0_at_t4_driven_e0_0": float(p[0.0][1]),
     }
-    return checks, details, [f"{which}_survival.csv"]
+    return {f"{which}_survival.csv": (header, columns)}, checks, details
 
 
-def _fig5(outdir: Path) -> tuple[dict, dict, list]:
+def _fig5() -> tuple[dict, dict, dict]:
     amp = omega = 0.2
     level = SystemParams(e0=0.0, level_drive=LevelDrive(amp, omega))
     barrier = SystemParams(e0=0.0, barrier_drive=BarrierDrive(amp, omega))
     grid = spectra.energy_grid(level, core_halfwidth=12.0)
     s_level = spectra.spectrum_asymptotic(level, grid)
     s_barrier = spectra.spectrum_asymptotic(barrier, grid)
-    _write_csv(outdir / "fig5_spectrum.csv", ["E_in_Gamma", "Pbar_level", "Pbar_barrier"],
-               [grid, s_level.values, s_barrier.values])
+    tables = {"fig5_spectrum.csv": (["E_in_Gamma", "Pbar_level", "Pbar_barrier"],
+                                    [grid, s_level.values, s_barrier.values])}
     lv_p, lv_m, lv_0 = (s_level.value_at(omega), s_level.value_at(-omega), s_level.value_at(0.0))
     br_p, br_0 = s_barrier.value_at(omega), s_barrier.value_at(0.0)
     checks = {
@@ -354,22 +324,17 @@ def _fig5(outdir: Path) -> tuple[dict, dict, list]:
         "norm_level": s_level.norm,
         "norm_barrier": s_barrier.norm,
     }
-    return checks, details, ["fig5_spectrum.csv"]
+    return tables, checks, details
 
 
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    runner = {"fig2": _fig2, "fig3": lambda o: _fig34(o, "fig3"),
-              "fig4": lambda o: _fig34(o, "fig4"), "fig5": _fig5}[args.figure]
-    checks, details, outputs = runner(outdir)
-    parameters = {"figure": args.figure, **{k: _json_safe(v) for k, v in details.items()}}
-    _emit_manifest(args, t0, parameters, outputs, checks=checks)
-    ok = all(checks.values())
-    for name, passed in checks.items():
-        print(f"[{'PASS' if passed else 'FAIL'}] {args.figure}: {name}")
-    return 0 if ok else CHECK_FAILURE
+def cmd_reproduce(args) -> tuple[dict, dict, str]:
+    preset = {"fig2": _fig2, "fig3": lambda: _fig34("fig3"),
+              "fig4": lambda: _fig34("fig4"), "fig5": _fig5}[args.figure]
+    tables, checks, details = preset()
+    blocks = {"parameters": {k: _json_safe(v) for k, v in details.items()},
+              "qualitative_checks": checks}
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {args.figure}: {name}" for name, ok in checks.items()]
+    return tables, blocks, "\n".join(lines)
 
 
 def cmd_selftest(args) -> int:
@@ -436,48 +401,45 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="welldecay", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
+    drive = argparse.ArgumentParser(add_help=False)
+    drive.add_argument("--e0", type=float, default=0.0)
+    drive.add_argument("--drive", choices=["none", "level", "barrier"], default="none")
+    drive.add_argument("--u", type=float, default=0.0, help="level-drive amplitude")
+    drive.add_argument("--alpha", type=float, default=0.0, help="barrier-drive amplitude")
+    drive.add_argument("--omega", type=float, help="drive frequency")
 
-    p = sub.add_parser("survival", help="survival probability P0(t) on a signed time grid")
+    p = sub.add_parser("survival", parents=[drive, out],
+                       help="survival probability P0(t) on a signed time grid")
     p.add_argument("--model", required=True, choices=["wideband", "lorentzian", "semicircle", "chain"])
     p.add_argument("--lambda", dest="lam", type=float, help="Lorentzian half-width (in Gamma)")
     p.add_argument("--w", type=float, help="band edge W (semicircle / chain)")
     p.add_argument("--n", type=int, help="number of chain levels")
-    p.add_argument("--e0", type=float, default=0.0)
-    p.add_argument("--drive", choices=["none", "level", "barrier"], default="none")
-    p.add_argument("--u", type=float, default=0.0, help="level-drive amplitude")
-    p.add_argument("--alpha", type=float, default=0.0, help="barrier-drive amplitude")
-    p.add_argument("--omega", type=float, help="drive frequency")
     p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
     p.add_argument("--t-max", dest="t_max", type=float, required=True)
     p.add_argument("--dt", type=float)
-    p.add_argument("--method", choices=["auto", "volterra", "ode", "closed"], default="auto")
+    routes = dict.fromkeys(route for names in ROUTES.values() for route in names)
+    p.add_argument("--method", choices=["auto", *routes], default="auto")
     p.add_argument("--oracle", action="store_true", help="add a closed-form column")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_survival)
 
-    p = sub.add_parser("spectrum", help="energy distribution of the tunneled particle")
-    p.add_argument("--drive", choices=["none", "level", "barrier"], default="none")
-    p.add_argument("--u", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--e0", type=float, default=0.0)
+    p = sub.add_parser("spectrum", parents=[drive, out],
+                       help="energy distribution of the tunneled particle")
     p.add_argument("--method", choices=["asymptotic", "trajectory"], default="asymptotic")
     p.add_argument("--t", type=float, default=12.0, help="end time for the trajectory method")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("revival", help="finite-reservoir revival detection")
+    p = sub.add_parser("revival", parents=[out], help="finite-reservoir revival detection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--e0", type=float, default=0.0)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--dt", type=float)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_revival)
 
-    p = sub.add_parser("reproduce", help="run a bundled figure preset")
+    p = sub.add_parser("reproduce", parents=[out], help="run a bundled figure preset")
     p.add_argument("figure", choices=["fig2", "fig3", "fig4", "fig5"])
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("selftest", help="oracle-equivalence smoke suite")
@@ -487,12 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.raw_argv = argv[1:]
-    try:
-        return args.func(args)
-    except (ModelError, ResolutionError, ValueError) as exc:
+    try:  # a command that takes --out returns its outputs for _run to write
+        return _run(args) if "out" in args else args.func(args)
+    except (ModelError, ResolutionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SolverError as exc:

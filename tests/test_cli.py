@@ -267,3 +267,102 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+MANIFEST_KEYS = ["command", "parameters", "solver", "norm_checks", "qualitative_checks",
+                 "version", "wall_time_s", "outputs"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "survival --model wideband --e0 0.3 --t-max 1 --dt 0.01 --oracle",
+        "spectrum --drive level --u 0.2 --omega 0.2",
+        "revival --n 40 --w 6",
+        "reproduce fig5",
+    ],
+)
+def test_manifest_records_every_flag_and_every_csv(tmp_path, argv):
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+    manifest = read_manifest(tmp_path)
+    assert list(manifest) == MANIFEST_KEYS
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    flags = vars(cli.build_parser().parse_args(argv.split()))
+    for key in ("func", "subcommand", "out"):
+        del flags[key]
+    parameters = manifest["parameters"]
+    assert set(flags) <= set(parameters)
+    # a flag left unset may be resolved by the command (revival's t_max)
+    assert all(parameters[k] == v for k, v in flags.items() if v is not None)
+
+
+def test_revival_without_a_revival_exits_0(tmp_path):
+    rc = main(["revival", "--n", "150", "--w", "6", "--t-max", "30", "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = read_manifest(tmp_path)
+    assert manifest["parameters"]["revival_time"] is None
+    assert all(manifest["qualitative_checks"].values())
+
+
+@pytest.mark.parametrize("flag,value", [("--u", "nan"), ("--lambda", "inf")])
+def test_nonfinite_unread_flag_exits_1_before_any_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    argv = ["survival", "--model", "wideband", "--t-max", "1", flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err, err
+
+
+def test_unusable_out_exits_1(tmp_path, capsys):
+    regular = tmp_path / "file"
+    regular.write_text("")
+    assert main(["reproduce", "fig3", "--out", str(regular / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--model semicircle --w 6",
+        "--model chain --n 20 --w 6",
+        "--model lorentzian --lambda 4 --drive level --u 1 --omega 2",
+        "--model wideband --drive barrier --alpha 0.5 --omega 2",
+    ],
+)
+def test_oracle_without_a_closed_form_is_rejected_before_any_solve(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+    rc = main(["survival", *argv.split(), "--t-max", "1", "--oracle", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "--oracle" in capsys.readouterr().err
+    assert not (tmp_path / "survival.csv").exists()
+
+
+def test_survival_methods_are_the_routes(tmp_path):
+    from welldecay.solvers import ROUTES
+
+    parser = cli.build_parser()
+    for method in ["auto", *(r for names in ROUTES.values() for r in names)]:
+        argv = ["survival", "--model", "chain", "--t-max", "1", "--method", method]
+        assert parser.parse_args(argv).method == method
+    rc = main(["survival", "--model", "chain", "--n", "40", "--w", "6", "--t-max", "5",
+               "--method", "exact", "--out", str(tmp_path)])
+    assert rc == 0
+    assert read_manifest(tmp_path)["solver"]["method"] == "eigendecomposition"
+
+
+def test_benchmark_job_argvs_parse(monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        for job, argv in workloads.job_argvs(name, 0):
+            assert parser.parse_args(argv).subcommand == job.command
