@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from welldecay import cli
 from welldecay.cli import main
@@ -101,6 +103,56 @@ def test_csv_bytes_match_per_value_format(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def format_rows(columns):
+    return "".join(",".join(format(v, ".15g") for v in row) + "\n" for row in zip(*columns))
+
+
+PINNED = [
+    123456789012345.5, 123456789012344.5, 0.5, 2.5,  # exact ties go to the even digit
+    1234567890123445.0, 1234567890123455.0, 9007199254740993.0,  # 16-digit integers
+    9.999999999999995e14, 9.99999999999999e-5, 9.9999999999999995e-5,  # carry to 10**k
+    99999.99999999999, 1e-5, 1e-4, 1e14, 1e15, 1.5e-5, 1.5e-4,  # the fixed/exponent switch
+    123456789012345.0, 1234567890123456.0, 1e99, 1e100, 1e-99, 1e-100,
+    1.2345e280, 1e-280, 1.7976931348623157e308, 5e-324,  # the edges of the numpy range
+    0.0, math.inf, math.nan, 1.0 / 3.0, 2.0 / 3.0, 100.0, 0.1,
+]
+PINNED += [-x for x in PINNED]
+# raw 64-bit patterns reach nan, +-inf, +-0, subnormals and |exponent| > 280
+VALUES = st.one_of(st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+                   st.sampled_from(PINNED))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(st.lists(VALUES, min_size=ncols, max_size=ncols), min_size=1, max_size=40)))
+def test_csv_bytes_match_format_on_raw_bit_patterns(tmp_path_factory, rows):
+    columns = list(np.array(rows).T)
+    path = tmp_path_factory.getbasetemp() / "bits.csv"
+    cli._write_csv(path, ["h"] * len(columns), columns)
+    assert path.read_bytes() == (",".join(["h"] * len(columns)) + "\n" + format_rows(columns)).encode()
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_bytes_match_format_on_pinned_values(tmp_path, ncols, offset):
+    rows = cli._CSV_BLOCK + offset
+    columns = [np.resize(np.roll(PINNED, 7 * j), rows) for j in range(ncols)]
+    header = [f"c{j}" for j in range(ncols)]
+    cli._write_csv(tmp_path / "out.csv", header, columns)
+    expected = ",".join(header) + "\n" + format_rows(columns)
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built a second parser"))
+    argv = ["survival", "--model", "lorentzian", "--lambda", "4", "--e0", "0.3", "--t-max", "2"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert cli._parser() is parser
+    assert (tmp_path / "a" / "survival.csv").read_bytes() == (tmp_path / "b" / "survival.csv").read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["spectrum", "--drive", "level", "--u", "0.2", "--omega", "0.2",
@@ -177,6 +229,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("survival --model chain --n 20 --w 6 --t-max 1 --dt 0", "SolverConfig.dt"),
         ("revival --n 20 --w 6 --dt 0", "SolverConfig.dt"),
         ("revival --n 20 --w 6 --t-max 0", "SolverConfig.t_end"),
+        ("revival --n 10 --w 6 --t-max -5", "--t-max must be positive"),
     ],
 )
 def test_nonfinite_input_exits_1_naming_the_field(tmp_path, capsys, argv, field):
