@@ -3,7 +3,7 @@ for static and periodically driven Hamiltonians, exact finite reservoirs,
 closed-form oracles, and photon-sideband spectra."""
 
 from .bessel import bessel_ive, bessel_j, truncation_order
-from .chain import evolve_chain, lineshape_exact, revival_time
+from .chain import lineshape_exact, revival_time
 from .closedform import (
     b0_lorentzian_static,
     b0_markovian_driven,

@@ -8,13 +8,14 @@ approximation enters, so it exhibits the finite-size revival, in which the
 survival probability returns after the excitation crosses the reservoir
 and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
-The chain is a reservoir like the continuum ones: evolve_chain takes the
-same SystemParams (level width and drive profiles) and SolverConfig,
-builds the same signed grid, applies the same resolution rule with the
-band W + |E0| + u, and returns an AmplitudeTrajectory whose sd is the
-FiniteChain; solvers.solve routes a FiniteChain here without storing the
-reservoir. It also fills the trajectory's br (reservoir amplitudes, one row
-per sample, when stored) and norm_drift (largest |<psi|psi> - 1| seen).
+The chain is a reservoir like the continuum ones: solvers.solve routes a
+FiniteChain to evolve_chain, which takes the same SystemParams (level width
+and drive profiles) and SolverConfig, builds the same signed grid, applies
+the same resolution rule with the band W + |E0| + u, and returns an
+AmplitudeTrajectory whose sd is the FiniteChain. It also fills the
+trajectory's br (the N reservoir amplitudes at the last sample, which
+lineshape_exact turns into the escaped particle's spectrum) and norm_drift
+(largest |<psi|psi> - 1| seen).
 
 Static Hamiltonians are propagated through the exact eigendecomposition of
 the real symmetric matrix, then b0 = sum_j |c_j|^2 e^{-i lam_j t} on every
@@ -25,9 +26,9 @@ direction vhat is fixed and the reservoir phases are diagonal, so the
 rotation's update delta_k of the bright component reaches later steps only
 through vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2
 e^{-i E_r j h}: b0 is a scalar recurrence with a Toeplitz memory, run by the
-Volterra solver's sub-block helper. K_j is a phase sum too; the reservoir
-amplitudes, and the norm at every _PHASE_BLOCK-th step and the last, follow
-from prefix sums of delta_m e^{i E_r m h} over the same phase tables.
+Volterra solver's sub-block helper. K_j is a phase sum too; the norm at
+every _PHASE_BLOCK-th step and the last, and the final reservoir amplitudes,
+follow from prefix sums of delta_m e^{i E_r m h} over the same phase tables.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .solvers import (
 from .spectra import EnergySpectrum
 
 NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
-_CHUNK_ELEMENTS = 1 << 18  # entries of the (time, mode) block formed at once
 _REVIVAL_DROP, _REVIVAL_RISE = 0.01, 0.05  # revival_time: P0 empties below, returns above
 
 
@@ -66,23 +66,21 @@ def _hamiltonian(params: SystemParams, chain: FiniteChain) -> np.ndarray:
 
 
 def evolve_chain(
-    params: SystemParams,
-    chain: FiniteChain,
-    cfg: SolverConfig,
-    store_reservoir: bool = True,
+    params: SystemParams, chain: FiniteChain, cfg: SolverConfig
 ) -> AmplitudeTrajectory:
     """Evolve from b0 = 1, br = 0 at t = 0 out to cfg.t_end (either sign).
 
     The drive is the one params describes; the run is static when it has none.
+    The trajectory's br holds the reservoir amplitudes at cfg.t_end.
     """
     _check_resolution(cfg, params, chain)
     times = _grid(cfg)
     if params.static:
         method = "eigendecomposition"
-        b0, br, drift = _evolve_eig(params, chain, times, store_reservoir)
+        b0, br, drift = _evolve_eig(params, chain, times)
     else:
         method = "strang-splitting"
-        b0, br, drift = _evolve_strang(chain, params, times, store_reservoir)
+        b0, br, drift = _evolve_strang(chain, params, times)
 
     span = max(abs(cfg.t_end), 1.0)
     if drift > NORM_DRIFT_LIMIT * span:
@@ -90,26 +88,19 @@ def evolve_chain(
     return AmplitudeTrajectory(times, b0, params, chain, cfg, method, br=br, norm_drift=drift)
 
 
-def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray, store_reservoir: bool):
+def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray):
     lam, vec = np.linalg.eigh(_hamiltonian(params, chain))
     c0 = vec[0, :]  # overlap of the initial state with each eigenmode
     b0 = _phase_sums(c0 * c0, lam * (times[1] - times[0]), times.size - 1)[0]  # t_k = k dt
     b0[0] = 1.0  # U(0) = I exactly
-    # the full state on every node when stored, else on 8 nodes to spot-check unitarity
-    nodes = np.linspace(0, times.size - 1, times.size if store_reservoir else 8, dtype=int)
-    br = np.empty((nodes.size, chain.n_levels), dtype=complex)
-    drift = 0.0
-    step = max(1, _CHUNK_ELEMENTS // lam.size)  # chunks bound the memory of the mode block
-    for lo in range(0, nodes.size, step):
-        state = (np.exp(-1j * np.outer(times[nodes[lo : lo + step]], lam)) * c0) @ vec.T
-        br[lo : lo + step] = state[:, 1:]
-        drift = max(drift, float(np.max(np.abs(np.sum(np.abs(state) ** 2, axis=1) - 1.0))))
-    return b0, br if store_reservoir else None, drift
+    # the full state on 8 nodes, the last among them, to spot-check unitarity
+    nodes = np.linspace(0, times.size - 1, 8, dtype=int)
+    states = (np.exp(-1j * np.outer(times[nodes], lam)) * c0) @ vec.T
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    return b0, states[-1, 1:], drift
 
 
-def _evolve_strang(
-    chain: FiniteChain, params: SystemParams, times: np.ndarray, store_reservoir: bool
-):
+def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
     n = times.size - 1
     h = times[1] - times[0]  # signed step
     er = chain.level_energies()
@@ -156,19 +147,7 @@ def _evolve_strang(
     sums = np.cumsum((blocks @ turn.conj()) * shift[:nd].conj(), axis=0)
     ends = np.minimum(P * np.arange(1, nd + 1), n)
     drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(sums) ** 2 @ vhat**2 - 1.0)))
-    if not store_reservoir:
-        return b0, None, drift
-    br = np.empty((n + 1, chain.n_levels), dtype=complex)
-    br[0] = 0.0
-    carry = 0.0  # sum_{m<lo} delta_m e^{-i E_r (lo-m) h}
-    for lo in range(0, n, P):
-        j = min(P, n - lo)
-        rows = np.cumsum(delta[lo : lo + j, None] * turn[:j].conj(), axis=0)
-        rows += carry
-        rows *= turn[:j]  # sum_{m<=k} delta_m e^{-i E_r (k-m) h}, k = lo .. lo + j - 1
-        carry = rows[-1] * turn[1]
-        br[lo + 1 : lo + j + 1] = rows
-    br[1:] *= np.exp(-0.5j * theta_r) * vhat
+    br = vhat * np.exp(-1j * (n - 0.5) * theta_r) * sums[-1]
     return b0, br, drift
 
 
@@ -193,19 +172,16 @@ def revival_time(traj: AmplitudeTrajectory) -> Optional[float]:
     return float(traj.times[start + above[0]])
 
 
-def lineshape_exact(traj: AmplitudeTrajectory, t: Optional[float] = None) -> EnergySpectrum:
-    """Reservoir energy distribution P_r(t) rho(E_r) over the chain levels.
+def lineshape_exact(traj: AmplitudeTrajectory) -> EnergySpectrum:
+    """Reservoir energy distribution P_r rho(E_r) over the chain levels at the run's end.
 
     Comparable to the continuum line shape before the revival; energies are
     returned ascending. The couplings vanish at the band edges, so the
     diverging level density there multiplies a vanishing occupation.
     """
     if traj.br is None:
-        raise ModelError("reservoir amplitudes were not stored for this run")
-    if t is None:
-        t = float(traj.times[-1])
-    br = traj.br[traj.index_of(t)]
+        raise ModelError(f"{traj.method} carries no reservoir amplitudes; run a FiniteChain")
     er = traj.sd.level_energies()
-    values = np.abs(br) ** 2 * traj.sd.level_density()
+    values = np.abs(traj.br) ** 2 * traj.sd.level_density()
     order = np.argsort(er)
-    return EnergySpectrum.build(er[order], values[order], time=t)
+    return EnergySpectrum.build(er[order], values[order], time=float(traj.times[-1]))

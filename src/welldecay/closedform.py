@@ -122,35 +122,36 @@ def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:
 def b0_lorentzian_static(params: SystemParams, lam: float, t):
     """Static Lorentzian-reservoir amplitude, both signs of t.
 
-    Evaluated through scaled exponentials, 0.5 (1 +/- c) e^{(+/-Q - L)|t|/2}
-    with c = (L - i sgn E0)/Q, so large L |t| cannot overflow (Re Q < L
+    Evaluated at |t| through scaled exponentials, 0.5 (1 +/- c)
+    e^{(+/-Q - L - i E0)|t|/2} with c = (L - i E0)/Q and
+    Q = lorentzian_q(params, lam, 1), so large L |t| cannot overflow (Re Q < L
     whenever Gamma > 0). The Q -> 0 degeneracy is removable and handled by
-    the series of sinh(z)/z.
+    the series of sinh(z)/z. The Hamiltonian is real, so b0(-t) = conj b0(t).
     """
     if not lam > 0.0:
         raise ModelError(f"Lorentzian half-width must be positive, got {lam}")
     t, scalar = _as_float_array(t)
-    tt = np.atleast_1d(t)
-    out = np.ones_like(tt, dtype=complex)
-    for sign in (1.0, -1.0):
-        mask = np.sign(tt) == sign
-        if not np.any(mask):
-            continue
-        at = np.abs(tt[mask])
-        q = lorentzian_q(params, lam, sign)
-        pre = np.exp(-0.5j * params.e0 * tt[mask])
+    t = np.atleast_1d(t)
+    at = np.abs(t)
+    q = lorentzian_q(params, lam, 1.0)
+    k = lam + 1j * params.e0  # L + i E0
+    if abs(q) * at.max(initial=0.0) < 1.0e-4:
+        # e^{-k|t|/2} (cosh(z) + conj(k) (|t|/2) sinh(z)/z), series-safe near Q = 0
         z = 0.5 * q * at
-        if abs(q) * np.max(at) < 1.0e-4:
-            # cosh(z) + (L - i s E0) (|t|/2) sinh(z)/z, series-safe near Q = 0
-            sinhc = 1.0 + z * z / 6.0 + z**4 / 120.0
-            body = np.cosh(z) + (lam - 1j * sign * params.e0) * 0.5 * at * sinhc
-            out[mask] = pre * np.exp(-0.5 * lam * at) * body
-        else:
-            c = (lam - 1j * sign * params.e0) / q
-            ep = np.exp((z.real - 0.5 * lam * at) + 1j * z.imag)
-            em = np.exp((-z.real - 0.5 * lam * at) - 1j * z.imag)
-            out[mask] = pre * 0.5 * ((1.0 + c) * ep + (1.0 - c) * em)
-    return out[0] if scalar else out.reshape(t.shape)
+        out = np.cosh(z) + k.conjugate() * 0.5 * at * (1.0 + z * z / 6.0 + z**4 / 120.0)
+        out *= np.exp(-0.5 * k * at)
+    else:
+        c = k.conjugate() / q
+        out = at * (0.5 * (q - k))
+        np.exp(out, out=out)
+        out *= 0.5 * (1.0 + c)
+        em = at * (-0.5 * (q + k))
+        np.exp(em, out=em)
+        em *= 0.5 * (1.0 - c)
+        out += em
+    out[at == 0.0] = 1.0  # U(0) = I exactly: 0.5 (1 + c) + 0.5 (1 - c) may round off 1
+    out.imag *= np.where(t < 0.0, -1.0, 1.0)  # b0(-t) = conj b0(t)
+    return out[0] if scalar else out
 
 
 def short_time_coefficients(params: SystemParams, lam: float) -> Tuple[float, float]:

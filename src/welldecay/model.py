@@ -45,6 +45,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .bessel import _miller_start
+
 TWO_PI = 2.0 * math.pi
 _PHASE_BLOCK = 256  # lags per block of _phase_sums, one matrix product each
 
@@ -238,11 +240,10 @@ class Semicircle:
     def kernel(self, dt: float, n: int, gamma: float) -> np.ndarray:
         # Gamma J_1(W tau)/(2 tau) as the coupling sum of a chain long enough for
         # a = W n dt: the Chebyshev coefficients J_k(a) of e^{-i a E/W} fall below
-        # 1e-17 past order a + 12 max(1, a)^{1/3} + 18 (bessel._miller_start's
-        # rule), and the M-level rule is exact to order 2M - 1
-        a = self.w_band * n * dt
-        levels = math.ceil((a + 12.0 * max(1.0, a) ** (1.0 / 3.0) + 18.0) / 2.0)
-        chain = FiniteChain(levels, self.w_band)
+        # 1e-17 from the (even) Miller start order m on, and the M-level rule is
+        # exact to order 2M - 1, so M = m/2 levels suffice
+        m = int(_miller_start(0, np.array([self.w_band * n * dt]))[0])
+        chain = FiniteChain(m // 2, self.w_band)
         om = chain.couplings(gamma)
         return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real
 

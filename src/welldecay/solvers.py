@@ -41,7 +41,8 @@ starts from b0(0) = 1:
   Lorentzian, evaluated on the grid. Both obey the resolution rule and carry
   a tolerance of at most 1e-12.
 
-* "exact": chain.evolve_chain for a FiniteChain.
+* "exact": chain.evolve_chain for a FiniteChain, which also returns the
+  reservoir amplitudes at the last sample.
 
 Every route reads E0(t) and w(t) from its SystemParams.
 
@@ -127,7 +128,7 @@ class SolverConfig:
 class AmplitudeTrajectory:
     """Sampled amplitude on a signed uniform grid, plus run provenance.
 
-    br holds the reservoir amplitudes (one row per sample) and norm_drift
+    br holds the N reservoir amplitudes at the last sample and norm_drift
     the largest |<psi|psi> - 1| seen, for routes that evolve the reservoir
     exactly; both stay None elsewhere.
     """
@@ -147,7 +148,7 @@ class AmplitudeTrajectory:
             raise SolverError("trajectory must contain t = 0 with b0(0) = 1")
         bound = 1.0 + 10.0 * self.cfg.tolerance
         peak = float(np.max(np.abs(self.b0)))
-        if peak > bound:
+        if not peak <= bound:  # NaN fails too
             raise SolverError(f"|b0| reached {peak}, beyond the norm bound {bound}")
 
     @property
@@ -218,7 +219,8 @@ def solve(
     """b0 on the grid of cfg by one of the reservoir's ROUTES.
 
     The Lorentzian "closed" route is the static closed form; a FiniteChain
-    evolves without storing the reservoir amplitudes.
+    evolves exactly and carries its reservoir amplitudes at cfg.t_end in br,
+    which chain.lineshape_exact reads.
     """
     routes = ROUTES.get(type(reservoir), ())
     if method == "auto" and routes:
@@ -227,7 +229,7 @@ def solve(
         raise ModelError(f"{reservoir!r} is solved by one of {routes}, not {method!r}")
     if method == "exact":
         from .chain import evolve_chain  # chain imports this module
-        return evolve_chain(params, reservoir, cfg, store_reservoir=False)
+        return evolve_chain(params, reservoir, cfg)
     if isinstance(reservoir, WideBand):
         return solve_wideband(params, cfg)
     if method == "ode":
@@ -472,21 +474,21 @@ def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajecto
 
 
 def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> AmplitudeTrajectory:
-    """Join a negative-side and a positive-side run into one ascending grid."""
+    """Join a negative- and a positive-side run into one ascending grid; br is pos's."""
     if neg.times[-1] > 0 or pos.times[-1] < 0:
         raise MismatchError("expected one negative-side and one positive-side trajectory")
     if neg.params != pos.params or neg.sd != pos.sd or neg.method != pos.method:
         raise MismatchError("cannot join trajectories with different physics")
 
     def join(a, b):
-        return None if a is None or b is None else np.concatenate([a[::-1][:-1], b])
+        return np.concatenate([a[::-1][:-1], b])
 
     drift = None
     if neg.norm_drift is not None and pos.norm_drift is not None:
         drift = max(neg.norm_drift, pos.norm_drift)
     return AmplitudeTrajectory(
         join(neg.times, pos.times), join(neg.b0, pos.b0),
-        pos.params, pos.sd, pos.cfg, pos.method, join(neg.br, pos.br), drift,
+        pos.params, pos.sd, pos.cfg, pos.method, pos.br, drift,
     )
 
 

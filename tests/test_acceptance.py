@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from welldecay import closedform, spectra
-from welldecay.chain import evolve_chain, revival_time
+from welldecay.chain import revival_time
 from welldecay.model import (
     BarrierDrive,
     FiniteChain,
@@ -37,6 +37,7 @@ from welldecay.model import (
 from welldecay.solvers import (
     AmplitudeTrajectory,
     SolverConfig,
+    solve,
     solve_lorentzian_ode,
     solve_volterra,
     solve_wideband,
@@ -114,6 +115,7 @@ def test_c03_short_time_expansion():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="finite band W = 6 Gamma gives a quadratic decay onset: P0 exceeds "
     "e^{-Gamma t} by 0.139 around Gamma t = 0.32 for every N (validated "
     "against the continuum memory solution); the 5% tracking clause cannot "
@@ -123,9 +125,8 @@ def test_c04_finite_reservoir_revival_and_tracking():
     start = time.perf_counter()
     trajs = {}
     for n in (150, 250):
-        trajs[n] = evolve_chain(
-            SystemParams(e0=1.0), FiniteChain(n, 6.0), SolverConfig(dt=7e-3, t_end=110.0),
-            store_reservoir=False,
+        trajs[n] = solve(
+            SystemParams(e0=1.0), FiniteChain(n, 6.0), SolverConfig(dt=7e-3, t_end=110.0)
         )
     revs = {n: revival_time(trajs[n]) for n in (150, 250)}
     t250 = trajs[250]
@@ -197,6 +198,7 @@ def _significant_peaks(params, spec_fn, omega, n_max, cut=0.01):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the barrier sideband sum resums the linear-alpha amplitude whose "
     "Parseval norm is 1.0043 at alpha = 0.1, omega = 2 Gamma, so its "
     "spectrum cannot integrate to 1 +- 1e-3; peak-level consistency and "
@@ -250,6 +252,7 @@ def test_c07_floquet_spectrum_consistency():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the level-drive spectrum is asymmetric about the band center "
     "(exact-chain validated), so at the caption parameters the barrier "
     "sideband exceeds the level one only at +omega, and the central peaks "
@@ -301,8 +304,8 @@ def test_c09_time_reversal_all_solvers():
             gap = float(np.max(np.abs(bwd.b0 - np.conj(fwd.b0))))
             bound = 10.0 * fwd.cfg.tolerance
             worst[name] = max(worst.get(name, 0.0), gap / bound)
-        chain_f = evolve_chain(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=4.0))
-        chain_b = evolve_chain(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=-4.0))
+        chain_f = solve(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=4.0))
+        chain_b = solve(p, FiniteChain(80, 6.0), SolverConfig(dt=5e-3, t_end=-4.0))
         gap = float(np.max(np.abs(chain_b.b0 - np.conj(chain_f.b0))))
         worst["chain"] = max(worst.get("chain", 0.0), gap / 1e-10)
     ok = all(v < 1.0 for v in worst.values())
@@ -324,9 +327,7 @@ def test_c10_conservation():
     for params in cases.values():
         for t_end in (1.0, 3.0, 12.0):
             worst = max(worst, conservation_gap(params, t_end))
-    chain = evolve_chain(
-        SystemParams(e0=1.0), FiniteChain(250, 6.0), SolverConfig(dt=5e-3, t_end=10.0)
-    )
+    chain = solve(SystemParams(e0=1.0), FiniteChain(250, 6.0), SolverConfig(dt=5e-3, t_end=10.0))
     drift_rate = chain.norm_drift / 10.0
     elapsed = time.perf_counter() - start
     ok = worst < 1e-3 and drift_rate < 1e-8

@@ -33,7 +33,6 @@ PUBLIC_NAMES = {
     "convergence_order",
     "default_dt",
     "energy_grid",
-    "evolve_chain",
     "floquet_spectrum",
     "lineshape_exact",
     "lineshape_markovian",
@@ -52,7 +51,7 @@ def test_public_names_are_pinned():
         for name in dir(welldecay)
         if not name.startswith("_") and not isinstance(getattr(welldecay, name), types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     assert exported == PUBLIC_NAMES
 
 

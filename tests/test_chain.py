@@ -13,6 +13,7 @@ from welldecay.model import (
     BarrierDrive,
     FiniteChain,
     LevelDrive,
+    Lorentzian,
     ModelError,
     Semicircle,
     SystemParams,
@@ -28,13 +29,19 @@ from welldecay.solvers import (
     _grid,
     combine_signed,
     default_dt,
+    solve,
     solve_volterra,
 )
 
 
-def run(e0, chain, t_end, dt, level_drive=None, store_reservoir=True):
+def run(e0, chain, t_end, dt, level_drive=None):
     params = SystemParams(e0=e0, level_drive=level_drive)
-    return evolve_chain(params, chain, SolverConfig(dt=dt, t_end=t_end), store_reservoir)
+    return solve(params, chain, SolverConfig(dt=dt, t_end=t_end))
+
+
+def end_norm(traj):
+    """|<psi|psi>| at the last sample, from b0 and the end-state reservoir."""
+    return abs(traj.b0[-1]) ** 2 + float(np.sum(np.abs(traj.br) ** 2))
 
 
 def synthetic(times, b0):
@@ -51,7 +58,7 @@ def strang_reference(params, chain, cfg):
     Each step is the phase e^{-i int E0} over the first half step on b and
     e^{-i E_r h/2} on br, the star-coupling rotation of (b, vhat.br) by the
     angle |v| w(t_mid) h, then the second half step's phases. Returns b0,
-    br (one row per node) and the largest |<psi|psi> - 1| over the nodes.
+    br at the last node and the largest |<psi|psi> - 1| over the nodes.
     """
     times = _grid(cfg)
     h = times[1] - times[0]
@@ -61,8 +68,8 @@ def strang_reference(params, chain, cfg):
     vhat = om / vnorm
     half = np.exp(-1j * er * (h / 2.0))
     b0 = np.empty(times.size, dtype=complex)
-    br = np.zeros((times.size, chain.n_levels), dtype=complex)
-    b, state = 1.0 + 0.0j, br[0]
+    norms = np.ones(times.size)
+    b, state = 1.0 + 0.0j, np.zeros(chain.n_levels, dtype=complex)
     b0[0] = b
     for k, t in enumerate(times[:-1]):
         mid = t + 0.5 * h
@@ -74,23 +81,19 @@ def strang_reference(params, chain, cfg):
         b, state = c * b - 1j * s * proj, state + (-1j * s * b + (c - 1.0) * proj) * vhat
         b *= np.exp(-1j * (params.e0_integral(t + h) - params.e0_integral(mid)))
         state = state * half
-        b0[k + 1], br[k + 1] = b, state
-    norms = np.abs(b0) ** 2 + np.sum(np.abs(br) ** 2, axis=1)
-    return b0, br, float(np.max(np.abs(norms - 1.0)))
+        b0[k + 1], norms[k + 1] = b, abs(b) ** 2 + np.sum(np.abs(state) ** 2)
+    return b0, state, float(np.max(np.abs(norms - 1.0)))
 
 
 def check_against_strang_reference(params, chain, dt, t_end):
     cfg = SolverConfig(dt=dt, t_end=t_end)
     b0, br, drift = strang_reference(params, chain, cfg)
-    for store in (True, False):
-        traj = evolve_chain(params, chain, cfg, store)
-        assert traj.method == "strang-splitting"
-        assert np.max(np.abs(traj.b0 - b0)) <= 1e-12
-        if store:
-            assert np.max(np.abs(traj.br - br)) <= 1e-12
-        else:
-            assert traj.br is None
-        assert traj.norm_drift <= 1e-12 and drift <= 1e-12
+    traj = solve(params, chain, cfg)
+    assert traj.method == "strang-splitting"
+    assert np.max(np.abs(traj.b0 - b0)) <= 1e-12
+    assert traj.br.shape == (chain.n_levels,)
+    assert np.max(np.abs(traj.br - br)) <= 1e-12
+    assert traj.norm_drift <= 1e-12 and drift <= 1e-12
 
 
 class DecoupledChain(FiniteChain):
@@ -101,7 +104,9 @@ class DecoupledChain(FiniteChain):
 
 
 def test_decoupled_chain_is_free_evolution():
-    traj = run(1.3, DecoupledChain(n_levels=40, w_band=6.0), 3.0, 5e-3)
+    # solve routes by exact reservoir type, so the subclass goes to the chain directly
+    chain, cfg = DecoupledChain(n_levels=40, w_band=6.0), SolverConfig(dt=5e-3, t_end=3.0)
+    traj = evolve_chain(SystemParams(e0=1.3), chain, cfg)
     ref = np.exp(-1j * 1.3 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-12
     assert np.max(np.abs(traj.br)) < 1e-14
@@ -123,7 +128,7 @@ def test_two_level_rabi_oscillation():
 
 
 def test_chain_tracks_exponential_in_decay_regime_then_revives():
-    traj = run(1.0, FiniteChain(250, 6.0), 100.0, 7e-3, store_reservoir=False)
+    traj = run(1.0, FiniteChain(250, 6.0), 100.0, 7e-3)
     window = (traj.times >= 1.0) & (traj.times <= 10.0)
     dev = np.max(np.abs(traj.p0[window] - np.exp(-traj.times[window])))
     assert dev < 0.05
@@ -133,7 +138,7 @@ def test_chain_tracks_exponential_in_decay_regime_then_revives():
 def test_revival_time_grows_with_reservoir_size():
     revs = {}
     for n in (150, 250):
-        traj = run(1.0, FiniteChain(n, 6.0), 110.0, 7e-3, store_reservoir=False)
+        traj = run(1.0, FiniteChain(n, 6.0), 110.0, 7e-3)
         revs[n] = revival_time(traj)
     assert revs[150] is not None and revs[250] is not None
     assert revs[250] > revs[150]
@@ -158,11 +163,14 @@ def test_revival_series_too_short():
 
 def test_unitarity_static_and_driven():
     chain = FiniteChain(120, 6.0)
-    static = run(1.0, chain, 10.0, 5e-3)
-    assert static.norm_drift < 1e-8 * 10.0
-    driven = run(1.0, chain, 10.0, 5e-3, level_drive=LevelDrive(u=2.0, omega=2.0))
-    assert driven.method == "strang-splitting"
-    assert driven.norm_drift < 1e-8 * 10.0
+    for t_end in (10.0, -10.0):
+        static = run(1.0, chain, t_end, 5e-3)
+        assert static.norm_drift < 1e-8 * 10.0
+        assert abs(end_norm(static) - 1.0) < 1e-12
+        driven = run(1.0, chain, t_end, 5e-3, level_drive=LevelDrive(u=2.0, omega=2.0))
+        assert driven.method == "strang-splitting"
+        assert driven.norm_drift < 1e-8 * 10.0
+        assert abs(end_norm(driven) - 1.0) < 1e-8 * 10.0
 
 
 def test_continuum_limit_against_semicircle_solution():
@@ -173,7 +181,7 @@ def test_continuum_limit_against_semicircle_solution():
     devs = {}
     exp_devs = {}
     for n in (50, 150, 250):
-        traj = run(1.0, FiniteChain(n, 6.0), 5.0, 5e-3, store_reservoir=False)
+        traj = run(1.0, FiniteChain(n, 6.0), 5.0, 5e-3)
         devs[n] = float(np.max(np.abs(traj.p0 - cont.p0)))
         exp_devs[n] = float(np.max(np.abs(traj.p0 - np.exp(-traj.times))))
     # measured 8.76e-6 for every N: the Volterra discretization error at dt = 5e-3
@@ -189,26 +197,44 @@ def test_negative_time_chain_is_conjugate():
     fwd = run(1.0, chain, 4.0, 5e-3)
     bwd = run(1.0, chain, -4.0, 5e-3)
     assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 1e-12
-    # the signed join keeps the reservoir rows and the worse drift
+    # the real Hamiltonian reverses the whole state, reservoir included
+    assert np.max(np.abs(bwd.br - np.conj(fwd.br))) < 1e-12
+    # the signed join keeps the positive side's end state and the worse drift
     both = combine_signed(bwd, fwd)
-    assert both.br.shape == (both.times.size, 80)
-    assert np.array_equal(both.br[-fwd.times.size :], fwd.br)
+    assert np.array_equal(both.br, fwd.br)
     assert both.norm_drift == max(fwd.norm_drift, bwd.norm_drift)
 
 
-def test_lineshape_zero_at_t0_and_unitarity_complement():
+def test_lineshape_is_unitarity_complement():
     traj = run(1.0, FiniteChain(250, 6.0), 8.0, 5e-3)
-    spec0 = lineshape_exact(traj, 0.0)
-    assert np.max(spec0.values) < 1e-25  # zeros up to eigenbasis roundoff
-    i = traj.index_of(8.0)
-    reservoir_weight = float(np.sum(np.abs(traj.br[i]) ** 2))
-    assert abs(traj.p0[i] + reservoir_weight - 1.0) < 1e-12
-    assert abs(reservoir_weight - (1.0 - traj.p0[i])) < 1e-12
+    spec = lineshape_exact(traj)
+    assert spec.time == traj.times[-1]
+    reservoir_weight = float(np.sum(np.abs(traj.br) ** 2))
+    assert abs(traj.p0[-1] + reservoir_weight - 1.0) < 1e-12
+    # P_r rho(E_r) over rho(E_r), on the ascending energies, sums to the reservoir weight
+    assert abs(np.sum(spec.values / traj.sd.level_density()[::-1]) - reservoir_weight) < 1e-12
+
+
+@pytest.mark.parametrize("t_end", [6.0, -6.0])
+@pytest.mark.parametrize(
+    "drive",
+    [{}, {"level_drive": LevelDrive(u=1.5, omega=2.0)}, {"barrier_drive": BarrierDrive(0.6, 1.5)}],
+    ids=["static", "level", "barrier"],
+)
+def test_lineshape_of_solved_chain(drive, t_end):
+    # solve is the way in: its chain run carries the end state lineshape_exact reads
+    params = SystemParams(e0=0.4, **drive)
+    chain = FiniteChain(60, 5.0)
+    traj = solve(params, chain, SolverConfig(dt=default_dt(params, chain), t_end=t_end))
+    spec = lineshape_exact(traj)
+    assert spec.time == traj.times[-1]
+    assert np.all(np.diff(spec.energies) > 0.0) and np.all(spec.values >= 0.0)
+    assert abs(end_norm(traj) - 1.0) < 1e-8 * abs(t_end)
 
 
 def test_lineshape_matches_markovian_line_at_late_time():
     traj = run(1.0, FiniteChain(250, 6.0), 8.0, 5e-3)
-    spec = lineshape_exact(traj)  # defaults to the final time
+    spec = lineshape_exact(traj)  # at the final time
     p = SystemParams(e0=1.0)
     ref_peak = closedform.lineshape_markovian(p, 1.0, 8.0)
     i_peak = int(np.argmin(np.abs(spec.energies - 1.0)))
@@ -263,25 +289,26 @@ def test_resolution_counts_drive_amplitude_and_frequency(e0, drive, t_end, dt):
 
 
 def test_state_access_requires_stored_reservoir():
-    traj = run(1.0, FiniteChain(30, 6.0), 2.0, 5e-3, store_reservoir=False)
+    # a continuum solver evolves no reservoir amplitudes
+    traj = solve(SystemParams(e0=1.0), Lorentzian(4.0), SolverConfig(dt=5e-3, t_end=2.0))
     assert traj.br is None
-    with pytest.raises(ModelError):
-        lineshape_exact(traj, 1.0)
+    with pytest.raises(ModelError, match="no reservoir amplitudes"):
+        lineshape_exact(traj)
 
 
-@pytest.mark.parametrize("store", [True, False])
-def test_static_b0_matches_eigenbasis_sum(store):
+@pytest.mark.parametrize("backward", [False, True])
+def test_static_b0_matches_eigenbasis_sum(backward):
     chain, e0 = FiniteChain(30, 5.0), 0.4
     h = np.diag(np.concatenate([[e0], chain.level_energies()]))
     h[0, 1:] = h[1:, 0] = chain.couplings(1.0)
     lam, vec = np.linalg.eigh(h)
-    for t_end in (25.0, -25.0):
-        traj = run(e0, chain, t_end, 0.008, store_reservoir=store)
-        ref = np.exp(-1j * np.outer(traj.times, lam)) @ vec[0] ** 2
-        assert np.max(np.abs(traj.b0 - ref)) < 1e-13
-        assert traj.b0[0] == 1.0
-        assert (traj.br is not None) == store
-        assert traj.norm_drift < 1e-13
+    traj = run(e0, chain, -25.0 if backward else 25.0, 0.008)
+    ref = np.exp(-1j * np.outer(traj.times, lam)) @ vec[0] ** 2
+    assert np.max(np.abs(traj.b0 - ref)) < 1e-13
+    assert traj.b0[0] == 1.0
+    ref_br = vec[1:] @ (np.exp(-1j * lam * traj.times[-1]) * vec[0])
+    assert np.max(np.abs(traj.br - ref_br)) <= 1e-12
+    assert traj.norm_drift < 1e-13
 
 
 @pytest.mark.parametrize("t_end, first_bad", [(6.0, 1.9357), (-6.0, -0.3649)])
@@ -291,7 +318,7 @@ def test_chain_barrier_with_nonpositive_w_raises_at_first_midpoint(t_end, first_
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.5, omega=2.0))
     cfg = SolverConfig(dt=2e-3, t_end=t_end)
     with pytest.raises(SolverError, match="barrier profile") as err:
-        evolve_chain(p, FiniteChain(20, 4.0), cfg)
+        solve(p, FiniteChain(20, 4.0), cfg)
     named = float(str(err.value).rsplit("t = ", 1)[1])
     assert abs(named - first_bad) <= cfg.dt
 
@@ -316,8 +343,7 @@ def test_reversal_and_unitarity_over_small_chains(n, w, e0, u, omega):
     dt = default_dt(SystemParams(e0=e0, level_drive=drive), chain)
     for sign in (1.0, -1.0):
         traj = run(e0, chain, sign * t_end, dt, level_drive=drive)
-        norms = traj.p0 + np.sum(np.abs(traj.br) ** 2, axis=1)
-        assert np.all(np.abs(norms - 1.0) <= 1e-8 * np.abs(traj.times))
+        assert abs(end_norm(traj) - 1.0) <= 1e-8 * t_end
         assert traj.norm_drift <= 1e-8 * t_end
 
 

@@ -245,6 +245,15 @@ def test_numerical_failure_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_amplitude_exits_2(tmp_path, capsys):
+    # lambda = 1e300 overflows the closed form to NaN: a numerical failure, not a JSON error
+    rc = main(["survival", "--model", "lorentzian", "--lambda", "1e300", "--method", "closed",
+               "--e0", "0", "--dt", "1e-302", "--t-max", "1e-300", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "nan" in capsys.readouterr().err
+
+
 def test_revival_command(tmp_path):
     rc = main(["revival", "--n", "100", "--w", "6", "--e0", "1", "--out", str(tmp_path)])
     assert rc == 0

@@ -135,6 +135,20 @@ def test_lorentzian_static_initial_condition():
     assert closedform.b0_lorentzian_static(p, 4.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("e0,lam,span", [(1.0, 4.0, 8.0), (-0.7, 200.0, 8.0), (0.0, 2.0, 2e-5)])
+def test_lorentzian_static_negative_time_is_conjugate(e0, lam, span):
+    # the static Hamiltonian is real: b0(-t) = conj b0(t) bit for bit, in either
+    # branch (the last case takes the Q -> 0 series), and b0(0) = 1 exactly
+    p = SystemParams(e0=e0)
+    t = np.random.default_rng(3).uniform(0.0, span, 200)
+    mixed = np.concatenate([t, [0.0], -t])
+    vals = closedform.b0_lorentzian_static(p, lam, mixed)
+    assert np.array_equal(vals[201:], np.conj(vals[:200]))
+    assert vals[200] == 1.0
+    flipped = closedform.b0_lorentzian_static(p, lam, -mixed)
+    assert np.array_equal(flipped, np.conj(vals))
+
+
 def test_lorentzian_static_against_memory_solver():
     # oracle: independent fine-step integration of the memory equation
     p = SystemParams(e0=1.0)

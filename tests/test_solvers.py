@@ -26,6 +26,7 @@ from welldecay.solvers import (
     _SUB,
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
+    AmplitudeTrajectory,
     MismatchError,
     ResolutionError,
     SolverConfig,
@@ -124,12 +125,10 @@ def test_volterra_negative_time_is_conjugate():
 
 def test_volterra_semicircle_against_chain():
     # the exact finite reservoir is the from-first-principles reference
-    from welldecay.chain import evolve_chain
-
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=5e-3, t_end=5.0)
     traj = solve_volterra(p, Semicircle(6.0), cfg)
-    chain = evolve_chain(p, FiniteChain(250, 6.0), cfg)
+    chain = solve(p, FiniteChain(250, 6.0), cfg)
     # measured 8.76e-6, the Volterra discretization error at dt = 5e-3
     assert np.max(np.abs(traj.p0 - chain.p0)) < 2e-5
 
@@ -377,6 +376,15 @@ def test_grid_contains_zero_and_unit_initial_value():
     assert traj.times[-1] == -2.0
 
 
+def test_nan_amplitude_is_rejected():
+    # NaN compares false with the norm bound, so the check must not read it as in bounds
+    times = np.array([0.0, 0.1, 0.2])
+    cfg = SolverConfig(dt=0.1, t_end=0.2)
+    with pytest.raises(SolverError, match="nan"):
+        AmplitudeTrajectory(times, np.array([1.0, np.nan, 0.5]), SystemParams(e0=0.0),
+                            WideBand(), cfg, "synthetic")
+
+
 def test_combine_signed_grids():
     p = SystemParams(e0=1.0)
     pos = solve_wideband(p, SolverConfig(dt=1e-2, t_end=2.0))
@@ -400,7 +408,7 @@ def check_time_reversal_across_solvers(e0, lam, w_band):
         (lor, "volterra", lambda cfg, t: solve_volterra(p, lor, cfg).b0),
         (lor, "closed", lambda cfg, t: closedform.b0_lorentzian_static(p, lam, t)),
         (semi, "auto", lambda cfg, t: solve_volterra(p, semi, cfg).b0),
-        (chain, "auto", lambda cfg, t: evolve_chain(p, chain, cfg, store_reservoir=False).b0),
+        (chain, "auto", lambda cfg, t: evolve_chain(p, chain, cfg).b0),
     )
     for reservoir, method, direct in routes:
         runs = []
