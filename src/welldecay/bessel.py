@@ -73,7 +73,7 @@ def truncation_order(x: float, tolerance: float) -> int:
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
     floor = int(math.ceil(x)) + 10
-    top = int(_miller_start(floor, np.array([x]))[0])
+    top = _miller_start(floor, x)
     j = np.array(_table(top, x, False))
     i = np.array(_table(top, x, True))
     # entry m - 1 holds the tails of the cutoff m; sums run left to right
@@ -109,11 +109,11 @@ def _sign(n, x, modified: bool):
     return np.where(flip & (np.asarray(n) % 2 == 1), -1.0, 1.0)
 
 
-def _miller_start(n: int, x: np.ndarray) -> np.ndarray:
+def _miller_start(n: int, x: float) -> int:
     # start far enough above max(n, x) that the seed contamination decays
     # below 1e-17 by the time the recurrence reaches the target order; even,
     # so that the J norm collects J_0 on the last step
-    m = (np.maximum(n, np.ceil(x)) + 12.0 * np.maximum(1.0, x) ** (1.0 / 3.0) + 18).astype(np.int64)
+    m = int(max(n, math.ceil(x)) + 12.0 * max(1.0, x) ** (1.0 / 3.0) + 18)
     return m + m % 2
 
 
@@ -129,7 +129,7 @@ def _table(top: int, x: float, modified: bool) -> list:
     s = 1.0 if modified else -1.0
     upper, cur, norm = 0.0, 1.0e-30, 0.0
     vals = [0.0] * (top + 1)
-    for k in range(int(_miller_start(top, np.array([x]))[0]), 0, -1):
+    for k in range(_miller_start(top, x), 0, -1):
         upper, cur = cur, (2.0 * k / x) * cur + s * upper
         if modified or k % 2:  # cur = f_{k-1}; J weights only the even orders
             norm += 2.0 * cur

@@ -43,7 +43,9 @@ from .model import (
     SystemParams,
     WideBand,
 )
-from .solvers import ROUTES, ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, solve
+from .solvers import (
+    ROUTES, ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, routes_for, solve,
+)
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
 _CSV_BLOCK = 4096  # rows per vectorised pass; a column of them (32 KB) stays in cache
@@ -139,7 +141,7 @@ def cmd_survival(args) -> tuple[dict, dict, str]:
     if not -math.inf < args.t_min <= 0.0:
         raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
     reservoir = _build_reservoir(args)  # validated before dt uses it
-    if args.oracle and not (params.static and "closed" in ROUTES[type(reservoir)]):
+    if args.oracle and not (params.static and "closed" in routes_for(reservoir)):
         raise ModelError("--oracle needs a static run of a model with a closed form "
                          "(wideband or lorentzian)")
     dt = default_dt(params, reservoir) if args.dt is None else args.dt

@@ -42,14 +42,14 @@ Every pole lies Gamma/2 below the real axis, so A(d) = sum_m c_m / d_m is
 analytic in the strip |Im d| < Gamma/2. On a real panel of half-width h the
 Chebyshev interpolant through p first-kind points then converges like
 rho^(-p), rho = y + sqrt(1 + y^2), y = Gamma / (2h) (Trefethen, Approximation
-Theory and Approximation Practice, 2013, ch. 8). The panels are Gamma/4
-wide over the pole range (rho = 8.1) and grow by 1.5 per panel beyond it,
-where their distance to the poles keeps rho >= 9.9. With p = 28 the
-truncation error is far below rounding: the panel sum matches the direct
-one to about 1e-14 of the peak. A panel holding at least p energies costs
-p M pole terms at its points and O(p) per energy, so a spectrum of N_E
-energies over M poles costs O(panels p M + N_E p) instead of O(M N_E).
-Sparser panels, and every energy when M <= 2p, take the direct sum.
+Theory and Approximation Practice, 2013, ch. 8). Every panel is Gamma/4
+wide, so rho >= 8.1 wherever it sits, and faster still away from the poles.
+With p = 28 the truncation error is far below rounding: the panel sum
+matches the direct one to about 1e-14 of the peak. A panel holding at least
+p energies costs p M pole terms at its points and O(p) per energy, so a
+spectrum of N_E energies over M poles costs O(panels p M + N_E p) instead
+of O(M N_E). Sparser panels, and every energy when M <= 2p, take the direct
+sum.
 
 Everything is vectorized over the time / energy argument; sgn(0) = 0, which
 makes b0(0) = 1 exact. Non-finite energies are rejected.
@@ -68,8 +68,6 @@ from .model import ModelError, SystemParams, TWO_PI
 FLOQUET_TAIL_TOL = 1.0e-10
 _POLE_BLOCK = 1 << 16  # (energy, pole) pairs per block of the sideband sums
 _CHEB_POINTS = 28  # Chebyshev points per panel of the sideband sums
-_PANEL_GROWTH = 1.5  # width ratio of successive panels beyond the pole range
-_LOG_GROWTH = math.log(_PANEL_GROWTH)
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
 # below, (gamma/2)^2 nears the smallest normal float and |A|^2 ~ (2/gamma)^2 the largest
 _TINY_GAMMA = 1.0e-150
@@ -125,8 +123,10 @@ def b0_lorentzian_static(params: SystemParams, lam: float, t):
     Evaluated at |t| through scaled exponentials, 0.5 (1 +/- c)
     e^{(+/-Q - L - i E0)|t|/2} with c = (L - i E0)/Q and
     Q = lorentzian_q(params, lam, 1), so large L |t| cannot overflow (Re Q < L
-    whenever Gamma > 0). The Q -> 0 degeneracy is removable and handled by
-    the series of sinh(z)/z. The Hamiltonian is real, so b0(-t) = conj b0(t).
+    whenever Gamma > 0). Each time with |z| = |Q t|/2 < 1, where the two terms
+    cancel to 1/|z| (and Q may be 0), takes e^{-(L + i E0)|t|/2} (cosh z +
+    (L - i E0)(|t|/2) sinh(z)/z) instead. The Hamiltonian is real, so
+    b0(-t) = conj b0(t).
     """
     if not lam > 0.0:
         raise ModelError(f"Lorentzian half-width must be positive, got {lam}")
@@ -135,21 +135,22 @@ def b0_lorentzian_static(params: SystemParams, lam: float, t):
     at = np.abs(t)
     q = lorentzian_q(params, lam, 1.0)
     k = lam + 1j * params.e0  # L + i E0
-    if abs(q) * at.max(initial=0.0) < 1.0e-4:
-        # e^{-k|t|/2} (cosh(z) + conj(k) (|t|/2) sinh(z)/z), series-safe near Q = 0
-        z = 0.5 * q * at
-        out = np.cosh(z) + k.conjugate() * 0.5 * at * (1.0 + z * z / 6.0 + z**4 / 120.0)
-        out *= np.exp(-0.5 * k * at)
-    else:
-        c = k.conjugate() / q
-        out = at * (0.5 * (q - k))
-        np.exp(out, out=out)
-        out *= 0.5 * (1.0 + c)
-        em = at * (-0.5 * (q + k))
-        np.exp(em, out=em)
-        em *= 0.5 * (1.0 - c)
-        out += em
-    out[at == 0.0] = 1.0  # U(0) = I exactly: 0.5 (1 + c) + 0.5 (1 - c) may round off 1
+    c = k.conjugate() / q if q else 0.0  # Q = 0 leaves every time to the |z| < 1 form
+    # 0.5 (1 + c) (e^{(Q-k)|t|/2} + r e^{-(Q+k)|t|/2}), r = (1-c)/(1+c), in two buffers: no
+    # product overwrites its operand, where numpy's rounding depends on the array length
+    em = at * (-0.5 * (q + k))
+    np.exp(em, out=em)
+    out = em * ((1.0 - c) / (1.0 + c))
+    np.multiply(at, 0.5 * (q - k), out=em)
+    np.exp(em, out=em)
+    out += em
+    out = np.multiply(out, 0.5 * (1.0 + c), out=em)
+    near = abs(q) * at < 2.0
+    a = at[near]
+    z = 0.5 * q * a
+    sinhc = np.sinc(z / np.pi * 1j)  # sinh(z)/z, 1 at z = 0
+    out[near] = np.exp(-0.5 * k * a) * (np.cosh(z) + k.conjugate() * 0.5 * a * sinhc)
+    out[at == 0.0] = 1.0  # U(0) = I exactly, also where Q overflows
     out.imag *= np.where(t < 0.0, -1.0, 1.0)  # b0(-t) = conj b0(t)
     return out[0] if scalar else out
 
@@ -240,25 +241,25 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     1/(d + i gamma/2) = (d - i gamma/2) / (d^2 + gamma^2/4).
 
     The targets are walked in ascending order (sorted only when they are
-    not), _PANEL_BLOCK at a time, and grouped into the panels of _Panels; a
-    block never ends inside a panel unless that panel fills it. A panel with
-    at least _CHEB_POINTS = p targets gets A summed exactly at its p
-    Chebyshev points; its targets then read the interpolant, by the T_j
-    recurrence and one (2 x p) @ (p x targets) product. Every other target
-    takes the direct blocked sum. Cost O(panels p M + N_E p) for M poles and
-    N_E targets, against O(M N_E) for the direct sum; memory O(N_E) for the
-    output (and the sort order) plus O(_POLE_BLOCK) per block.
+    not), _PANEL_BLOCK at a time, and grouped into panels of one width gamma/4
+    on a lattice from the lowest pole minus gamma, so a target's panel follows
+    from the target alone; a block never ends inside a panel unless that panel
+    fills it. A panel with at least _CHEB_POINTS = p targets gets A summed
+    exactly at its p Chebyshev points; its targets then read the interpolant,
+    by the T_j recurrence and one (2 x p) @ (p x targets) product. Every
+    other target takes the direct blocked sum. Cost O(panels p M + N_E p) for
+    M poles and N_E targets, against O(M N_E) for the direct sum; memory
+    O(N_E) for the output (and the sort order) plus O(_POLE_BLOCK) per block.
 
     The direct sum serves every target when M <= 2p, where one interpolated
     target costs more than its M pole terms, and when gamma/4 is below 2^-52
-    of the targets' reach, where panel numbers would not be exact integers
-    and the outer panels' coordinate could overflow. Below gamma = 1e-150,
-    where (gamma/2)^2 underflows and |A|^2 overflows, it divides each
-    denominator by sqrt(weight) before the complex reciprocal (numpy divides
-    by Smith's rule), so that 1/(i gamma/2) never forms and sqrt(weight) A is
-    squared. On a sideband the result, about 2 |coef_m|^2 / (pi gamma), then
-    stays finite as long as that value is a float: down to gamma = 1e-308
-    for |coef_m| <= 1.
+    of the targets' reach, where panel numbers would not be exact integers.
+    Below gamma = 1e-150, where (gamma/2)^2 underflows and |A|^2 overflows,
+    it divides each denominator by sqrt(weight) before the complex reciprocal
+    (numpy divides by Smith's rule), so that 1/(i gamma/2) never forms and
+    sqrt(weight) A is squared. On a sideband the result, about
+    2 |coef_m|^2 / (pi gamma), then stays finite as long as that value is a
+    float: down to gamma = 1e-308 for |coef_m| <= 1.
     """
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
@@ -288,12 +289,11 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
         re, im = pole_sum(d)
         return weight * (re * re + im * im)
 
-    def interpolated(d, lower, upper, size):  # weight |A|^2 at d, size[i] of them in panel i
-        mid, rad = 0.5 * (upper + lower), 0.5 * (upper - lower)
-        at_points = np.stack(pole_sum(np.repeat(mid, _CHEB_POINTS), np.outer(rad, nodes).ravel()))
+    def interpolated(d, mid, rad, size):  # weight |A|^2 at d, size[i] of them in mid[i] +- rad
+        at_points = np.stack(pole_sum(np.repeat(mid, _CHEB_POINTS), np.tile(rad * nodes, mid.size)))
         cheb_coef = (at_points.reshape(2, -1, _CHEB_POINTS) @ to_coef.T).transpose(1, 0, 2)
         which = np.repeat(np.arange(size.size), size)
-        x = (d - mid[which]) / rad[which]
+        x = (d - mid[which]) / rad
         cheb = np.empty((_CHEB_POINTS, x.size))  # T_j(x), row by row
         cheb[0], cheb[1] = 1.0, x
         x += x
@@ -323,11 +323,11 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     # values at the nodes -> coefficients of T_0 .. T_{p-1} (a discrete cosine transform)
     to_coef = np.cos(np.outer(np.arange(_CHEB_POINTS), angles)) * (2.0 / _CHEB_POINTS)
     to_coef[0] *= 0.5
-    panels = _Panels(poles, gamma)
+    width, origin = 0.25 * gamma, poles[0] - gamma  # panel k: origin + [k, k + 1) width
     pos = 0
     while pos < flat.size:
         d = flat[pos : pos + _PANEL_BLOCK]
-        key = np.floor(panels.coordinate(d))
+        key = np.floor((d - origin) / width)
         if pos + d.size < flat.size:  # hand the last panel to the next block whole
             cut = int(np.searchsorted(key, key[-1]))
             d, key = (d[:cut], key[:cut]) if cut else (d, key)
@@ -340,46 +340,11 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
             vals[~sel] = direct(d[~sel])
         if sel.any():
             size = size[dense]
-            first = key[stop[dense] - size]
-            lower, upper = panels.position(first), panels.position(first + 1.0)
-            vals[sel] = interpolated(d[sel], lower, upper, size)
+            mid = origin + (key[stop[dense] - size] + 0.5) * width
+            vals[sel] = interpolated(d[sel], mid, 0.5 * width, size)
         if order is None:
             out[pos : pos + d.size] = vals
         else:
             out[order[pos : pos + d.size]] = vals
         pos += d.size
     return out.reshape(np.shape(detuning))
-
-
-class _Panels:
-    """Panels of the real axis, each far narrower than its distance to the poles.
-
-    Over the pole range widened by gamma on each side the panels are gamma/4
-    wide. Beyond it the j-th panel on either side is _PANEL_GROWTH^j gamma/4
-    wide and starts (_PANEL_GROWTH^j - 1) gamma/2 out, so its distance to
-    the range tends to twice its width. Panel k spans [k, k + 1) of the
-    coordinate below, so a target's panel follows from the target alone and
-    only panels that hold a target are ever formed.
-    """
-
-    def __init__(self, poles: np.ndarray, gamma: float):
-        self.width = 0.25 * gamma
-        self.lo = poles[0] - gamma
-        self.n_mid = math.ceil((poles[-1] - poles[0] + 2.0 * gamma) / self.width)
-        self.hi = self.lo + self.n_mid * self.width
-        self.scale = (_PANEL_GROWTH - 1.0) / self.width
-
-    def coordinate(self, d: np.ndarray) -> np.ndarray:
-        u = (d - self.lo) / self.width
-        right, left = d >= self.hi, d < self.lo
-        u[right] = self.n_mid + np.log1p((d[right] - self.hi) * self.scale) / _LOG_GROWTH
-        u[left] = -np.log1p((self.lo - d[left]) * self.scale) / _LOG_GROWTH
-        return u
-
-    def position(self, u: np.ndarray) -> np.ndarray:
-        """The inverse of coordinate."""
-        d = self.lo + u * self.width
-        right, left = u > self.n_mid, u < 0.0
-        d[right] = self.hi + np.expm1((u[right] - self.n_mid) * _LOG_GROWTH) / self.scale
-        d[left] = self.lo - np.expm1(-u[left] * _LOG_GROWTH) / self.scale
-        return d

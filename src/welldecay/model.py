@@ -242,7 +242,7 @@ class Semicircle:
         # a = W n dt: the Chebyshev coefficients J_k(a) of e^{-i a E/W} fall below
         # 1e-17 from the (even) Miller start order m on, and the M-level rule is
         # exact to order 2M - 1, so M = m/2 levels suffice
-        m = int(_miller_start(0, np.array([self.w_band * n * dt]))[0])
+        m = _miller_start(0, self.w_band * n * dt)
         chain = FiniteChain(m // 2, self.w_band)
         om = chain.couplings(gamma)
         return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real

@@ -213,6 +213,11 @@ def default_dt(params: SystemParams, reservoir: SpectralDensity) -> float:
     return RESOLUTION_LIMIT / (_resolution_scale(params, reservoir) * 2.0)
 
 
+def routes_for(reservoir: SpectralDensity) -> tuple:
+    """The ROUTES of the reservoir's class, or of its nearest base class listed there."""
+    return next((ROUTES[cls] for cls in type(reservoir).__mro__ if cls in ROUTES), ())
+
+
 def solve(
     params: SystemParams, reservoir: SpectralDensity, cfg: SolverConfig, method: str = "auto"
 ) -> AmplitudeTrajectory:
@@ -222,7 +227,7 @@ def solve(
     evolves exactly and carries its reservoir amplitudes at cfg.t_end in br,
     which chain.lineshape_exact reads.
     """
-    routes = ROUTES.get(type(reservoir), ())
+    routes = routes_for(reservoir)
     if method == "auto" and routes:
         method = routes[0]
     if method not in routes:

@@ -238,3 +238,17 @@ def test_truncation_order_validation():
             truncation_order(x, 1e-10)
     with pytest.raises(ValueError, match="no sideband cutoff"):
         truncation_order(1.0, 1e-17)  # below what the summed tables resolve
+
+
+def test_miller_start_is_an_int_pinned_to_the_array_rule():
+    # the start order as it was computed on one-element arrays: the same integer
+    # for every argument of a sweep over the supported range
+    xs = np.linspace(0.0, 1.0e4, 20001, endpoint=False)
+    xs = np.concatenate((xs, np.geomspace(1.0e-12, 9.0e3, 4001)))
+    for n in (0, 7, 300, 12000):
+        old = np.maximum(n, np.ceil(xs)) + 12.0 * np.maximum(1.0, xs) ** (1.0 / 3.0) + 18
+        old = old.astype(np.int64)
+        old += old % 2
+        new = [bessel._miller_start(n, float(x)) for x in xs]
+        assert all(type(m) is int for m in new)
+        assert new == old.tolist()

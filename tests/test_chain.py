@@ -104,9 +104,10 @@ class DecoupledChain(FiniteChain):
 
 
 def test_decoupled_chain_is_free_evolution():
-    # solve routes by exact reservoir type, so the subclass goes to the chain directly
+    # solve routes the subclass as a FiniteChain, to the exact evolution
     chain, cfg = DecoupledChain(n_levels=40, w_band=6.0), SolverConfig(dt=5e-3, t_end=3.0)
-    traj = evolve_chain(SystemParams(e0=1.3), chain, cfg)
+    traj = solve(SystemParams(e0=1.3), chain, cfg)
+    assert traj.method == evolve_chain(SystemParams(e0=1.3), chain, cfg).method
     ref = np.exp(-1j * 1.3 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-12
     assert np.max(np.abs(traj.br)) < 1e-14

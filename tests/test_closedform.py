@@ -5,6 +5,7 @@ import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -138,7 +139,7 @@ def test_lorentzian_static_initial_condition():
 @pytest.mark.parametrize("e0,lam,span", [(1.0, 4.0, 8.0), (-0.7, 200.0, 8.0), (0.0, 2.0, 2e-5)])
 def test_lorentzian_static_negative_time_is_conjugate(e0, lam, span):
     # the static Hamiltonian is real: b0(-t) = conj b0(t) bit for bit, in either
-    # branch (the last case takes the Q -> 0 series), and b0(0) = 1 exactly
+    # form (the last case takes the |Q t|/2 < 1 form throughout), and b0(0) = 1 exactly
     p = SystemParams(e0=e0)
     t = np.random.default_rng(3).uniform(0.0, span, 200)
     mixed = np.concatenate([t, [0.0], -t])
@@ -177,6 +178,44 @@ def test_lorentzian_degenerate_q_is_removable():
     ref = closedform.b0_lorentzian_static(p, lam * (1.0 + 1e-9), t)
     assert np.max(np.abs(vals - ref)) < 1e-7
     assert np.all(np.isfinite(vals))
+
+
+def lorentzian_mpmath(e0, lam, t, gamma=1.0):
+    """b0(t) of the static Lorentzian ODE, y'' = (-i E0 - L) y' + (-i L E0 - Gamma L / 2) y
+    with y(0) = 1, y'(0) = -i E0, as the 50-digit matrix exponential of its
+    first-order system; b0(-t) = conj b0(t)."""
+    with mpmath.workdps(50):
+        e0, lam, g = mpmath.mpf(e0), mpmath.mpf(lam), mpmath.mpf(gamma)
+        system = mpmath.matrix([[0, 1], [-1j * lam * e0 - 0.5 * g * lam, -1j * e0 - lam]])
+        out = []
+        for x in t:
+            prop = mpmath.expm(system * abs(mpmath.mpf(x)))
+            b = complex(prop[0, 0] - 1j * e0 * prop[0, 1])
+            out.append(b.conjugate() if x < 0 else b)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("e0,lam", [(4.0e-11, 2.0), (0.0, 2.0), (1.0e-6, 2.0), (1.0, 4.0), (2.0, 0.5)])
+def test_lorentzian_static_against_mpmath(e0, lam):
+    # lam = 2 Gamma and E0 -> 0 drive Q -> 0 (|Q| = 1.26e-5 at E0 = 4e-11), where
+    # the two exponentials cancel; the array ends past |Q t| = 2e-4 in every case
+    p = SystemParams(e0=e0)
+    t = np.linspace(-8.0, 8.0, 33)
+    got = closedform.b0_lorentzian_static(p, lam, t)
+    assert np.max(np.abs(got - lorentzian_mpmath(e0, lam, t))) <= 1e-15
+
+
+@pytest.mark.parametrize("e0,lam,far", [(4.0e-11, 2.0, 2.0e5), (0.3, 200.0, 0.05), (1.0, 4.0, 8.0)])
+def test_lorentzian_static_is_evaluated_per_time(e0, lam, far):
+    # each value depends on its own time alone, not on the others in the array:
+    # the array call equals the scalar calls bit for bit on both sides of |Q t| = 2
+    p = SystemParams(e0=e0)
+    t = np.concatenate((np.linspace(-far, far, 41), [0.5, 7.9, 8.0]))
+    got = closedform.b0_lorentzian_static(p, lam, t)
+    each = np.array([closedform.b0_lorentzian_static(p, lam, float(x)) for x in t])
+    assert np.array_equal(got, each)
+    short = closedform.b0_lorentzian_static(p, lam, t[t <= 7.9])
+    assert np.array_equal(short, got[t <= 7.9])
 
 
 def test_lorentzian_to_markovian_limit():
@@ -424,8 +463,21 @@ def test_floquet_panel_route_matches_blocked_pole_sum(
     assert spectrum(p, e[:6].reshape(2, 3)).shape == (2, 3)
 
 
+def test_floquet_far_dense_panel_matches_blocked_pole_sum():
+    # 100 energies within gamma/4 of E0 +- 1000, far beyond the 453 poles of
+    # u = 20, omega = 0.1: one gamma/4 panel holds at least 50 of them and
+    # interpolates, and no wider panel serves energies that far out
+    p = SystemParams(e0=0.3, level_drive=LevelDrive(u=20.0, omega=0.1))
+    for side in (1.0, -1.0):
+        e = p.e0 + side * 1000.0 + np.linspace(0.0, 0.25 * p.gamma, 100, endpoint=False)
+        got = closedform.floquet_spectrum(p, e)
+        ref = blocked_reference(closedform.floquet_spectrum, p, e)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
 def test_floquet_tiny_gamma_falls_back_to_the_direct_sum():
-    # the outer panel keys of energies 1e120 away would overflow at gamma = 1e-200
+    # energies 1e120 away lie 4e320 panels of gamma/4 out at gamma = 1e-200, a
+    # panel number past the largest float
     p = SystemParams(e0=0.0, gamma=1.0e-200, level_drive=LevelDrive(u=3.0, omega=0.1))
     e = np.concatenate((np.arange(-3.05, 3.0, 0.1), 1.0e120 * (1.0 + 1.0e-3 * np.arange(64))))
     got = closedform.floquet_spectrum(p, e)

@@ -27,6 +27,7 @@ from welldecay.solvers import (
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
     AmplitudeTrajectory,
+    ROUTES,
     MismatchError,
     ResolutionError,
     SolverConfig,
@@ -34,6 +35,7 @@ from welldecay.solvers import (
     combine_signed,
     convergence_order,
     default_dt,
+    routes_for,
     solve,
     solve_lorentzian_ode,
     solve_volterra,
@@ -99,9 +101,22 @@ def test_volterra_free_evolution():
     # a zero-weight kernel decouples the level: pure phase rotation
     p = SystemParams(e0=1.0)
     cfg = SolverConfig(dt=1e-3, t_end=2.0)
-    traj = solve_volterra(p, WeightedLorentzian(lam=4.0, weight=0.0), cfg)
+    traj = solve(p, WeightedLorentzian(lam=4.0, weight=0.0), cfg, "volterra")
     ref = np.exp(-1j * p.e0 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-5
+
+
+def test_solve_routes_a_reservoir_subclass_by_its_base_class():
+    # a subclass takes the routes of its nearest base class in ROUTES, in solve
+    # and in the CLI's --oracle check alike; a class outside them has none
+    sd = WeightedLorentzian(lam=4.0, weight=0.5)
+    assert routes_for(sd) == ROUTES[Lorentzian]
+    p, cfg = SystemParams(e0=1.0), SolverConfig(dt=1e-3, t_end=2.0)
+    assert solve(p, sd, cfg).method == solve_lorentzian_ode(p, sd, cfg).method
+    assert np.array_equal(solve(p, sd, cfg, "volterra").b0, solve_volterra(p, sd, cfg).b0)
+    assert routes_for(object()) == ()
+    with pytest.raises(ModelError, match="solved by one of"):
+        solve(p, object(), cfg)
 
 
 def test_volterra_matches_lorentzian_closed_form():
@@ -155,7 +170,7 @@ def test_volterra_divergence_guard():
             times, b = volterra_reference(p, sd, cfg)
             assert abs(b[-1]) > DIVERGENCE_LIMIT
             with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
-                solve_volterra(p, sd, cfg)
+                solve(p, sd, cfg, "volterra")
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 22 with the four below
