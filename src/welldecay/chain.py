@@ -2,14 +2,14 @@
 
 The (N+1)-level Hamiltonian couples the well amplitude b0 to N reservoir
 levels E_r = W cos(r pi/(N+1)) through the star couplings
-model.FiniteChain.couplings(Gamma), with Gamma from SystemParams: the chain
-holds only N and W. This module is the trust anchor: no continuum
+model.FiniteChain.couplings(), set by N and W alone at the unit level width
+Gamma = 1. This module is the trust anchor: no continuum
 approximation enters, so it exhibits the finite-size revival, in which the
 survival probability returns after the excitation crosses the reservoir
 and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
 The chain is a reservoir like the continuum ones: solvers.solve routes a
-FiniteChain to evolve_chain, which takes the same SystemParams (level width
+FiniteChain to evolve_chain, which takes the same SystemParams (level position
 and drive profiles) and SolverConfig, builds the same signed grid, applies
 the same resolution rule with the band W + |E0| + u, and returns an
 AmplitudeTrajectory whose sd is the FiniteChain. It also fills the
@@ -59,7 +59,7 @@ def _hamiltonian(params: SystemParams, chain: FiniteChain) -> np.ndarray:
     h[0, 0] = params.e0
     idx = np.arange(1, n + 1)
     h[idx, idx] = chain.level_energies()
-    om = chain.couplings(params.gamma)
+    om = chain.couplings()
     h[0, 1:] = om
     h[1:, 0] = om
     return h
@@ -104,7 +104,7 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
     n = times.size - 1
     h = times[1] - times[0]  # signed step
     er = chain.level_energies()
-    om = chain.couplings(params.gamma)
+    om = chain.couplings()
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm
 

@@ -1,7 +1,9 @@
 """Analytic solutions for the decaying level, valid on the whole time axis.
 
 These closed forms serve double duty: fast evaluation paths for the CLI and
-independent oracles for the numerical solvers.
+independent oracles for the numerical solvers. Energies are in units of the
+wide-band width Gamma = 1 and times in 1/Gamma; the formulas below keep
+Gamma only to show where the width enters.
 
 Wide-band reservoir:
     b0(t) = exp(-i Phi(t)),  Phi(t) = int_0^t E0(t') dt'
@@ -21,7 +23,7 @@ driving (wide band), from resumming the drive phase into photon sidebands
 at E0 + n omega:
 
     level drive    weights (-i)^n J_n(u/omega)
-    barrier drive  weights e^{-xi} I_n(xi), xi = alpha Gamma / omega, with a
+    barrier drive  weights e^{-xi} I_n(xi), xi = alpha / omega, with a
                    second term + i alpha omega / (d_n^2 - omega^2) generated
                    by the w(t) prefactor (d_n = E - E0 - n omega + i Gamma/2).
 
@@ -48,8 +50,8 @@ With p = 28 the truncation error is far below rounding: the panel sum
 matches the direct one to about 1e-14 of the peak. A panel holding at least
 p energies costs p M pole terms at its points and O(p) per energy, so a
 spectrum of N_E energies over M poles costs O(panels p M + N_E p) instead
-of O(M N_E). Sparser panels, and every energy when M <= 2p, take the direct
-sum.
+of O(M N_E). Sparser panels, and every energy when M <= 2p or when the
+energies and poles reach 2^40 (see _pole_sum_sq), take the direct sum.
 
 Everything is vectorized over the time / energy argument; sgn(0) = 0, which
 makes b0(0) = 1 exact. Non-finite energies are rejected.
@@ -69,8 +71,6 @@ FLOQUET_TAIL_TOL = 1.0e-10
 _POLE_BLOCK = 1 << 16  # (energy, pole) pairs per block of the sideband sums
 _CHEB_POINTS = 28  # Chebyshev points per panel of the sideband sums
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
-# below, (gamma/2)^2 nears the smallest normal float and |A|^2 ~ (2/gamma)^2 the largest
-_TINY_GAMMA = 1.0e-150
 
 
 _PHASE4 = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^n exactly, indexed by n % 4
@@ -104,14 +104,14 @@ def b0_markovian_driven(params: SystemParams, t, linear_alpha: bool = False):
     """
     t, scalar = _as_float_array(t)
     w2_int = params.w2_integral(t, linear_alpha)
-    phase = params.e0_integral(t) - 0.5j * params.gamma * np.sign(t) * w2_int
+    phase = params.e0_integral(t) - 0.5j * np.sign(t) * w2_int
     return _maybe_scalar(np.exp(-1j * phase), scalar)
 
 
 def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:
     """Principal branch Q = sqrt(L^2 - 2 Gamma L - E0^2 - 2 i sgn E0 L), Re Q >= 0."""
     q = np.sqrt(
-        complex(lam * lam - 2.0 * params.gamma * lam - params.e0 * params.e0)
+        complex(lam * lam - 2.0 * lam - params.e0 * params.e0)
         - 2.0j * sign * params.e0 * lam
     )
     return -q if q.real < 0.0 else q
@@ -122,8 +122,8 @@ def b0_lorentzian_static(params: SystemParams, lam: float, t):
 
     Evaluated at |t| through scaled exponentials, 0.5 (1 +/- c)
     e^{(+/-Q - L - i E0)|t|/2} with c = (L - i E0)/Q and
-    Q = lorentzian_q(params, lam, 1), so large L |t| cannot overflow (Re Q < L
-    whenever Gamma > 0). Each time with |z| = |Q t|/2 < 1, where the two terms
+    Q = lorentzian_q(params, lam, 1), so large L |t| cannot overflow (Re Q < L,
+    as Gamma > 0). Each time with |z| = |Q t|/2 < 1, where the two terms
     cancel to 1/|z| (and Q may be 0), takes e^{-(L + i E0)|t|/2} (cosh z +
     (L - i E0)(|t|/2) sinh(z)/z) instead. The Hamiltonian is real, so
     b0(-t) = conj b0(t).
@@ -155,13 +155,13 @@ def b0_lorentzian_static(params: SystemParams, lam: float, t):
     return out[0] if scalar else out
 
 
-def short_time_coefficients(params: SystemParams, lam: float) -> Tuple[float, float]:
+def short_time_coefficients(lam: float) -> Tuple[float, float]:
     """(c2, c3) of P0 = 1 - c2 t^2 + c3 |t|^3 + O(t^4) for the static Lorentzian.
 
-    c2 = Gamma L / 2 and c3 = Gamma L^2 / 6; the lam -> 0 and gamma -> 0
-    limits both switch the decay off.
+    c2 = Gamma L / 2 and c3 = Gamma L^2 / 6 at any E0; the lam -> 0 limit
+    switches the decay off.
     """
-    return 0.5 * params.gamma * lam, params.gamma * lam * lam / 6.0
+    return 0.5 * lam, lam * lam / 6.0
 
 
 def lineshape_markovian(params: SystemParams, e_r, t: float):
@@ -175,13 +175,13 @@ def lineshape_markovian(params: SystemParams, e_r, t: float):
     if not t >= 0.0:
         raise ModelError("the reservoir line shape is defined for t >= 0")
     e_r, scalar = _as_float_array(e_r)
-    e0, g = params.e0, params.gamma
-    h = np.hypot(e_r - e0, 0.5 * g)  # the denominator's root: no Gamma^2 to underflow
+    e0 = params.e0
+    h = np.hypot(e_r - e0, 0.5)  # the denominator's root
     if math.isinf(t):
         num = 1.0
     else:
-        num = 1.0 - 2.0 * np.cos((e0 - e_r) * t) * math.exp(-0.5 * g * t) + math.exp(-g * t)
-    return _maybe_scalar(num * (g / TWO_PI / h / h), scalar)
+        num = 1.0 - 2.0 * np.cos((e0 - e_r) * t) * math.exp(-0.5 * t) + math.exp(-t)
+    return _maybe_scalar(num * (1.0 / TWO_PI / h / h), scalar)
 
 
 def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
@@ -189,7 +189,7 @@ def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
 
     A level drive is active when u != 0, a barrier drive when alpha != 0. x
     is the Bessel argument of the sideband weights, u/omega for the level
-    and xi = alpha Gamma/omega for the barrier; n_max cuts both weight tails
+    and xi = alpha/omega for the barrier; n_max cuts both weight tails
     below FLOQUET_TAIL_TOL. The resummation covers one drive, so two active
     drives raise ModelError.
     """
@@ -200,7 +200,7 @@ def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
         x = params.u / om
     elif params.alpha != 0.0:
         om = params.barrier_drive.omega
-        x = params.alpha * params.gamma / om
+        x = params.alpha / om
     else:
         return None
     return x, om, truncation_order(abs(x), FLOQUET_TAIL_TOL)
@@ -209,8 +209,8 @@ def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
 def floquet_spectrum(params: SystemParams, e_r):
     """Long-time spectrum under the active drive of params (wide band).
 
-    Pbar(E) = Gamma/(2 pi) | sum_m c_m / d_m |^2 with d_m = E - E0 - m omega
-    + i Gamma/2 and the level or barrier (alpha < 1) weights c_m of the module
+    Pbar(E) = 1/(2 pi) | sum_m c_m / d_m |^2 with d_m = E - E0 - m omega + i/2
+    and the level or barrier (alpha < 1) weights c_m of the module
     docstring. The level sidebands at E0 + n omega and E0 - n omega are *not*
     mirror images (the n-channels interfere through the common initial
     condition); the barrier spectrum is symmetric about E0. Without an active
@@ -230,19 +230,18 @@ def floquet_spectrum(params: SystemParams, e_r):
             raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
         a = np.pad(bessel_ive(orders, x), 2)
         coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
-    g = params.gamma
-    out = _pole_sum_sq(coef, e_r - params.e0, om, g, g / TWO_PI)
+    out = _pole_sum_sq(coef, e_r - params.e0, om)
+    out *= 1.0 / TWO_PI
     return _maybe_scalar(out, scalar)
 
 
-def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: float, weight):
-    """weight |A(d)|^2, A(d) = sum_m coef_m / (d - m omega + i gamma/2), at every detuning d,
-    with m centred on 0; all sums in real arithmetic,
-    1/(d + i gamma/2) = (d - i gamma/2) / (d^2 + gamma^2/4).
+def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float):
+    """|A(d)|^2, A(d) = sum_m coef_m / (d - m omega + i/2), at every detuning d, with m
+    centred on 0; all sums in real arithmetic, 1/(d + i/2) = (d - i/2) / (d^2 + 1/4).
 
     The targets are walked in ascending order (sorted only when they are
-    not), _PANEL_BLOCK at a time, and grouped into panels of one width gamma/4
-    on a lattice from the lowest pole minus gamma, so a target's panel follows
+    not), _PANEL_BLOCK at a time, and grouped into panels of one width 1/4
+    on a lattice from the lowest pole minus 1, so a target's panel follows
     from the target alone; a block never ends inside a panel unless that panel
     fills it. A panel with at least _CHEB_POINTS = p targets gets A summed
     exactly at its p Chebyshev points; its targets then read the interpolant,
@@ -252,18 +251,17 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     O(N_E) for the output (and the sort order) plus O(_POLE_BLOCK) per block.
 
     The direct sum serves every target when M <= 2p, where one interpolated
-    target costs more than its M pole terms, and when gamma/4 is below 2^-52
-    of the targets' reach, where panel numbers would not be exact integers.
-    Below gamma = 1e-150, where (gamma/2)^2 underflows and |A|^2 overflows,
-    it divides each denominator by sqrt(weight) before the complex reciprocal
-    (numpy divides by Smith's rule), so that 1/(i gamma/2) never forms and
-    sqrt(weight) A is squared. On a sideband the result, about
-    2 |coef_m|^2 / (pi gamma), then stays finite as long as that value is a
-    float: down to gamma = 1e-308 for |coef_m| <= 1.
+    target costs more than its M pole terms, and when the targets' reach
+    (their largest |d| plus the pole span) is 2^40 or more. A target's panel
+    number comes from d - origin, rounded to 2^-52 of the reach; as that
+    rounding nears the panel width, targets land in a neighbouring panel and
+    read its interpolant outside [-1, 1], where it drifts from A. A sweep of
+    level drives (u/omega = 5 .. 120) kept the panel sum within the ~1e-14
+    floor of the peak up to a reach of 2^44 and left it beyond (1.4e-7 at
+    u/omega = 30, omega = 1e13, reach 2^49.6); 2^40 keeps a factor 16 below.
     """
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
-    half = 0.5 * gamma
     step = max(1, _POLE_BLOCK // coef.size)
 
     def pole_sum(d, offset=None):  # (Re A, Im A) at d + offset, by blocks of (target, pole) pairs
@@ -273,23 +271,18 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
             if offset is not None:  # after d - pole, which is exact near the pole
                 x += offset[lo : lo + step, None]
             inv = x * x
-            inv += half * half
+            inv += 0.25
             np.divide(1.0, inv, out=inv)
             x *= inv
-            inv *= half
+            inv *= 0.5
             re[lo : lo + step], im[lo : lo + step] = x @ cr + inv @ ci, x @ ci - inv @ cr
         return re, im
 
-    def direct(d):  # weight |A|^2 at d
-        if gamma < _TINY_GAMMA:  # sqrt(weight) A, from denominators divided by sqrt(weight)
-            s = math.sqrt(weight)
-            with np.errstate(over="ignore"):  # a term whose scaled detuning overflows is 1/inf = 0
-                a = (1.0 / ((d[:, None] - poles) / s + 1j * (half / s))) @ coef
-            return a.real * a.real + a.imag * a.imag
+    def direct(d):  # |A|^2 at d
         re, im = pole_sum(d)
-        return weight * (re * re + im * im)
+        return re * re + im * im
 
-    def interpolated(d, mid, rad, size):  # weight |A|^2 at d, size[i] of them in mid[i] +- rad
+    def interpolated(d, mid, rad, size):  # |A|^2 at d, size[i] of them in mid[i] +- rad
         at_points = np.stack(pole_sum(np.repeat(mid, _CHEB_POINTS), np.tile(rad * nodes, mid.size)))
         cheb_coef = (at_points.reshape(2, -1, _CHEB_POINTS) @ to_coef.T).transpose(1, 0, 2)
         which = np.repeat(np.arange(size.size), size)
@@ -304,13 +297,13 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
         end = np.cumsum(size)
         for c, a, b in zip(cheb_coef, end - size, end):  # c: (Re, Im) x T_j coefficients
             re, im = c @ cheb[:, a:b]
-            vals[a:b] = weight * (re * re + im * im)
+            vals[a:b] = re * re + im * im
         return vals
 
     flat = np.atleast_1d(detuning).ravel()
     out = np.empty(flat.size)
-    reach = max(flat.max(initial=0.0), -flat.min(initial=0.0)) + poles[-1] - poles[0] + 2.0 * gamma
-    if coef.size <= 2 * _CHEB_POINTS or not reach < 2.0**50 * gamma or gamma < _TINY_GAMMA:
+    reach = max(flat.max(initial=0.0), -flat.min(initial=0.0)) + poles[-1] - poles[0] + 2.0
+    if coef.size <= 2 * _CHEB_POINTS or not reach < 2.0**40:
         for lo in range(0, flat.size, step):
             out[lo : lo + step] = direct(flat[lo : lo + step])
         return out.reshape(np.shape(detuning))
@@ -323,7 +316,7 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float, gamma: fl
     # values at the nodes -> coefficients of T_0 .. T_{p-1} (a discrete cosine transform)
     to_coef = np.cos(np.outer(np.arange(_CHEB_POINTS), angles)) * (2.0 / _CHEB_POINTS)
     to_coef[0] *= 0.5
-    width, origin = 0.25 * gamma, poles[0] - gamma  # panel k: origin + [k, k + 1) width
+    width, origin = 0.25, poles[0] - 1.0  # panel k: origin + [k, k + 1) width
     pos = 0
     while pos < flat.size:
         d = flat[pos : pos + _PANEL_BLOCK]

@@ -5,23 +5,22 @@ Every solver reads the level E0(t) and the barrier w(t) through the
 SystemParams profiles. LevelDrive and BarrierDrive are sinusoids with
 closed-form integrals; another profile is a subclass of either.
 
-Units: hbar = 1 and the wide-band level width Gamma is the energy unit
-(time in 1/Gamma). A reservoir is characterized by its spectral density
-S(E) = Omega^2(E) rho(E) = Gamma/(2 pi) shape(E). SystemParams alone holds
-Gamma; a reservoir holds only its band shape, and its Gamma-scaled methods
-(density, kernel, FiniteChain.couplings) take Gamma as an argument. The
-kernel entering the memory integral is the Fourier transform of S,
+Units: hbar = 1 and the wide-band level width Gamma = 1 is the energy unit
+(time in 1/Gamma), so no parameter holds it. A reservoir holds only its band
+shape: its spectral density is S(E) = Omega^2(E) rho(E) = shape(E)/(2 pi),
+the wide band's being 1/(2 pi). The kernel entering the memory integral is
+the Fourier transform of S,
 
     K(tau) = int S(E) e^{-i E tau} dE,
 
 real and even in tau for every (even) density implemented here:
 
-    wide band     S(E) = Gamma/(2 pi)                        K = Gamma delta(tau)
-    Lorentzian    S(E) = Gamma/(2 pi) L^2/(E^2 + L^2)        K = (Gamma L / 2) e^{-L |tau|}
-    semicircle    S(E) = Gamma/(2 pi) sqrt(1 - E^2/W^2)      K = Gamma J_1(W tau)/(2 tau)
+    wide band     S(E) = 1/(2 pi)                        K = delta(tau)
+    Lorentzian    S(E) = 1/(2 pi) L^2/(E^2 + L^2)        K = (L / 2) e^{-L |tau|}
+    semicircle    S(E) = 1/(2 pi) sqrt(1 - E^2/W^2)      K = J_1(W tau)/(2 tau)
 
 on support |E| <= W for the semicircle. A kernel method returns K on the
-one grid solve_volterra asks for, kernel(dt, n, gamma) = K(j dt) at the lags
+one grid solve_volterra asks for, kernel(dt, n) = K(j dt) at the lags
 j = 0 .. n.
 
 The finite chain discretizes the semicircle with N levels
@@ -124,7 +123,7 @@ class BarrierDrive:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static level position, width, and optional drives (all in Gamma units).
+    """Static level position and optional drives (all in units of Gamma = 1).
 
     Both drives may be present simultaneously; they are evaluated
     independently wherever that combination is supported. The solvers read
@@ -134,14 +133,11 @@ class SystemParams:
     """
 
     e0: float
-    gamma: float = 1.0
     level_drive: Optional[LevelDrive] = None
     barrier_drive: Optional[BarrierDrive] = None
 
     def __post_init__(self):
-        _check_finite(self, "e0", "gamma")
-        if not self.gamma > 0.0:
-            raise ModelError(f"gamma must be positive, got {self.gamma}")
+        _check_finite(self, "e0")
 
     @property
     def u(self) -> float:
@@ -190,16 +186,16 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class WideBand:
-    """Energy-independent reservoir, S(E) = Gamma/(2 pi); delta-function kernel."""
+    """Energy-independent reservoir, S(E) = 1/(2 pi); delta-function kernel."""
 
-    def density(self, e, gamma: float):
+    def density(self, e):
         e = np.asarray(e, dtype=float)
-        return np.full_like(e, gamma / TWO_PI)
+        return np.full_like(e, 1.0 / TWO_PI)
 
 
 @dataclass(frozen=True)
 class Lorentzian:
-    """Lorentzian density of half-width lam, S(E) = Gamma/(2 pi) lam^2/(E^2+lam^2)."""
+    """Lorentzian density of half-width lam, S(E) = 1/(2 pi) lam^2/(E^2+lam^2)."""
 
     lam: float
 
@@ -208,13 +204,13 @@ class Lorentzian:
         if not self.lam > 0.0:
             raise ModelError(f"Lorentzian half-width must be positive, got {self.lam}")
 
-    def density(self, e, gamma: float):
+    def density(self, e):
         e = np.asarray(e, dtype=float)
         l2 = self.lam * self.lam
-        return gamma / TWO_PI * l2 / (e * e + l2)
+        return 1.0 / TWO_PI * l2 / (e * e + l2)
 
-    def kernel(self, dt: float, n: int, gamma: float) -> np.ndarray:
-        return 0.5 * gamma * self.lam * np.exp(-self.lam * (dt * np.arange(n + 1)))
+    def kernel(self, dt: float, n: int) -> np.ndarray:
+        return 0.5 * self.lam * np.exp(-self.lam * (dt * np.arange(n + 1)))
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
         # e^{-lam tau} < rel_tol beyond this point
@@ -223,7 +219,7 @@ class Lorentzian:
 
 @dataclass(frozen=True)
 class Semicircle:
-    """Semicircle density on |E| <= W, S(E) = Gamma/(2 pi) sqrt(1 - E^2/W^2)."""
+    """Semicircle density on |E| <= W, S(E) = 1/(2 pi) sqrt(1 - E^2/W^2)."""
 
     w_band: float
 
@@ -232,19 +228,19 @@ class Semicircle:
         if not self.w_band > 0.0:
             raise ModelError(f"semicircle band edge must be positive, got {self.w_band}")
 
-    def density(self, e, gamma: float):
+    def density(self, e):
         e = np.asarray(e, dtype=float)
         inside = 1.0 - (e / self.w_band) ** 2
-        return gamma / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
+        return 1.0 / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
 
-    def kernel(self, dt: float, n: int, gamma: float) -> np.ndarray:
-        # Gamma J_1(W tau)/(2 tau) as the coupling sum of a chain long enough for
+    def kernel(self, dt: float, n: int) -> np.ndarray:
+        # J_1(W tau)/(2 tau) as the coupling sum of a chain long enough for
         # a = W n dt: the Chebyshev coefficients J_k(a) of e^{-i a E/W} fall below
         # 1e-17 from the (even) Miller start order m on, and the M-level rule is
         # exact to order 2M - 1, so M = m/2 levels suffice
         m = _miller_start(0, self.w_band * n * dt)
         chain = FiniteChain(m // 2, self.w_band)
-        om = chain.couplings(gamma)
+        om = chain.couplings()
         return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real
 
     def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
@@ -256,7 +252,7 @@ class FiniteChain:
     """N discrete reservoir levels sampling the semicircle band.
 
     Levels E_r = W cos(r pi/(N+1)), r = 1..N, strictly decreasing, and
-    couplings Omega(E_r) = sqrt(Gamma W / (2 (N+1))) sqrt(1 - E_r^2/W^2),
+    couplings Omega(E_r) = sqrt(W / (2 (N+1))) sqrt(1 - E_r^2/W^2),
     vanishing at the band edges. With the level density
     rho(E_r) = (N+1)/(pi sqrt(W^2 - E_r^2)) this makes Omega^2 rho equal
     to the semicircle density at every level.
@@ -276,9 +272,9 @@ class FiniteChain:
         r = np.arange(1, self.n_levels + 1)
         return self.w_band * np.cos(r * np.pi / (self.n_levels + 1))
 
-    def couplings(self, gamma: float) -> np.ndarray:
+    def couplings(self) -> np.ndarray:
         e = self.level_energies()
-        return np.sqrt(gamma * self.w_band / (2.0 * (self.n_levels + 1))) * np.sqrt(
+        return np.sqrt(self.w_band / (2.0 * (self.n_levels + 1))) * np.sqrt(
             1.0 - (e / self.w_band) ** 2
         )
 
@@ -286,9 +282,9 @@ class FiniteChain:
         e = self.level_energies()
         return (self.n_levels + 1) / (np.pi * np.sqrt(self.w_band**2 - e**2))
 
-    def density(self, e, gamma: float):
+    def density(self, e):
         # continuum envelope (the N -> infinity limit of Omega^2 rho)
-        return Semicircle(self.w_band).density(e, gamma)
+        return Semicircle(self.w_band).density(e)
 
 
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]

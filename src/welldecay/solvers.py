@@ -28,7 +28,7 @@ starts from b0(0) = 1:
   Lorentzian kernel,
 
       i b0'' = [E0(t) - i s L + i w'/w] b0'
-               + [E0'(t) + (s L - w'/w) E0(t) - i L Gamma w^2 / 2] b0,
+               + [E0'(t) + (s L - w'/w) E0(t) - i L w^2 / 2] b0,
 
   with s = sgn(t) constant on each side of zero, integrated by the
   classical fixed-step Runge-Kutta scheme (fourth order). The ODE is
@@ -47,8 +47,9 @@ starts from b0(0) = 1:
 Every route reads E0(t) and w(t) from its SystemParams.
 
 Grids always contain t = 0 as a node and satisfy the resolution rule
-dt * max(Gamma, band, |E0| + u, omega) <= 0.05, the band being 0 for the
-wide band, L, W, or W + |E0| + u for the finite chain.
+dt * max(1, band, |E0| + u, omega) <= 0.05, 1 being the level width Gamma
+(the unit) and the band 0 for the wide band, L, W, or W + |E0| + u for the
+finite chain.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _band(params: SystemParams, reservoir: SpectralDensity) -> float:
 
 
 def _resolution_scale(params: SystemParams, reservoir: SpectralDensity) -> float:
-    scale = max(params.gamma, abs(params.e0) + params.u, _band(params, reservoir))
+    scale = max(1.0, abs(params.e0) + params.u, _band(params, reservoir))
     if params.level_drive is not None:
         scale = max(scale, params.level_drive.omega)
     if params.barrier_drive is not None:
@@ -214,8 +215,14 @@ def default_dt(params: SystemParams, reservoir: SpectralDensity) -> float:
 
 
 def routes_for(reservoir: SpectralDensity) -> tuple:
-    """The ROUTES of the reservoir's class, or of its nearest base class listed there."""
-    return next((ROUTES[cls] for cls in type(reservoir).__mro__ if cls in ROUTES), ())
+    """The ROUTES of the reservoir's class. A subclass of a listed class keeps the
+    routes of its nearest listed base that call the instance's own kernel or
+    couplings, "volterra" and "exact"; "ode" and "closed" read only lam."""
+    cls = type(reservoir)
+    if cls in ROUTES:
+        return ROUTES[cls]
+    base = next((ROUTES[c] for c in cls.__mro__ if c in ROUTES), ())
+    return tuple(r for r in base if r in ("volterra", "exact"))
 
 
 def solve(
@@ -274,7 +281,7 @@ def solve_volterra(
     jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / dt)))
 
     # K[m] = K(m dt) up to the truncation; the kernel is even, the |tau| grid suffices
-    kern = sd.kernel(dt, jcut, params.gamma)
+    kern = sd.kernel(dt, jcut)
     k0 = float(kern[0])
     hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
 
@@ -316,7 +323,8 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
 
     The history sum takes three routes (Hairer, Lubich & Schlichte, SIAM J.
     Sci. Stat. Comput. 6:532, 1985): earlier blocks of _BLOCK steps by a
-    uniformly partitioned FFT convolution, earlier sub-blocks of _SUB steps
+    uniformly partitioned FFT convolution over the spectra of the blocks in
+    the kernel's reach (the only ones kept), earlier sub-blocks of _SUB steps
     in the block by a dense Toeplitz product, and the sub-block's own steps
     through its transfer matrix, which maps the incoming state and the
     sub-block's history sums to all of its outputs at once. Transfer
@@ -350,7 +358,11 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
     inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
     inp[:dim] = x0
     z = np.empty(2 * S + dim, dtype=complex)  # the sub-block's g, y and outgoing state
-    specs = np.empty((nblocks, 2 * B), dtype=complex)  # FFT of each zero-padded block of g
+    # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's reach,
+    # in up to twice as many rows, moved to the front when the rows run out
+    cap = min(nblocks, 2 * ndist)
+    specs = np.empty((max(cap, 1), 2 * B), dtype=complex)
+    base = 0
     block = np.zeros(2 * B, dtype=complex)
     span = _CHUNK_BLOCKS * B
     for clo in range(0, size, span):
@@ -363,10 +375,13 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
             i = lo // B
             far = forcing[lo : lo + B]
             if i:
+                if i - 1 - base == cap:
+                    base = i - ndist
+                    specs[: ndist - 1] = specs[cap - ndist + 1 :]
                 block[:B] = g[lo - B : lo]
-                specs[i - 1] = np.fft.fft(block)
+                specs[i - 1 - base] = np.fft.fft(block)
                 m = min(ndist, i)  # partition j meets the block j + 1 back
-                spec = np.einsum("jk,jk->k", specs[i - m : i], kspec[m - 1 :: -1])
+                spec = np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1])
                 far = far + np.fft.ifft(spec)[B:]
             for c in range(0, B, S):
                 s0 = lo + c
@@ -414,7 +429,7 @@ def solve_lorentzian_ode(
     n = times.size - 1
     h = times[1] - times[0]
     s = 1.0 if h > 0 else -1.0  # sgn(t), constant on this side of zero
-    lam, g = sd.lam, params.gamma
+    lam = sd.lam
 
     # every RK4 stage time in time order: nodes at even, half-nodes at odd positions
     stages = np.empty(2 * n + 1)
@@ -430,7 +445,7 @@ def solve_lorentzian_ode(
     e0v = params.e0_at(stages)
     # y' = [[0, 1], [a, bc]] y for y = (b0, b0'): a and bc are -i times the ODE's brackets
     bc = -1j * (e0v - 1j * s * lam + 1j * wdw)
-    a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0v - 0.5j * lam * g * wv * wv)
+    a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0v - 0.5j * lam * wv * wv)
 
     b = np.empty(n + 1, dtype=complex)
     y0, y1 = 1.0 + 0.0j, -1j * float(e0v[0])

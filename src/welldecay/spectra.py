@@ -91,16 +91,16 @@ def energy_grid(
     sideband E0 + n omega of the active drive. Tails extend the window logarithmically (default
     to 2000 Gamma, leaving ~1.6e-4 of a Lorentzian line outside).
     """
-    g = params.gamma
     sidebands = closedform._sidebands(params)
     omega, n_max = (0.0, 0) if sidebands is None else sidebands[1:]
     if core_halfwidth is None:
-        core_halfwidth = 8.0 * g + n_max * omega
+        core_halfwidth = 8.0 + n_max * omega
     core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, _GRID_POINTS)
     step = core[1] - core[0]
     segments = [core]
     for p in [params.e0 + n * omega for n in range(-n_max, n_max + 1)]:
-        segments.append(np.arange(p - g, p + g + 0.5 * step / _GRID_REFINE, step / _GRID_REFINE))
+        end = p + 1.0 + 0.5 * step / _GRID_REFINE
+        segments.append(np.arange(p - 1.0, end, step / _GRID_REFINE))
     if tail_halfwidth is not None and tail_halfwidth > core_halfwidth:
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
         segments.append(params.e0 + t)
@@ -115,7 +115,7 @@ def conservation_window(params: SystemParams, p0_final: float) -> float:
     (Gamma/2 pi)(1 + P0(t))/E^2, so both wings together hold
     (Gamma/pi)(1 + P0)/L beyond |E - E0| = L.
     """
-    return max(8.0 * params.gamma, (1.0 + p0_final) * params.gamma / (math.pi * _WING_BUDGET))
+    return max(8.0, (1.0 + p0_final) / (math.pi * _WING_BUDGET))
 
 
 def trajectory_dt(params: SystemParams, energies, t_end: float) -> float:
@@ -136,7 +136,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
     windowed integral on the trajectory's uniform grid for every grid
     energy, with the trajectory's own barrier profile w(t) and weighted by
-    its own spectral density at the level width of its params."""
+    its own spectral density."""
     times = traj.times
     if times[0] != 0.0 or times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
@@ -154,7 +154,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     weights = np.full_like(times, dt)
     weights[0] = weights[-1] = 0.5 * dt
     g = weights * w * traj.b0
-    dens = np.asarray(traj.sd.density(energies, traj.params.gamma), dtype=float)
+    dens = np.asarray(traj.sd.density(energies), dtype=float)
     values = np.abs(_uniform_sum(g, energies * dt)) ** 2 * dens
     return EnergySpectrum.build(energies, values, time=float(times[-1]))
 

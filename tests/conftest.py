@@ -28,7 +28,7 @@ def conservation_gap(params, t_end):
     step, spectra.trajectory_dt, serves the whole grid and lands exactly on
     t_end.
     """
-    p0_final = math.exp(-params.gamma * t_end)  # >= the barrier-driven P0: a wider window
+    p0_final = math.exp(-t_end)  # >= the barrier-driven P0: a wider window
     window = spectra.conservation_window(params, p0_final)
     n_tail = tail_points_for(t_end, window, p0_final)
     grid = spectra.energy_grid(params, tail_halfwidth=window, tail_points=n_tail)

@@ -105,7 +105,7 @@ def test_c03_short_time_expansion():
         y = 1.0 - traj.p0[1:]
         basis = np.vstack([t**2, -(t**3), t**4]).T
         c2, c3, _ = np.linalg.lstsq(basis, y, rcond=None)[0]
-        c2_ref, c3_ref = closedform.short_time_coefficients(p, lam)
+        c2_ref, c3_ref = closedform.short_time_coefficients(lam)
         results.append((abs(c2 - c2_ref) / c2_ref, abs(c3 - c3_ref) / c3_ref))
     worst = max(max(r) for r in results)
     ok = worst < 0.01

@@ -1,5 +1,6 @@
 """Exact finite-reservoir evolution: limits, revival, unitarity, lineshape."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from welldecay import closedform
 from welldecay.chain import evolve_chain, lineshape_exact, revival_time
+from welldecay.spectra import spectrum_from_trajectory
 from welldecay.model import (
     BarrierDrive,
     FiniteChain,
@@ -63,7 +65,7 @@ def strang_reference(params, chain, cfg):
     times = _grid(cfg)
     h = times[1] - times[0]
     er = chain.level_energies()
-    om = chain.couplings(params.gamma)
+    om = chain.couplings()
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm
     half = np.exp(-1j * er * (h / 2.0))
@@ -99,7 +101,7 @@ def check_against_strang_reference(params, chain, dt, t_end):
 class DecoupledChain(FiniteChain):
     """Chain levels with every coupling switched off."""
 
-    def couplings(self, gamma):
+    def couplings(self):
         return np.zeros(self.n_levels)
 
 
@@ -113,12 +115,23 @@ def test_decoupled_chain_is_free_evolution():
     assert np.max(np.abs(traj.br)) < 1e-14
 
 
+def test_chain_trajectory_spectrum_is_weighted_by_the_semicircle_envelope():
+    # FiniteChain.density is the continuum envelope: the same run weighted by
+    # Semicircle.density gives the same spectrum
+    traj = run(0.3, FiniteChain(40, 6.0), 2.0, 5e-3)
+    e = np.linspace(-8.0, 8.0, 81)
+    got = spectrum_from_trajectory(traj, e)
+    ref = spectrum_from_trajectory(dataclasses.replace(traj, sd=Semicircle(6.0)), e)
+    assert np.array_equal(got.values, ref.values)
+    assert np.all(got.values[np.abs(e) >= 6.0] == 0.0) and got.norm > 0.0
+
+
 def test_two_level_rabi_oscillation():
     # N = 1: the single reservoir level sits at E = 0 and the coupling is
     # Omega = sqrt(Gamma W) / 2; for e0 = 0 this is a textbook Rabi problem
     w_band = 4.0
     chain = FiniteChain(n_levels=1, w_band=w_band)
-    omega_r = float(chain.couplings(1.0)[0])
+    omega_r = float(chain.couplings()[0])
     assert abs(omega_r - math.sqrt(w_band) / 2.0) < 1e-14
     traj = run(0.0, chain, 3.0 * math.pi / omega_r, 1e-3)
     ref = np.cos(omega_r * traj.times) ** 2
@@ -259,7 +272,7 @@ def test_driven_chain_matches_wideband_spectrum():
     b0 = closedform.b0_markovian_driven(params, t)
     for e_test in (2.0, -2.0):
         i = int(np.argmin(np.abs(spec.energies - e_test)))
-        ref = params.gamma / (2 * math.pi) * abs(
+        ref = 1.0 / (2 * math.pi) * abs(
             np.trapezoid(b0 * np.exp(1j * spec.energies[i] * t), t)
         ) ** 2
         assert abs(spec.values[i] - ref) / ref < 0.06
@@ -301,7 +314,7 @@ def test_state_access_requires_stored_reservoir():
 def test_static_b0_matches_eigenbasis_sum(backward):
     chain, e0 = FiniteChain(30, 5.0), 0.4
     h = np.diag(np.concatenate([[e0], chain.level_energies()]))
-    h[0, 1:] = h[1:, 0] = chain.couplings(1.0)
+    h[0, 1:] = h[1:, 0] = chain.couplings()
     lam, vec = np.linalg.eigh(h)
     traj = run(e0, chain, -25.0 if backward else 25.0, 0.008)
     ref = np.exp(-1j * np.outer(traj.times, lam)) @ vec[0] ** 2

@@ -238,6 +238,22 @@ def test_nonfinite_input_exits_1_naming_the_field(tmp_path, capsys, argv, field)
     assert field in err and "finite" in err, err
 
 
+@pytest.mark.parametrize(
+    "argv,needs",
+    [
+        ("--model wideband --drive level --u 1", "level drive needs --omega"),
+        ("--model wideband --drive barrier --alpha 0.5", "barrier drive needs --omega"),
+        ("--model lorentzian", "lorentzian model needs --lambda"),
+        ("--model semicircle", "semicircle model needs --w"),
+    ],
+)
+def test_missing_drive_or_model_flag_exits_1_before_any_file(tmp_path, capsys, argv, needs):
+    out = tmp_path / "out"
+    assert main(["survival", *argv.split(), "--t-max", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert needs in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_2(tmp_path):
     # too short a window to judge a revival
     rc = main(["revival", "--n", "150", "--w", "6", "--e0", "1", "--t-max", "2",

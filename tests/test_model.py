@@ -26,21 +26,21 @@ TWO_PI = 2.0 * math.pi
 
 def test_density_band_center_and_half_maximum():
     lor = Lorentzian(lam=4.0)
-    assert abs(lor.density(0.0, 1.0) - 1.0 / TWO_PI) < 1e-15
-    assert abs(lor.density(4.0, 1.0) - 0.5 / TWO_PI) < 1e-15
+    assert abs(lor.density(0.0) - 1.0 / TWO_PI) < 1e-15
+    assert abs(lor.density(4.0) - 0.5 / TWO_PI) < 1e-15
 
 
 def test_density_semicircle_band_edge():
     semi = Semicircle(w_band=6.0)
-    assert semi.density(6.0, 1.0) == 0.0
-    assert semi.density(7.5, 1.0) == 0.0
-    assert abs(semi.density(0.0, 1.0) - 1.0 / TWO_PI) < 1e-15
+    assert semi.density(6.0) == 0.0
+    assert semi.density(7.5) == 0.0
+    assert abs(semi.density(0.0) - 1.0 / TWO_PI) < 1e-15
 
 
 def test_kernel_values_at_zero_lag():
-    assert abs(Lorentzian(4.0).kernel(0.1, 0, 1.0)[0] - 2.0) < 1e-15  # Gamma lam / 2
-    # semicircle limit Gamma W / 4, cross-checked by quadrature below
-    assert abs(Semicircle(6.0).kernel(0.1, 0, 1.0)[0] - 1.5) < 1e-12
+    assert abs(Lorentzian(4.0).kernel(0.1, 0)[0] - 2.0) < 1e-15  # lam / 2
+    # semicircle limit W / 4, cross-checked by quadrature below
+    assert abs(Semicircle(6.0).kernel(0.1, 0)[0] - 1.5) < 1e-12
 
 
 LAG_DT = 0.05  # the lag grid of the quadrature checks; each tau is a multiple
@@ -53,10 +53,10 @@ def test_kernel_matches_density_quadrature_lorentzian(tau):
     j = round(tau / LAG_DT)
     tau = j * LAG_DT
     if tau == 0.0:
-        ref = quad(lambda e: lor.density(e, 1.0), -np.inf, np.inf)[0]
+        ref = quad(lambda e: lor.density(e), -np.inf, np.inf)[0]
     else:
-        ref = quad(lambda e: lor.density(e, 1.0), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
-    assert abs(lor.kernel(LAG_DT, j, 1.0)[j] - ref) < 1e-9
+        ref = quad(lambda e: lor.density(e), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
+    assert abs(lor.kernel(LAG_DT, j)[j] - ref) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
@@ -64,8 +64,8 @@ def test_kernel_matches_density_quadrature_semicircle(tau):
     semi = Semicircle(w_band=6.0)
     j = round(tau / LAG_DT)
     tau = j * LAG_DT
-    ref = quad(lambda e: semi.density(e, 1.0) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
-    assert abs(semi.kernel(LAG_DT, j, 1.0)[j] - ref) < 1e-9
+    ref = quad(lambda e: semi.density(e) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
+    assert abs(semi.kernel(LAG_DT, j)[j] - ref) < 1e-9
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -74,15 +74,14 @@ def test_kernel_matches_density_quadrature_semicircle(tau):
 @example(w=6.0, n=257, a=504.0)
 @example(w=20.0, n=300, a=9999.0)
 def test_semicircle_kernel_matches_bessel(w, n, a):
-    # the chain's coupling sum against Gamma J_1(W tau)/(2 tau) on lags up to W n dt = a
-    gamma = 1.7
+    # the chain's coupling sum against J_1(W tau)/(2 tau) on lags up to W n dt = a
     dt = a / (w * max(n, 1))
-    kern = Semicircle(w).kernel(dt, n, gamma)
+    kern = Semicircle(w).kernel(dt, n)
     assert kern.shape == (n + 1,) and kern.dtype == np.float64
     for j in {0, 1, n // 2, n, 255, 256, 257} & set(range(n + 1)):
         tau = j * dt
-        ref = gamma * w / 4.0 if j == 0 else gamma * bessel_j(1, w * tau) / (2.0 * tau)
-        assert abs(kern[j] - ref) <= 1e-13 * gamma * w / 4.0
+        ref = w / 4.0 if j == 0 else bessel_j(1, w * tau) / (2.0 * tau)
+        assert abs(kern[j] - ref) <= 1e-13 * w / 4.0
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -111,8 +110,8 @@ def test_matched_lorentzian_curvature():
     w = 6.0
     semi, lor = Semicircle(w), Lorentzian(math.sqrt(2.0) * w)
     h = 1e-3
-    dd_semi = (semi.density(h, 1.0) - 2 * semi.density(0.0, 1.0) + semi.density(-h, 1.0)) / h**2
-    dd_lor = (lor.density(h, 1.0) - 2 * lor.density(0.0, 1.0) + lor.density(-h, 1.0)) / h**2
+    dd_semi = (semi.density(h) - 2 * semi.density(0.0) + semi.density(-h)) / h**2
+    dd_lor = (lor.density(h) - 2 * lor.density(0.0) + lor.density(-h)) / h**2
     assert abs(dd_semi - dd_lor) < 1e-5 * abs(dd_semi)
 
 
@@ -121,7 +120,7 @@ def test_chain_levels_and_couplings():
     e = ch.level_energies()
     assert np.all(np.diff(e) < 0)
     assert np.all(np.abs(e) < 6.0)
-    om = ch.couplings(1.0)
+    om = ch.couplings()
     assert np.all(om >= 0.0)
     # couplings vanish toward the band edges: edge levels carry the smallest
     assert om[0] < om[2] and om[-1] < om[2]
@@ -132,18 +131,16 @@ def test_chain_density_reaches_semicircle():
     n, w = 500, 6.0
     ch = FiniteChain(n, w)
     semi = Semicircle(w)
-    e, om2 = ch.level_energies(), ch.couplings(1.0) ** 2
+    e, om2 = ch.level_energies(), ch.couplings() ** 2
     sigma = 4.0 * np.pi * w / (n + 1)  # a few level spacings
     for e_test in (0.0, 1.8, -2.7):
         weights = np.exp(-0.5 * ((e_test - e) / sigma) ** 2) / (sigma * math.sqrt(TWO_PI))
         approx = float(np.sum(om2 * weights))
-        exact = float(semi.density(e_test, 1.0))
+        exact = float(semi.density(e_test))
         assert abs(approx - exact) < 0.02 * exact
 
 
 def test_parameter_validation():
-    with pytest.raises(ModelError):
-        SystemParams(e0=0.0, gamma=0.0)
     with pytest.raises(ModelError):
         LevelDrive(u=1.0, omega=0.0)
     with pytest.raises(ModelError):
@@ -164,7 +161,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize(
     "build,field",
     [
-        (lambda x: SystemParams(e0=0.0, gamma=x), "SystemParams.gamma"),
+        (lambda x: SystemParams(e0=x), "SystemParams.e0"),
         (lambda x: Lorentzian(x), "Lorentzian.lam"),
         (lambda x: Semicircle(x), "Semicircle.w_band"),
         (lambda x: FiniteChain(10, x), "FiniteChain.w_band"),

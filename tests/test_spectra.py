@@ -253,13 +253,19 @@ def test_nonuniform_grid_rejected():
         spectrum_from_trajectory(traj, np.linspace(-1.0, 1.0, 11))
 
 
+def test_negative_side_trajectory_rejected():
+    traj = solve_wideband(SystemParams(e0=0.0), SolverConfig(dt=0.01, t_end=-1.0))
+    with pytest.raises(ModelError, match="ascending grid starting at t = 0"):
+        spectrum_from_trajectory(traj, np.linspace(-1.0, 1.0, 11))
+
+
 def direct_spectrum(traj, energies):
     """The trapezoid sum term by term, the reference for the fast sum."""
     t = traj.times
     weights = np.full_like(t, t[1] - t[0])
     weights[[0, -1]] *= 0.5
     amp = np.exp(1j * np.outer(energies, t)) @ (weights * traj.params.w_at(t) * traj.b0)
-    return np.abs(amp) ** 2 * traj.sd.density(energies, traj.params.gamma)
+    return np.abs(amp) ** 2 * traj.sd.density(energies)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -296,6 +302,10 @@ def test_energy_spectrum_validation():
         EnergySpectrum.build(np.array([0.0, 0.0, 1.0]), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         EnergySpectrum.build(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 1.0)
+    for energies, values in ((np.linspace(0.0, 1.0, 5), np.ones(4)),
+                             (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            EnergySpectrum.build(energies, values, 1.0)
 
 
 def test_asymptotic_spectrum_follows_the_drive_of_params():
