@@ -39,6 +39,7 @@ solve_volterra rejects both.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,9 +56,11 @@ class ModelError(ValueError):
 
 
 def _check_finite(obj, *fields: str) -> None:
-    """Reject NaN and inf in the named fields of a parameter record."""
+    """Reject non-numbers, NaN and inf in the named fields of a parameter record."""
     for name in fields:
         value = getattr(obj, name)
+        if not isinstance(value, numbers.Real):
+            raise ModelError(f"{type(obj).__name__}.{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ModelError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
@@ -263,6 +266,8 @@ class FiniteChain:
 
     def __post_init__(self):
         _check_finite(self, "w_band")
+        if isinstance(self.n_levels, bool) or not isinstance(self.n_levels, numbers.Integral):
+            raise ModelError(f"FiniteChain.n_levels must be an integer, got {self.n_levels!r}")
         if self.n_levels < 1:
             raise ModelError(f"chain needs at least one level, got {self.n_levels}")
         if not self.w_band > 0.0:

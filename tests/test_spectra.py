@@ -297,6 +297,78 @@ def test_fast_sum_matches_direct_sum(n_t, dt, seed, barrier):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=2, seed=1)
+@example(n=9, seed=2)
+def test_uniform_sum_matches_direct_sum_for_any_phase(n, seed):
+    # |x| up to 3 pi wraps the stencil around FFT grids of 2..128 points,
+    # smaller than its 2 _SPREAD nodes
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    edge = 3.0 * np.pi
+    x = np.concatenate([[-edge, -np.pi, 0.0, np.pi, edge], rng.uniform(-edge, edge, 200)])
+    ref = np.exp(1j * np.outer(x, np.arange(n))) @ g
+    got = spectra._uniform_sum(g, x)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(g))
+
+
+def unique_grid(params, core_halfwidth=None, tail_halfwidth=2000.0, tail_points=800):
+    """energy_grid's points merged by np.unique, the reference for its sort-and-drop."""
+    sidebands = closedform._sidebands(params)
+    omega, n_max = (0.0, 0) if sidebands is None else sidebands[1:]
+    if core_halfwidth is None:
+        core_halfwidth = 8.0 + n_max * omega
+    core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, 4001)
+    step = core[1] - core[0]
+    segments = [core]
+    for n in range(-n_max, n_max + 1):
+        p = params.e0 + n * omega
+        segments.append(np.arange(p - 1.0, p + 1.0 + 0.5 * step / 5, step / 5))
+    if tail_halfwidth is not None and tail_halfwidth > core_halfwidth:
+        t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
+        segments += [params.e0 + t, params.e0 - t]
+    return np.unique(np.concatenate(segments))
+
+
+@pytest.mark.parametrize("e0", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize(
+    "drive,kwargs",
+    [
+        ({"level_drive": LevelDrive(u=20.0, omega=0.1)}, {}),  # benchmark spectrum-level
+        ({"barrier_drive": BarrierDrive(alpha=0.5, omega=0.05)}, {}),  # spectrum-barrier
+        ({"level_drive": LevelDrive(u=0.2, omega=0.2)}, {"core_halfwidth": 12.0}),  # fig5
+        ({"level_drive": LevelDrive(u=3.0, omega=2.0)}, {"tail_halfwidth": None}),  # selftest
+    ],
+)
+def test_energy_grid_is_the_np_unique_grid_bit_for_bit(e0, drive, kwargs):
+    p = SystemParams(e0=e0, **drive)
+    got, ref = energy_grid(p, **kwargs), unique_grid(p, **kwargs)
+    assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    e0=st.floats(-3.0, 3.0),
+    barrier=st.booleans(),
+    amplitude=st.floats(0.0, 0.9),
+    omega=st.floats(0.02, 4.0),
+    tails=st.booleans(),
+)
+@example(e0=0.0, barrier=False, amplitude=0.9, omega=0.02, tails=True)
+def test_energy_grid_strictly_increasing(e0, barrier, amplitude, omega, tails):
+    # overlapping sideband windows (omega < 2) put near-duplicates side by side
+    drive = (
+        {"barrier_drive": BarrierDrive(amplitude, omega)}
+        if barrier
+        else {"level_drive": LevelDrive(5.0 * amplitude, omega)}
+    )
+    grid = energy_grid(SystemParams(e0=e0, **drive), tail_halfwidth=2000.0 if tails else None)
+    assert grid.ndim == 1 and np.all(np.isfinite(grid))
+    assert np.all(np.diff(grid) > 0.0)
+
+
 def test_energy_spectrum_validation():
     with pytest.raises(ValueError):
         EnergySpectrum.build(np.array([0.0, 0.0, 1.0]), np.zeros(3), 1.0)
