@@ -1,26 +1,31 @@
 """CSV rows of float columns, every value written as format(v, ".15g") writes it.
 
-The text of a block of rows is built by numpy a column at a time:
+The text of a block of rows is built by numpy for all its values at once:
 
 - A double-double product of |v| and 10**(14 - e) (Dekker's split, no FMA)
   gives the correctly rounded 15-digit integer mantissa and its decimal
-  exponent e. 10**k is formed as hi + lo with exact integer arithmetic, only
-  for the exponents the data holds, and cached.
+  exponent e. 10**k is formed as hi + lo with exact integer arithmetic, in
+  one table for the whole fast range, built at first use.
 - Integer arithmetic in 3-digit chunks turns the mantissa into 16 bytes of
   digit text. Shifts drop the trailing zeros and insert the point.
 - Each value's text is 32 little-endian bytes in four uint64 words, NUL in
   the bytes it does not use: sign and "0.000" prefix | 16 mantissa bytes |
-  "e+dd[d]" and the separator. One bytes.translate deletes the NULs.
+  "e+dd[d]" and the separator. Each word fills a contiguous plane; one
+  transposed copy interleaves them and one bytes.translate deletes the NULs.
 
 Values the product cannot decide go through format() itself: inf, nan, +-0,
 |v| outside [1e-280, 1e280) and mantissas within 1e-6 of a rounding tie.
 
 Two measured costs shape the code. It uses only numpy loops that the rest
-of the package loads anyway (no log10, no bitwise and/or, no integer floor
-division or abs): the first use of any other loop maps 64 KB more of
-numpy's code, which counts in a run's peak RSS. And it is a module of its
-own: with bytecode caching off, compiling it as part of cli.py raised the
-peak RSS of a benchmark pass by about 0.3 MB.
+of the package loads anyway (no log10, no bitwise and/or on integers, no
+integer floor division or abs; np.clip's wrapper cost more than a take):
+the first use of any other loop maps 64 KB more of numpy's code, which
+counts in a run's peak RSS. A pass formats 4096 values, as one column's did
+before; with one BLAS thread a benchmark pass peaked at 41.09, 41.09 and
+50.15 MB on spectra-trajectory, continuum-solvers and chain-sidebands
+(40.98, 41.18, 50.18 MB before; code layout alone moves these by 0.1 MB).
+And it is a module of its own: with bytecode caching off, compiling it as
+part of cli.py raised the peak RSS of a benchmark pass by about 0.3 MB.
 """
 
 from __future__ import annotations
@@ -42,27 +47,26 @@ def _pack(text: str) -> int:
 _DIGITS3 = np.array([_pack(f"{i:03d}") for i in range(1000)], _U64)  # "000".."999"
 _PREFIX = np.array([0, *(_pack("0." + "0" * z) << 8 for z in range(4)), 0], _U64)  # by -e
 _ZEROS = _U64(_pack("0" * 8)), _U64(_pack("0" * 7))
+_SHIFTS = np.array([64 - 8 * n for n in range(9)], _U64)  # x << s >> s keeps n low bytes
 
 
 @functools.cache
-def _pow10(k: int) -> tuple[float, float, float, float]:
-    """(hi, hi's upper and lower Dekker halves, lo): hi + lo is 10**k to about 2**-106."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den  # int / int is correctly rounded
-    p, q = hi.as_integer_ratio()
+def _pow10():
+    """Rows hi, hi's upper and lower Dekker halves, lo; column 281 - e holds 10**(14 - e)
+    as hi + lo to about 2**-106, for e in [-281, 281]: |v| in [1e-280, 1e280), one off."""
+    hi, lo = np.empty(563), np.empty(563)
+    for i, k in enumerate(range(-267, 296)):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi[i] = num / den  # int / int is correctly rounded
+        p, q = hi[i].as_integer_ratio()
+        lo[i] = (num * q - p * den) / (den * q)
     upper = _SPLIT * hi - (_SPLIT * hi - hi)
-    return hi, upper, hi - upper, (num * q - p * den) / (den * q)
+    return np.array([hi, upper, hi - upper, lo])
 
 
 def _scaled(a, e):
     """Integer part and fraction of a * 10**(14 - e), the fraction good to about 1e-16."""
-    k = 14 - e
-    k0 = int(k.min())
-    k -= k0
-    met = np.flatnonzero(np.bincount(k))
-    table = np.zeros((4, met[-1] + 1))
-    table[:, met] = np.array([_pow10(k0 + int(j)) for j in met]).T
-    hi, hi_upper, hi_lower, lo = table.take(k, axis=1)
+    hi, hi_upper, hi_lower, lo = _pow10().take(281 - e, axis=1)
     p = a * hi
     t = _SPLIT * a
     a_upper = t - (t - a)
@@ -97,12 +101,12 @@ def _mantissa(v):
 
 
 def _low_bytes(x, n):
-    """The low n bytes of each word of x, 0 <= n <= 8 (numpy shifts by 64 give 0)."""
-    s = (64 - 8 * np.clip(n, 0, 8)).astype(_U64)
+    """The low n bytes of each word of x, n clipped to [0, 8] (numpy shifts by 64 give 0)."""
+    s = _SHIFTS.take(n, mode="clip")
     return (x << s) >> s
 
 
-def _format_column(v, words) -> None:
+def _format_values(v, words) -> None:
     """Write the text of each value v[i] into words[:, i]."""
     m, e, fast = _mantissa(v)
     chunks = []  # the 3-digit chunks of m, last first
@@ -128,7 +132,7 @@ def _format_column(v, words) -> None:
     words[2] = (below_hi + (hi - below_hi << _U64(8)) + (above_lo >> _U64(56))
                 + (_U64(ord(".")) << np.where(point >= 8, dot - _U64(64), _U64(64))))
 
-    words[0] = _PREFIX.take(np.clip(-e, 0, 5)) + np.where(v < 0, _U64(ord("-")), _U64(0))
+    words[0] = _PREFIX.take(-e, mode="clip") + np.where(v < 0, _U64(ord("-")), _U64(0))
     ae = np.maximum(e, -e)
     exponent = (_DIGITS3.take(ae) >> np.where(ae < 100, _U64(8), _U64(0))) << _U64(16)
     exponent += np.where(e < 0, _U64(_pack("e-")), _U64(_pack("e+")))
@@ -143,9 +147,10 @@ def _format_column(v, words) -> None:
 
 def format_rows(columns) -> bytes:
     """The CSV lines of equal-length float64 columns, as format(v, ".15g") writes each value."""
-    words = np.empty((len(columns[0]), len(columns), 4), "<u8")
-    for j, col in enumerate(columns):
-        _format_column(col, words[:, j].T)
-    words[:, :-1, 3] += _U64(ord(",") << 56)
-    words[:, -1, 3] += _U64(ord("\n") << 56)
-    return words.tobytes().translate(None, b"\0")
+    values = np.stack(columns, axis=1).ravel()  # row by row
+    words = np.empty((4, values.size), "<u8")  # one plane per word
+    _format_values(values, words)
+    ends = words[3].reshape(-1, len(columns))
+    ends[:, :-1] += _U64(ord(",") << 56)
+    ends[:, -1] += _U64(ord("\n") << 56)
+    return words.T.tobytes().translate(None, b"\0")

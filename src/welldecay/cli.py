@@ -10,8 +10,8 @@ parameters are the parsed flags plus the values the command derived.
 Nothing is written unless the command returned and every flag is finite.
 
 Every CSV value is written as format(v, ".15g") would write it, byte for
-byte, by _csvformat.format_rows: numpy formats 4096 rows a column at a time,
-and only the values it cannot decide (inf, nan, +-0, |v| outside
+byte, by _csvformat.format_rows: numpy formats 4096 values, whole rows, in
+one pass, and only the values it cannot decide (inf, nan, +-0, |v| outside
 [1e-280, 1e280), a mantissa within 1e-6 of a rounding tie) go through
 format() itself.
 
@@ -48,7 +48,7 @@ from .solvers import (
 )
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
-_CSV_BLOCK = 4096  # rows per vectorised pass; a column of them (32 KB) stays in cache
+_CSV_BLOCK = 4096  # values per vectorised pass, so its temporaries stay those of one column
 _NOT_FLAGS = ("func", "raw_argv", "subcommand", "out")  # namespace keys kept out of parameters
 
 
@@ -61,10 +61,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_csv(path: Path, header, columns) -> None:
     cols = [np.asarray(c, dtype=float) for c in columns]
+    rows = max(1, _CSV_BLOCK // len(cols))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(cols[0]), _CSV_BLOCK):
-            fh.write(format_rows([c[lo : lo + _CSV_BLOCK] for c in cols]))
+        for lo in range(0, len(cols[0]), rows):
+            fh.write(format_rows([c[lo : lo + rows] for c in cols]))
 
 
 def _run(args) -> int:

@@ -45,12 +45,13 @@ analytic in the strip |Im d| < Gamma/2. On a real panel of half-width h the
 Chebyshev interpolant through p first-kind points then converges like
 rho^(-p), rho = y + sqrt(1 + y^2), y = Gamma / (2h) (Trefethen, Approximation
 Theory and Approximation Practice, 2013, ch. 8). Every panel is Gamma/4
-wide, so rho >= 8.1 wherever it sits, and faster still away from the poles.
-With p = 28 the truncation error is far below rounding: the panel sum
-matches the direct one to about 1e-14 of the peak. A panel holding at least
-p energies costs p M pole terms at its points and O(p) per energy, so a
-spectrum of N_E energies over M poles costs O(panels p M + N_E p) instead
-of O(M N_E). Sparser panels, and every energy when M <= 2p or when the
+wide (y = 4), so rho >= 4 + sqrt(17) = 8.12 wherever it sits, and faster
+still away from the poles. p = 18 is the smallest p with rho^(-p) < 2^-53
+(4e-17): the panel sum matches the direct one to 6.6e-15 and 5.9e-15 of the
+peak on the benchmark's level and barrier spectra (p = 14: 1.1e-13). A panel
+of at least p energies costs p M pole terms at its points and O(p) per
+energy, so N_E energies over M poles cost O(panels p M + N_E p) instead of
+O(M N_E). Sparser panels, and every energy when M <= 2p or when the
 energies and poles reach 2^40 (see _pole_sum_sq), take the direct sum.
 
 Everything is vectorized over the time / energy argument; sgn(0) = 0, which
@@ -69,7 +70,7 @@ from .model import ModelError, SystemParams, TWO_PI
 
 FLOQUET_TAIL_TOL = 1.0e-10
 _POLE_BLOCK = 1 << 16  # (energy, pole) pairs per block of the sideband sums
-_CHEB_POINTS = 28  # Chebyshev points per panel of the sideband sums
+_CHEB_POINTS = 18  # Chebyshev points per panel of the sideband sums
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
 
 
@@ -256,9 +257,9 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float):
     number comes from d - origin, rounded to 2^-52 of the reach; as that
     rounding nears the panel width, targets land in a neighbouring panel and
     read its interpolant outside [-1, 1], where it drifts from A. A sweep of
-    level drives (u/omega = 5 .. 120) kept the panel sum within the ~1e-14
-    floor of the peak up to a reach of 2^44 and left it beyond (1.4e-7 at
-    u/omega = 30, omega = 1e13, reach 2^49.6); 2^40 keeps a factor 16 below.
+    level drives (u/omega = 5 .. 120, omega = 1 .. 1e14) kept the ~1e-14
+    floor of the peak up to a reach of 2^46 and left it beyond (1.7e-10 at
+    u/omega = 30, omega = 1e13, reach 2^49.6); 2^40 keeps a factor 64 below.
     """
     poles = (np.arange(coef.size) - coef.size // 2) * omega
     cr, ci = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)

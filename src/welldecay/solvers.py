@@ -173,7 +173,10 @@ class AmplitudeTrajectory:
 
 
 def _grid(cfg: SolverConfig) -> np.ndarray:
-    n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
+    steps = abs(cfg.t_end) / cfg.dt
+    if not steps < 2.0**60:  # inf too: no float64 array has that many entries
+        raise ModelError(f"|t_end| / dt = {steps:.3g} steps, more than a time grid can hold")
+    n = max(1, int(round(steps)))
     sign = 1.0 if cfg.t_end > 0 else -1.0
     return sign * cfg.dt * np.arange(n + 1)
 

@@ -147,6 +147,22 @@ def test_csv_bytes_match_format_on_pinned_values(tmp_path, ncols, offset):
     assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
 
+# the ends of the fast range [1e-280, 1e280), where the 10**k table is read at e = -280
+# and 280, the floats next to them and the powers of ten on either side
+TABLE_EDGES = [1e-281, np.nextafter(1e-280, 0.0), 1e-280, np.nextafter(1e-280, 1.0), 1e-279,
+               np.nextafter(1e-279, 0.0), 1e279, np.nextafter(1e279, 0.0), 9.999999999999995e279,
+               np.nextafter(1e280, 0.0), 1e280, 1e281]
+TABLE_EDGES += [-x for x in TABLE_EDGES]
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
+def test_csv_bytes_match_format_at_the_edges_of_the_power_table(tmp_path, ncols):
+    columns = [np.roll(TABLE_EDGES, j) for j in range(ncols)]
+    cli._write_csv(tmp_path / "out.csv", ["h"] * ncols, columns)
+    expected = ",".join(["h"] * ncols) + "\n" + format_rows(columns)
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
 def test_main_reuses_one_parser(tmp_path, monkeypatch):
     parser = cli._parser()
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("built a second parser"))
@@ -415,6 +431,18 @@ def test_nonfinite_unread_flag_exits_1_before_any_file(tmp_path, capsys, flag, v
     assert not out.exists()
     err = capsys.readouterr().err
     assert flag in err and "finite" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    "survival --model wideband --t-max 1e300 --dt 1e-300",  # 1e600 steps
+    "revival --n 40 --w 1e-9 --e0 1e300",  # default t_max 1.2e11 over default dt 5e-302
+])
+def test_step_count_past_any_grid_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "steps" in err, err
 
 
 def test_unusable_out_exits_1(tmp_path, capsys):

@@ -431,8 +431,8 @@ def spectrum_level_case():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_floquet_panel_route_matches_blocked_pole_sum(barrier, order, omega, alpha, e0, seed):
-    # with more than 56 poles the grids put >= 28 energies in many panels of
-    # width 1/4, which the interpolation serves (in 5 of the 14 distinct examples);
+    # with more than 36 poles the grids put >= 18 energies in many panels of
+    # width 1/4, which the interpolation serves (in 12 of the 16 examples);
     # sparse panels and fewer poles take the direct sum
     if barrier:
         drive = {"barrier_drive": BarrierDrive(alpha=alpha, omega=alpha / order)}
@@ -474,7 +474,7 @@ def test_floquet_far_dense_panel_matches_blocked_pole_sum():
 def test_floquet_large_pole_span_falls_back_to_the_direct_sum():
     # u/omega = 30 at omega = 1e13: 89 poles spanning 8.8e14 = 2^49.6. At that
     # reach d - origin rounds to 1/16, a quarter of a panel, so panels keyed
-    # from it read their interpolant outside [-1, 1] (1.4e-7 of the peak);
+    # from it read their interpolant outside [-1, 1] (1.7e-10 of the peak);
     # the direct sum keeps the ~1e-14 floor
     om = 1.0e13
     p = SystemParams(e0=0.0, level_drive=LevelDrive(u=30.0 * om, omega=om))
@@ -490,6 +490,17 @@ def test_floquet_level_panel_route_on_the_benchmark_grid():
     got = closedform.floquet_spectrum(p, grid)
     ref = blocked_reference(closedform.floquet_spectrum, p, grid[::97])
     assert np.max(np.abs(got[::97] - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_floquet_barrier_panel_route_on_the_benchmark_grid():
+    # the barrier spectrum of the benchmark: alpha = 0.5, omega = 0.05, 49 poles, more
+    # than the 2 p = 36 that the direct sum keeps, on all 108,387 energies
+    p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.5, omega=0.05))
+    assert 2 * closedform._sidebands(p)[2] + 3 > 2 * closedform._CHEB_POINTS
+    grid = spectra.energy_grid(p)
+    got = closedform.floquet_spectrum(p, grid)
+    ref = blocked_reference(closedform.floquet_spectrum, p, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
 def test_floquet_level_memory_is_output_plus_blocks():
