@@ -27,7 +27,6 @@ from .solvers import (
     ResolutionError,
     SolverConfig,
     SolverError,
-    combine_signed,
     convergence_order,
     default_dt,
     solve,

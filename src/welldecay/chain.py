@@ -10,12 +10,13 @@ and comes back (arrival of the leading edge at t ~ 2(N+1)/W).
 
 The chain is a reservoir like the continuum ones: solvers.solve routes a
 FiniteChain to evolve_chain, which takes the same SystemParams (level position
-and drive profiles) and SolverConfig, builds the same signed grid, applies
-the same resolution rule with the band W + |E0| + u, and returns an
-AmplitudeTrajectory whose sd is the FiniteChain. It also fills the
-trajectory's br (the N reservoir amplitudes at the last sample, which
-lineshape_exact turns into the escaped particle's spectrum) and norm_drift
-(largest |<psi|psi> - 1| seen).
+and drive profiles) and SolverConfig, builds the same grid from t = 0 to
+either sign of t_end, applies the same resolution rule with the band
+W + |E0| + u, and returns an AmplitudeTrajectory whose sd is the
+FiniteChain. It also fills the trajectory's br (the N reservoir amplitudes
+at the last sample, which lineshape_exact turns into the escaped particle's
+spectrum) and norm_drift (largest |<psi|psi> - 1| seen). A cfg that also
+has a t_start goes through solve, which runs each side and joins them.
 
 Static Hamiltonians are propagated through the exact eigendecomposition of
 the real symmetric matrix, then b0 = sum_j |c_j|^2 e^{-i lam_j t} on every
@@ -154,11 +155,13 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
 def revival_time(traj: AmplitudeTrajectory) -> Optional[float]:
     """First return of the survival probability after it has emptied out.
 
-    Returns the first time past the initial crossing below _REVIVAL_DROP at
-    which P0 exceeds _REVIVAL_RISE, or None if it never does. Raises if the
-    series never falls below _REVIVAL_DROP (too short to judge).
+    Reads the trajectory from t = 0 to t_end and returns the first time past
+    the initial crossing below _REVIVAL_DROP at which P0 exceeds
+    _REVIVAL_RISE, or None if it never does. Raises if the series never
+    falls below _REVIVAL_DROP (too short to judge).
     """
-    p0 = traj.p0
+    i0 = traj.index_of(0.0)
+    times, p0 = traj.times[i0:], traj.p0[i0:]
     below = np.nonzero(p0 < _REVIVAL_DROP)[0]
     if below.size == 0:
         raise SolverError(
@@ -169,7 +172,7 @@ def revival_time(traj: AmplitudeTrajectory) -> Optional[float]:
     above = np.nonzero(p0[start:] > _REVIVAL_RISE)[0]
     if above.size == 0:
         return None
-    return float(traj.times[start + above[0]])
+    return float(times[start + above[0]])
 
 
 def lineshape_exact(traj: AmplitudeTrajectory) -> EnergySpectrum:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, chain, closedform, spectra
+from . import __version__, chain, spectra
 from ._csvformat import format_rows
 from .model import (
     BarrierDrive,
@@ -44,7 +44,7 @@ from .model import (
     WideBand,
 )
 from .solvers import (
-    ROUTES, ResolutionError, SolverConfig, SolverError, combine_signed, default_dt, routes_for, solve,
+    ROUTES, ResolutionError, SolverConfig, SolverError, default_dt, routes_for, solve,
 )
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILURE = 1, 2, 3
@@ -134,19 +134,14 @@ def cmd_survival(args) -> tuple[dict, dict, str]:
     if not 0.0 < args.t_max < math.inf:
         raise ModelError("--t-max must be positive and finite")
     if not -math.inf < args.t_min <= 0.0:
-        raise ModelError("--t-min must be finite and <= 0 (grids start at t = 0)")
+        raise ModelError("--t-min must be finite and <= 0")
     reservoir = _build_reservoir(args)  # validated before dt uses it
     if args.oracle and not (params.static and "closed" in routes_for(reservoir)):
         raise ModelError("--oracle needs a static run of a model with a closed form "
                          "(wideband or lorentzian)")
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
-
-    def side(t_end):
-        return solve(params, reservoir, SolverConfig(dt=dt, t_end=t_end), args.method)
-
-    traj = pos = side(args.t_max)
-    if args.t_min < 0.0:
-        traj = combine_signed(side(args.t_min), pos)
+    cfg = SolverConfig(dt, args.t_max, t_start=args.t_min)
+    traj = solve(params, reservoir, cfg, args.method)
     times, p0 = traj.times, traj.p0
     columns = [times, p0]
     header = ["t_in_1/Gamma", "P0"]
@@ -155,16 +150,13 @@ def cmd_survival(args) -> tuple[dict, dict, str]:
     if args.model == "chain":
         norm_checks["norm_drift"] = traj.norm_drift
         try:
-            derived["revival_time"] = chain.revival_time(pos)
+            derived["revival_time"] = chain.revival_time(traj)
         except SolverError:
             derived["revival_time"] = None
     else:
         norm_checks["max_abs_b0"] = float(np.max(np.abs(traj.b0)))
     if args.oracle:
-        if args.model == "wideband":
-            oracle = np.abs(closedform.b0_markovian_driven(params, times)) ** 2
-        else:
-            oracle = np.abs(closedform.b0_lorentzian_static(params, reservoir.lam, times)) ** 2
+        oracle = solve(params, reservoir, cfg, "closed").p0
         columns.append(oracle)
         header.append("P0_oracle")
         norm_checks["max_oracle_gap"] = float(np.max(np.abs(p0 - oracle)))
@@ -356,22 +348,14 @@ def cmd_selftest(args) -> int:
     report("wideband static survival is exp(-Gamma|t|)", gap < 1e-12, f"max gap {gap:.2e}")
 
     p1 = SystemParams(e0=1.0)
-    lam = 4.0
-    volterra = {}
-    for t_end in (4.0, -4.0):
-        cfg = SolverConfig(dt=0.002, t_end=t_end)
-        tv = volterra[t_end] = solve(p1, Lorentzian(lam), cfg, "volterra")
-        to = solve(p1, Lorentzian(lam), cfg, "ode")
-        ex = closedform.b0_lorentzian_static(p1, lam, tv.times)
-        g1 = float(np.max(np.abs(tv.p0 - np.abs(ex) ** 2)))
-        g2 = float(np.max(np.abs(to.p0 - np.abs(ex) ** 2)))
-        report(
-            f"Lorentzian oracle triangle (t_end={t_end:+g})",
-            g1 < 1e-5 and g2 < 1e-5,
-            f"volterra {g1:.2e}, ode {g2:.2e}",
-        )
+    lor, cfg = Lorentzian(4.0), SolverConfig(dt=0.002, t_end=4.0, t_start=-4.0)
+    tv, ex = solve(p1, lor, cfg, "volterra"), solve(p1, lor, cfg, "closed").p0
+    g1 = float(np.max(np.abs(tv.p0 - ex)))
+    g2 = float(np.max(np.abs(solve(p1, lor, cfg, "ode").p0 - ex)))
+    report("Lorentzian oracle triangle on [-4, 4]", g1 < 1e-5 and g2 < 1e-5,
+           f"volterra {g1:.2e}, ode {g2:.2e}")
 
-    sym = float(np.max(np.abs(volterra[-4.0].b0 - np.conj(volterra[4.0].b0))))
+    sym = float(np.max(np.abs(tv.b0[::-1] - np.conj(tv.b0))))
     report("time reversal b0(-t) = conj b0(t)", sym < 1e-10, f"max {sym:.2e}")
 
     ct = solve(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
@@ -416,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, help="Lorentzian half-width (in Gamma)")
     p.add_argument("--w", type=float, help="band edge W (semicircle / chain)")
     p.add_argument("--n", type=int, help="number of chain levels")
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.0)
-    p.add_argument("--t-max", dest="t_max", type=float, required=True)
+    p.add_argument("--t-min", dest="t_min", type=float, default=0.0,
+                   help="start time (1/Gamma), <= 0; a negative one adds the t < 0 side")
+    p.add_argument("--t-max", dest="t_max", type=float, required=True,
+                   help="end time (1/Gamma), > 0")
     p.add_argument("--dt", type=float)
     routes = dict.fromkeys(route for names in ROUTES.values() for route in names)
     p.add_argument("--method", choices=["auto", *routes], default="auto")

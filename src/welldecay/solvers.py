@@ -46,6 +46,10 @@ starts from b0(0) = 1:
 
 Every route reads E0(t) and w(t) from its SystemParams.
 
+A cfg with t_start != 0 spans both sides of t = 0: solve runs the route once
+per side from t = 0 and joins them on the grid t_start -> 0 -> t_end; the
+routes themselves run one side and refuse such a cfg.
+
 Grids always contain t = 0 as a node and satisfy the resolution rule
 dt * max(1, band, |E0| + u, omega) <= 0.05, 1 being the level width Gamma
 (the unit) and the band 0 for the wide band, L, W, or W + |E0| + u for the
@@ -55,7 +59,7 @@ finite chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -108,18 +112,23 @@ class MismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, signed end time, and the error budget used for sanity bounds."""
+    """Step size, signed end time, the error budget used for sanity bounds, and
+    the start time: 0, or on the other side of t = 0 from t_end."""
 
     dt: float
     t_end: float
     tolerance: float = 1.0e-6
+    t_start: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, "dt", "t_end", "tolerance")
+        _check_finite(self, "dt", "t_end", "tolerance", "t_start")
         if not self.dt > 0.0:
             raise ModelError(f"SolverConfig.dt must be positive and finite, got {self.dt}")
         if self.t_end == 0.0:
             raise ModelError(f"SolverConfig.t_end must be nonzero and finite, got {self.t_end}")
+        if self.t_start * self.t_end > 0.0:
+            raise ModelError(f"SolverConfig.t_start must be 0 or on the other side of t = 0 "
+                             f"from t_end = {self.t_end}, got {self.t_start}")
         if not self.tolerance > 0.0:
             raise ModelError(f"SolverConfig.tolerance must be positive and finite, got "
                              f"{self.tolerance}")
@@ -158,7 +167,8 @@ class AmplitudeTrajectory:
         return np.abs(self.b0) ** 2
 
     def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
+        gap = self.times - t
+        i = int(np.argmin(np.abs(gap, out=gap)))
         if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1.0e-9 * max(1.0, abs(t))):
             raise KeyError(f"t = {t} is not a grid node")
         return i
@@ -172,13 +182,19 @@ class AmplitudeTrajectory:
         )
 
 
-def _grid(cfg: SolverConfig) -> np.ndarray:
-    steps = abs(cfg.t_end) / cfg.dt
+def _step_count(t_end: float, dt: float) -> float:
+    """|t_end| / dt, unrounded; a count no time grid can hold raises ModelError."""
+    steps = abs(t_end) / dt
     if not steps < 2.0**60:  # inf too: no float64 array has that many entries
         raise ModelError(f"|t_end| / dt = {steps:.3g} steps, more than a time grid can hold")
-    n = max(1, int(round(steps)))
-    sign = 1.0 if cfg.t_end > 0 else -1.0
-    return sign * cfg.dt * np.arange(n + 1)
+    return steps
+
+
+def _grid(cfg: SolverConfig) -> np.ndarray:
+    if cfg.t_start != 0.0:
+        raise ModelError(f"a route runs from t = 0, not t_start = {cfg.t_start}; call solve")
+    n = max(1, int(round(_step_count(cfg.t_end, cfg.dt))))
+    return math.copysign(cfg.dt, cfg.t_end) * np.arange(n + 1)
 
 
 def _band(params: SystemParams, reservoir: SpectralDensity) -> float:
@@ -235,8 +251,17 @@ def solve(
 
     The Lorentzian "closed" route is the static closed form; a FiniteChain
     evolves exactly and carries its reservoir amplitudes at cfg.t_end in br,
-    which chain.lineshape_exact reads.
+    which chain.lineshape_exact reads. A nonzero cfg.t_start runs the route
+    on each side of t = 0 and joins them on the grid t_start -> 0 -> t_end.
     """
+    if cfg.t_start != 0.0:  # br from the t_end side, the larger norm_drift
+        end = solve(params, reservoir, replace(cfg, t_start=0.0), method)
+        start = solve(params, reservoir, replace(cfg, t_end=cfg.t_start, t_start=0.0), method)
+        times, b0 = (np.concatenate([a[::-1][:-1], b])
+                     for a, b in ((start.times, end.times), (start.b0, end.b0)))
+        drift = None if end.norm_drift is None else max(start.norm_drift, end.norm_drift)
+        cfg = replace(cfg, tolerance=end.cfg.tolerance)  # as tightened by a closed form
+        return AmplitudeTrajectory(times, b0, params, reservoir, cfg, end.method, end.br, drift)
     routes = routes_for(reservoir)
     if method == "auto" and routes:
         method = routes[0]
@@ -264,7 +289,7 @@ def _closed_form(params, reservoir, cfg, amplitude, method) -> AmplitudeTrajecto
     the integrators, and the tolerance is at most 1e-12, the closed forms' own error."""
     _check_resolution(cfg, params, reservoir)
     times = _grid(cfg)
-    exact = SolverConfig(cfg.dt, cfg.t_end, min(cfg.tolerance, 1.0e-12))
+    exact = replace(cfg, tolerance=min(cfg.tolerance, 1.0e-12))
     return AmplitudeTrajectory(times, amplitude(times), params, reservoir, exact, method)
 
 
@@ -493,25 +518,6 @@ def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajecto
     """The wide-band amplitude closedform.b0_markovian_driven on the grid."""
     return _closed_form(
         params, WideBand(), cfg, lambda t: b0_markovian_driven(params, t), WIDEBAND_CLOSED
-    )
-
-
-def combine_signed(neg: AmplitudeTrajectory, pos: AmplitudeTrajectory) -> AmplitudeTrajectory:
-    """Join a negative- and a positive-side run into one ascending grid; br is pos's."""
-    if neg.times[-1] > 0 or pos.times[-1] < 0:
-        raise MismatchError("expected one negative-side and one positive-side trajectory")
-    if neg.params != pos.params or neg.sd != pos.sd or neg.method != pos.method:
-        raise MismatchError("cannot join trajectories with different physics")
-
-    def join(a, b):
-        return np.concatenate([a[::-1][:-1], b])
-
-    drift = None
-    if neg.norm_drift is not None and pos.norm_drift is not None:
-        drift = max(neg.norm_drift, pos.norm_drift)
-    return AmplitudeTrajectory(
-        join(neg.times, pos.times), join(neg.b0, pos.b0),
-        pos.params, pos.sd, pos.cfg, pos.method, pos.br, drift,
     )
 
 

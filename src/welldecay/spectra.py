@@ -7,11 +7,12 @@ Two routes to P_r:
       P_r(t) = S(E_r) | int_0^t w(t') b0(t') e^{i E_r t'} dt' |^2
 
   evaluated by the trapezoid rule on the trajectory's uniform grid
-  t_k = k dt. The sum over k for every energy of the requested grid is one
-  Gaussian-gridding non-uniform FFT, accurate to ~1e-15 of the peak at cost
-  O(N_t log N_t + N_E). The trajectory step must resolve the fastest phase:
-  dt * max|E_r| <= 0.2. trajectory_dt is the one rule for that step: 0.98 of
-  the limit, no coarser than the wide band's default_dt, landing on t_end.
+  t_k = k dt from t = 0 to t_end (the t >= 0 half of a two-sided run). The
+  sum over k for every energy of the requested grid is one Gaussian-gridding
+  non-uniform FFT, accurate to ~1e-15 of the peak at cost O(N_t log N_t + N_E).
+  The trajectory step must resolve the fastest phase: dt * max|E_r| <= 0.2.
+  trajectory_dt is the one rule for that step: 0.98 of the limit, no coarser
+  than the wide band's default_dt, landing on t_end.
 
 * asymptotically (t -> infinity, wide band), from closedform.floquet_spectrum
   under the drive of the params.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import closedform
 from .model import ModelError, SystemParams, WideBand
-from .solvers import AmplitudeTrajectory, default_dt
+from .solvers import AmplitudeTrajectory, _step_count, default_dt
 
 TRAJECTORY_PHASE_LIMIT = 0.2  # max tolerated dt * |E|
 TRAJECTORY_SAFETY = 0.98  # trajectory_dt keeps dt * max|E| at this share of the limit
@@ -97,6 +98,9 @@ def energy_grid(
         core_halfwidth = 8.0 + n_max * omega
     core = np.linspace(params.e0 - core_halfwidth, params.e0 + core_halfwidth, _GRID_POINTS)
     step = core[1] - core[0]
+    if not step > 0.0:
+        raise ModelError(f"E0 = {params.e0:g} leaves no room for an energy grid of half-width "
+                         f"{core_halfwidth:g}: its points coincide")
     segments = [core]
     for p in [params.e0 + n * omega for n in range(-n_max, n_max + 1)]:
         end = p + 1.0 + 0.5 * step / _GRID_REFINE
@@ -131,16 +135,17 @@ def trajectory_dt(params: SystemParams, energies, t_end: float) -> float:
     emax = float(np.max(np.abs(energies)))
     if emax > 0.0:
         dt = min(dt, TRAJECTORY_SAFETY * TRAJECTORY_PHASE_LIMIT / emax)
-    return t_end / math.ceil(t_end / dt)
+    return t_end / math.ceil(_step_count(t_end, dt))
 
 
 def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) -> EnergySpectrum:
     """P_r at the trajectory's end time, by trapezoidal quadrature of the
-    windowed integral on the trajectory's uniform grid for every grid
-    energy, with the trajectory's own barrier profile w(t) and weighted by
-    its own spectral density."""
-    times = traj.times
-    if times[0] != 0.0 or times[-1] <= 0.0:
+    windowed integral on the trajectory's uniform grid from t = 0 for every
+    grid energy, with the trajectory's own barrier profile w(t) and weighted
+    by its own spectral density."""
+    i0 = traj.index_of(0.0)
+    times, b0 = traj.times[i0:], traj.b0[i0:]
+    if times[-1] <= 0.0:
         raise ModelError("trajectory spectra need an ascending grid starting at t = 0")
     energies, _ = closedform._finite_energies(energies)
     dt = times[1] - times[0]
@@ -155,7 +160,7 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
     w = traj.params.w_at(times)
     weights = np.full_like(times, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    g = weights * w * traj.b0
+    g = weights * w * b0
     dens = np.asarray(traj.sd.density(energies), dtype=float)
     values = np.abs(_uniform_sum(g, energies * dt)) ** 2 * dens
     return EnergySpectrum.build(energies, values, time=float(times[-1]))

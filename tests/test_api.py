@@ -28,7 +28,6 @@ PUBLIC_NAMES = {
     "b0_markovian_driven",
     "bessel_ive",
     "bessel_j",
-    "combine_signed",
     "conservation_window",
     "convergence_order",
     "default_dt",
@@ -51,7 +50,7 @@ def test_public_names_are_pinned():
         for name in dir(welldecay)
         if not name.startswith("_") and not isinstance(getattr(welldecay, name), types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert exported == PUBLIC_NAMES
 
 

@@ -29,7 +29,6 @@ from welldecay.solvers import (
     SolverConfig,
     SolverError,
     _grid,
-    combine_signed,
     default_dt,
     solve,
     solve_volterra,
@@ -213,8 +212,8 @@ def test_negative_time_chain_is_conjugate():
     assert np.max(np.abs(bwd.b0 - np.conj(fwd.b0))) < 1e-12
     # the real Hamiltonian reverses the whole state, reservoir included
     assert np.max(np.abs(bwd.br - np.conj(fwd.br))) < 1e-12
-    # the signed join keeps the positive side's end state and the worse drift
-    both = combine_signed(bwd, fwd)
+    # the two-sided run keeps the positive side's end state and the worse drift
+    both = solve(SystemParams(e0=1.0), chain, SolverConfig(dt=5e-3, t_end=4.0, t_start=-4.0))
     assert np.array_equal(both.br, fwd.br)
     assert both.norm_drift == max(fwd.norm_drift, bwd.norm_drift)
 

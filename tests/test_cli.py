@@ -436,6 +436,7 @@ def test_nonfinite_unread_flag_exits_1_before_any_file(tmp_path, capsys, flag, v
 @pytest.mark.parametrize("argv", [
     "survival --model wideband --t-max 1e300 --dt 1e-300",  # 1e600 steps
     "revival --n 40 --w 1e-9 --e0 1e300",  # default t_max 1.2e11 over default dt 5e-302
+    "spectrum --method trajectory --t 1e300 --e0 1e10",  # trajectory_dt's 5e310 steps
 ])
 def test_step_count_past_any_grid_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -443,6 +444,16 @@ def test_step_count_past_any_grid_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "steps" in err, err
+
+
+@pytest.mark.parametrize("method", ["asymptotic", "trajectory"])
+def test_energy_grid_past_float_resolution_exits_1_naming_e0(tmp_path, capsys, method):
+    # at E0 = 1e300 the core points E0 +- 8 coincide: the grid step is 0
+    out = tmp_path / "out"
+    assert main(["spectrum", "--method", method, "--e0", "1e300", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: E0 = 1e+300") and "coincide" in err, err
 
 
 def test_unusable_out_exits_1(tmp_path, capsys):

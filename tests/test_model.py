@@ -167,6 +167,7 @@ def test_parameter_validation():
         (lambda x: FiniteChain(10, x), "FiniteChain.w_band"),
         (lambda x: BarrierDrive(alpha=0.1, omega=x), "BarrierDrive.omega"),
         (lambda x: SolverConfig(dt=0.01, t_end=1.0, tolerance=x), "SolverConfig.tolerance"),
+        (lambda x: SolverConfig(dt=0.01, t_end=1.0, t_start=x), "SolverConfig.t_start"),
     ],
 )
 def test_nonfinite_fields_rejected_by_name(build, field, value):
