@@ -136,9 +136,11 @@ def cmd_survival(args) -> tuple[dict, dict, str]:
     if not -math.inf < args.t_min <= 0.0:
         raise ModelError("--t-min must be finite and <= 0")
     reservoir = _build_reservoir(args)  # validated before dt uses it
-    if args.oracle and not (params.static and "closed" in routes_for(reservoir)):
-        raise ModelError("--oracle needs a static run of a model with a closed form "
-                         "(wideband or lorentzian)")
+    routes = routes_for(reservoir)
+    own = routes[0] if args.method == "auto" and routes else args.method
+    if args.oracle and not (params.static and "closed" in routes and own != "closed"):
+        raise ModelError("--oracle needs a static lorentzian run by another route than the "
+                         "closed form (--method auto, ode or volterra)")
     dt = default_dt(params, reservoir) if args.dt is None else args.dt
     cfg = SolverConfig(dt, args.t_max, t_start=args.t_min)
     traj = solve(params, reservoir, cfg, args.method)
@@ -181,7 +183,11 @@ def cmd_spectrum(args) -> tuple[dict, dict, str]:
         p0_final = math.exp(-t_spec)  # exact without a barrier drive, above P0 with one
         window = spectra.conservation_window(params, p0_final)
         grid = spectra.energy_grid(params, tail_halfwidth=window)
-        dt = spectra.trajectory_dt(params, grid, t_spec)
+        try:
+            dt = spectra.trajectory_dt(params, grid, t_spec)
+        except ModelError as exc:
+            raise ModelError(f"--t {t_spec:g} is too long for the step that the energy window "
+                             f"allows: {exc}") from None
         traj = solve(params, WideBand(), SolverConfig(dt=dt, t_end=t_spec))
         spec = spectra.spectrum_from_trajectory(traj, grid)
         conservation = float(traj.p0[-1]) + spec.norm

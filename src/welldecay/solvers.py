@@ -16,13 +16,15 @@ starts from b0(0) = 1:
   1e-18 of their peak. The Heun step is linear in the state (b0, db0/dt)
   and in its history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
   call of _memory_recurrence, which advances a linear recurrence with a
-  Toeplitz memory a sub-block of S = 16 steps at a time: earlier blocks of
+  Toeplitz memory a sub-block of S steps at a time: earlier blocks of
   B = 256 steps enter by a uniformly partitioned FFT convolution (Hairer,
   Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985), earlier
   sub-blocks of the block by a dense Toeplitz product, and the sub-block's
-  own steps through one transfer matrix built from the node values (once
-  for a static run). The work is O(n (log B + B + S^2 + jcut/B)) and the
-  memory O(n). The driven finite chain (chain.py) runs on the same helper.
+  own steps through a transfer matrix built from the node values. A static
+  run builds one matrix for all sub-blocks and takes S = 32; a driven run
+  builds one per sub-block, at O(S^2) per step, and takes S = 16. The work
+  is O(n (log B + B + S^2 + jcut/B)) and the memory O(n). The driven finite
+  chain (chain.py) runs on the same helper.
 
 * "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
   Lorentzian kernel,
@@ -32,8 +34,12 @@ starts from b0(0) = 1:
 
   with s = sgn(t) constant on each side of zero, integrated by the
   classical fixed-step Runge-Kutta scheme (fourth order). The ODE is
-  linear, so each step is a 2x2 matrix built from the coefficients on the
-  step's node and half-node times. The second initial condition is
+  linear, so each step is a 2x2 matrix P_k built from the coefficients on
+  the step's node and half-node times, and the steps run as a blocked
+  prefix product: in rows of 32 steps, log2 32 = 5 doubling passes form
+  every running product P_j .. P_0 of a row, one short loop carries the
+  state across the row ends, and b0 at every step is one vectorised
+  product. The second initial condition is
   b0'(0) = -i E0(0): the memory integral vanishes at t = 0.
 
 * "closed": closedform.b0_markovian_driven for the wide band (solve_wideband,
@@ -92,9 +98,11 @@ ROUTES = {
 RESOLUTION_LIMIT = 0.05
 KERNEL_TRUNCATION = 1.0e-18
 DIVERGENCE_LIMIT = 2.0
-_RK4_CHUNK = 256  # RK4 steps whose step matrices are held at once
+_RK4_CHUNK = 1024  # RK4 steps whose step matrices are held at once
+_RK4_ROW = 32  # RK4 steps per row of running products; a power of 2 dividing _RK4_CHUNK
 _BLOCK = 256  # memory history block: earlier blocks enter by FFT
-_SUB = 16  # sub-block: earlier ones in the block by a dense product; divides _BLOCK
+_SUB = 16  # sub-block of a run whose node values vary: one transfer matrix each
+_SUB_STATIC = 32  # sub-block of a run whose node values never vary: one transfer matrix
 _CHUNK_BLOCKS = 8  # blocks whose transfer matrices are built at once
 
 
@@ -352,14 +360,16 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
     The history sum takes three routes (Hairer, Lubich & Schlichte, SIAM J.
     Sci. Stat. Comput. 6:532, 1985): earlier blocks of _BLOCK steps by a
     uniformly partitioned FFT convolution over the spectra of the blocks in
-    the kernel's reach (the only ones kept), earlier sub-blocks of _SUB steps
+    the kernel's reach (the only ones kept), earlier sub-blocks of S steps
     in the block by a dense Toeplitz product, and the sub-block's own steps
     through its transfer matrix, which maps the incoming state and the
-    sub-block's history sums to all of its outputs at once. Transfer
-    matrices are built _CHUNK_BLOCKS blocks at a time, or once when no node
-    value varies.
+    sub-block's history sums to all of its outputs at once. When no node
+    value varies, one transfer matrix serves every sub-block and S is
+    _SUB_STATIC; otherwise each sub-block builds its own at O(S^2) per step,
+    _CHUNK_BLOCKS blocks at a time, and S is _SUB.
     """
-    B, S, dim = _BLOCK, _SUB, len(x0)
+    static = all(np.all(v == v[0]) for v in values)
+    B, S, dim = _BLOCK, _SUB_STATIC if static else _SUB, len(x0)
     n = values[0].size
     nblocks = -(-n // B)
     jcut = kern.size - 1
@@ -377,10 +387,7 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
         return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
 
     forcing = np.zeros(size) if forcing is None else np.pad(forcing, (0, size - n))
-    if all(np.all(v == v[0]) for v in values):
-        one = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
-    else:
-        one = None
+    one = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim) if static else None
     g = np.zeros(size, dtype=complex)
     y = np.empty(size, dtype=complex)
     inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
@@ -426,16 +433,16 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
 
 
 def _transfers(step, values, kr, dim: int) -> np.ndarray:
-    """Transfer matrices of m sub-blocks, shape (m, 2 _SUB + dim, dim + _SUB).
+    """Transfer matrices of m sub-blocks of S steps, shape (m, 2 S + dim, dim + S).
 
-    values holds (m, _SUB) arrays of node values and kr the kernel on lags
-    0 .. _SUB - 1. Row r < _SUB of each matrix gives g of step r, row
-    _SUB + r the first state component after it, and the last dim rows the
-    outgoing state; the columns take the incoming state, then the
-    sub-block's history sums.
+    values holds (m, S) arrays of node values and kr the kernel on lags
+    0 .. S - 1. Row r < S of each matrix gives g of step r, row S + r the
+    first state component after it, and the last dim rows the outgoing
+    state; the columns take the incoming state, then the sub-block's
+    history sums.
     """
-    S = _SUB
-    m, cols = values[0].shape[0], dim + _SUB
+    m, S = values[0].shape
+    cols = dim + S
     eye = np.eye(cols, dtype=complex)
     x = tuple(np.broadcast_to(eye[j], (m, cols)) for j in range(dim))
     rows = np.empty((2 * S + dim, m, cols), dtype=complex)  # g rows, then y rows, then x
@@ -476,15 +483,17 @@ def solve_lorentzian_ode(
     a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0v - 0.5j * lam * wv * wv)
 
     b = np.empty(n + 1, dtype=complex)
-    y0, y1 = 1.0 + 0.0j, -1j * float(e0v[0])
-    b[0] = y0
-    for lo in range(0, n, _RK4_CHUNK):  # chunks bound the memory of the step matrices
-        hi = min(lo + _RK4_CHUNK, n)
-        prop = _rk4_propagators(a[2 * lo : 2 * hi + 1], bc[2 * lo : 2 * hi + 1], h)
-        for k, (p11, p12, p21, p22) in enumerate(zip(*(p.tolist() for p in prop)), lo + 1):
-            y0, y1 = p11 * y0 + p12 * y1, p21 * y0 + p22 * y1
-            b[k] = y0
-            if abs(y0) > DIVERGENCE_LIMIT:
+    b[0] = 1.0
+    y = (1.0 + 0.0j, -1j * float(e0v[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught just below
+        for lo in range(0, n, _RK4_CHUNK):  # chunks bound the memory of the step matrices
+            hi = min(lo + _RK4_CHUNK, n)
+            prop = _rk4_propagators(a[2 * lo : 2 * hi + 1], bc[2 * lo : 2 * hi + 1], h)
+            out = b[lo + 1 : hi + 1]
+            y = _apply_in_turn(prop, y, out)
+            bad = np.flatnonzero(~(np.abs(out) <= DIVERGENCE_LIMIT))  # NaN too
+            if bad.size:
+                k = lo + 1 + bad[0]
                 raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k]:.4g}")
 
     return AmplitudeTrajectory(times, b, params, sd, cfg, LORENTZIAN_ODE)
@@ -512,6 +521,38 @@ def _rk4_propagators(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
     k3 = times_a(ah, bh, shifted(0.5 * h, k2))
     k4 = times_a(a1, b1, shifted(h, k3))
     return shifted(h / 6.0, [p + 2.0 * q + 2.0 * r + t for p, q, r, t in zip(k1, k2, k3, k4)])
+
+
+def _apply_in_turn(prop: tuple, y: tuple, out: np.ndarray) -> tuple:
+    """Run y_{k+1} = P_k y_k over the step matrices with entries prop from the
+    state y = (b0, b0'): out[k] gets b0 after step k; returns the last state.
+
+    The steps are laid out in rows of _RK4_ROW, the last padded by identities.
+    Each row's running products P_j .. P_0 come from log2(_RK4_ROW) doubling
+    passes over the four entries, the state is carried across the row ends one
+    row at a time, and b0 of every step is then one product of a running
+    product with its row's incoming state.
+    """
+    m, R = out.size, _RK4_ROW
+    rows = -(-m // R)
+    flat = np.empty((4, rows * R), dtype=complex)
+    flat[:, :m] = prop
+    flat[:, m:] = ((1.0,), (0.0,), (0.0,), (1.0,))
+    # q[i, j, s, r]: entry (i, j) of the running product up to step s of row r
+    q = np.ascontiguousarray(flat.reshape(2, 2, rows, R).transpose(0, 1, 3, 2))
+    d = 1
+    while d < R:  # q[:, :, s] covers steps s - 2d + 1 .. s of its row after this pass
+        left, right = q[:, :, d:], q[:, :, :-d]
+        q[:, :, d:] = left[:, 0, None] * right[None, 0] + left[:, 1, None] * right[None, 1]
+        d *= 2
+    y0, y1 = y
+    s0, s1 = [], []  # each row's incoming state
+    for e11, e12, e21, e22 in zip(*q[:, :, -1].reshape(4, rows).tolist()):
+        s0.append(y0)
+        s1.append(y1)
+        y0, y1 = e11 * y0 + e12 * y1, e21 * y0 + e22 * y1
+    out[:] = (q[0, 0] * np.array(s0) + q[0, 1] * np.array(s1)).T.reshape(-1)[:m]
+    return y0, y1
 
 
 def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajectory:

@@ -395,7 +395,7 @@ MANIFEST_KEYS = ["command", "parameters", "solver", "norm_checks", "qualitative_
 @pytest.mark.parametrize(
     "argv",
     [
-        "survival --model wideband --e0 0.3 --t-max 1 --dt 0.01 --oracle",
+        "survival --model lorentzian --lambda 4 --e0 0.3 --t-max 1 --dt 0.01 --oracle",
         "spectrum --drive level --u 0.2 --omega 0.2",
         "revival --n 40 --w 6",
         "reproduce fig5",
@@ -444,6 +444,8 @@ def test_step_count_past_any_grid_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "steps" in err, err
+    if "--method trajectory" in argv:  # the step comes from the energy window, not a flag
+        assert "--t " in err and "energy window" in err, err
 
 
 @pytest.mark.parametrize("method", ["asymptotic", "trajectory"])
@@ -470,6 +472,9 @@ def test_unusable_out_exits_1(tmp_path, capsys):
         "--model chain --n 20 --w 6",
         "--model lorentzian --lambda 4 --drive level --u 1 --omega 2",
         "--model wideband --drive barrier --alpha 0.5 --omega 2",
+        # the run's own route is the closed form: the column would only repeat P0
+        "--model wideband --e0 0.3",
+        "--model lorentzian --lambda 4 --method closed",
     ],
 )
 def test_oracle_without_a_closed_form_is_rejected_before_any_solve(tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Numerical solvers against closed-form oracles, symmetry, and order checks."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from welldecay import closedform
+from welldecay import closedform, solvers
 from welldecay.chain import evolve_chain, revival_time
 from welldecay.model import (
     BarrierDrive,
@@ -23,7 +24,10 @@ from welldecay.model import (
 from welldecay.solvers import (
     _BLOCK,
     _CHUNK_BLOCKS,
+    _RK4_CHUNK,
+    _RK4_ROW,
     _SUB,
+    _SUB_STATIC,
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
     AmplitudeTrajectory,
@@ -88,6 +92,36 @@ def volterra_reference(params, sd, cfg):
         f[k] = -1j * e0[k] * b[k] - w[k] * integral
         g[k] = w[k] * b[k]
         if abs(b[k]) > DIVERGENCE_LIMIT:
+            return times[: k + 1], b[: k + 1]
+    return times, b
+
+
+def rk4_reference(params, sd, cfg):
+    """The RK4 steps y_{k+1} = P_k y_k applied one at a time, with P_k from one
+    solvers._rk4_propagators call over the whole run.
+
+    Returns the times and b0 up to the first step with |b0| beyond
+    DIVERGENCE_LIMIT, or up to t_end.
+    """
+    n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
+    times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
+    h = times[1] - times[0]
+    s, lam = math.copysign(1.0, h), sd.lam
+    stages = np.empty(2 * n + 1)
+    stages[0::2] = times
+    stages[1::2] = times[:-1] + 0.5 * h
+    w, e0 = params.w_at(stages), params.e0_at(stages)
+    wdw = params.w_rate(stages) / w
+    bc = -1j * (e0 - 1j * s * lam + 1j * wdw)
+    a = -1j * (params.e0_rate(stages) + (s * lam - wdw) * e0 - 0.5j * lam * w * w)
+    b = np.empty(n + 1, dtype=complex)
+    y0, y1 = 1.0 + 0.0j, -1j * float(e0[0])
+    b[0] = y0
+    prop = solvers._rk4_propagators(a, bc, h)
+    for k, (p11, p12, p21, p22) in enumerate(zip(*(p.tolist() for p in prop)), 1):
+        y0, y1 = p11 * y0 + p12 * y1, p21 * y0 + p22 * y1
+        b[k] = y0
+        if abs(y0) > DIVERGENCE_LIMIT:
             return times[: k + 1], b[: k + 1]
     return times, b
 
@@ -188,7 +222,8 @@ def test_volterra_divergence_guard():
 @given(
     semicircle=st.booleans(),
     width=st.floats(5.0, 20.0),
-    n=st.sampled_from([1, 5, _SUB, _SUB + 1, 256, 257, 1600]),
+    n=st.sampled_from([1, 5, _SUB, _SUB + 1, _SUB_STATIC - 1, _SUB_STATIC, _SUB_STATIC + 1,
+                       256, 257, _BLOCK + _SUB_STATIC + 3, 1600]),
     e0=st.floats(-2.0, 2.0),
     drive=st.sampled_from([None, "level", "barrier"]),
     sign=st.sampled_from([1.0, -1.0]),
@@ -204,10 +239,11 @@ def test_volterra_divergence_guard():
          sign=-1.0, frac=0.95)
 def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, sign, frac):
     # the blocked history (FFT blocks, dense sub-blocks, transfer matrices) against
-    # the direct sum: below one sub-block, at one and one past one sub-block and
-    # block, over several blocks, and one past the first batch of driven transfer
-    # matrices, with the Lorentzian's jcut < n when lam dt ~ 0.05; 24 blocks
-    # against 4 in the kernel's reach move the kept block spectra down three times
+    # the direct sum: below one sub-block, at one and one past one sub-block (driven
+    # and static length) and block, over several blocks, and one past the first
+    # batch of driven transfer matrices, with the Lorentzian's jcut < n when
+    # lam dt ~ 0.05; 24 blocks against 4 in the kernel's reach move the kept
+    # block spectra down three times
     sd = Semicircle(width) if semicircle else Lorentzian(width)
     level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
     barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
@@ -225,13 +261,15 @@ def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, si
 
 @pytest.mark.parametrize(
     "steps",
-    [1, 2, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 5, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5],
+    [1, 2, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 5, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5,
+     _SUB_STATIC - 1, _SUB_STATIC, _SUB_STATIC + 1, _BLOCK + _SUB_STATIC + 3],
 )
 @pytest.mark.parametrize("driven", [False, True])
 def test_volterra_sub_block_edges(steps, driven):
     # node 0 enters with half weight as forcing of every step; a run shorter
     # than one sub-block, partial last sub-blocks, one past a block and one
-    # past the first batch of transfer matrices all match the direct sum
+    # past the first batch of transfer matrices all match the direct sum, at
+    # the sub-block lengths of a driven (_SUB) and a static run (_SUB_STATIC)
     drive = LevelDrive(u=1.0, omega=2.0) if driven else None
     p = SystemParams(e0=0.7, level_drive=drive)
     cfg = SolverConfig(dt=4e-3, t_end=steps * 4e-3)
@@ -268,6 +306,55 @@ def test_ode_oracle_both_signs(e0, sign):
     traj = solve_lorentzian_ode(p, Lorentzian(4.0), cfg)
     ref = closedform.b0_lorentzian_static(p, 4.0, traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-9
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)  # 20 with the four below
+@given(
+    n=st.sampled_from([1, _RK4_ROW - 1, _RK4_ROW, _RK4_ROW + 1, _RK4_CHUNK - 1, _RK4_CHUNK,
+                       _RK4_CHUNK + 1, 3 * _RK4_CHUNK + 5]),
+    lam=st.floats(2.0, 20.0),
+    e0=st.floats(-2.0, 2.0),
+    drive=st.sampled_from([None, "level", "barrier"]),
+    sign=st.sampled_from([1.0, -1.0]),
+    frac=st.floats(0.6, 0.99),
+)
+@example(n=_RK4_CHUNK + 1, lam=4.0, e0=0.5, drive=None, sign=-1.0, frac=0.9)
+@example(n=3 * _RK4_CHUNK + 5, lam=4.0, e0=-1.0, drive="level", sign=1.0, frac=0.99)
+@example(n=3 * _RK4_CHUNK + 5, lam=10.0, e0=0.3, drive="barrier", sign=-1.0, frac=0.7)
+@example(n=_RK4_ROW + 1, lam=20.0, e0=1.5, drive="barrier", sign=1.0, frac=0.6)
+def test_ode_matches_rk4_steps_in_turn(n, lam, e0, drive, sign, frac):
+    # the running products of rows of _RK4_ROW steps, carried across row and chunk
+    # ends, against the steps applied one at a time: a run of one step, one short
+    # of, at and one past a row and a chunk, and a partial row after three chunks
+    level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
+    barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
+    p = SystemParams(e0=e0, level_drive=level, barrier_drive=barrier)
+    dt = 2.0 * frac * default_dt(p, Lorentzian(lam))
+    cfg = SolverConfig(dt=dt, t_end=sign * n * dt)
+    traj = solve_lorentzian_ode(p, Lorentzian(lam), cfg)
+    times, ref = rk4_reference(p, Lorentzian(lam), cfg)
+    assert traj.times.size == n + 1 and np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.b0 - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("growth", [1.0015, 1.05, 1e30])
+@pytest.mark.parametrize("t_end", [8.0, -8.0])
+def test_ode_divergence_guard_names_the_first_step(monkeypatch, growth, t_end):
+    # step matrices scaled by growth drive |b0| past the limit: in the second chunk
+    # (1.0015, step 1430), in the first row (1.05), and at the first step (1e30),
+    # where the running products of every row overflow to inf and nan; the first
+    # step beyond the limit is named, with no floating-point warning on the way
+    steps = solvers._rk4_propagators
+    monkeypatch.setattr(solvers, "_rk4_propagators",
+                        lambda a, b, h: tuple(growth * p for p in steps(a, b, h)))
+    p, sd = SystemParams(e0=0.5), Lorentzian(4.0)
+    cfg = SolverConfig(dt=2e-3, t_end=t_end)
+    times, ref = rk4_reference(p, sd, cfg)
+    assert abs(ref[-1]) > DIVERGENCE_LIMIT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
+            solve(p, sd, cfg, "ode")
 
 
 def test_ode_level_drive_orderings():
