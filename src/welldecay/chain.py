@@ -27,7 +27,7 @@ direction vhat is fixed and the reservoir phases are diagonal, so the
 rotation's update delta_k of the bright component reaches later steps only
 through vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2
 e^{-i E_r j h}: b0 is a scalar recurrence with a Toeplitz memory, run by the
-Volterra solver's sub-block helper. K_j is a phase sum too; the norm at
+Volterra solver's recurrence helper. K_j is a phase sum too; the norm at
 every _PHASE_BLOCK-th step and the last, and the final reservoir amplitudes,
 follow from prefix sums of delta_m e^{i E_r m h} over the same phase tables.
 """

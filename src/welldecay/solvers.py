@@ -16,15 +16,18 @@ starts from b0(0) = 1:
   1e-18 of their peak. The Heun step is linear in the state (b0, db0/dt)
   and in its history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
   call of _memory_recurrence, which advances a linear recurrence with a
-  Toeplitz memory a sub-block of S steps at a time: earlier blocks of
-  B = 256 steps enter by a uniformly partitioned FFT convolution (Hairer,
-  Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985), earlier
-  sub-blocks of the block by a dense Toeplitz product, and the sub-block's
-  own steps through a transfer matrix built from the node values. A static
-  run builds one matrix for all sub-blocks and takes S = 32; a driven run
-  builds one per sub-block, at O(S^2) per step, and takes S = 16. The work
-  is O(n (log B + B + S^2 + jcut/B)) and the memory O(n). The driven finite
-  chain (chain.py) runs on the same helper.
+  Toeplitz memory a block of B steps at a time; earlier blocks enter by a
+  uniformly partitioned FFT convolution (Hairer, Lubich & Schlichte, SIAM
+  J. Sci. Stat. Comput. 6:532, 1985). A driven run takes B = 256 and steps
+  through sub-blocks of S = 16 steps: earlier sub-blocks of the block enter
+  by a dense Toeplitz product and the sub-block's own steps through a
+  transfer matrix built from its node values, at O(S^2) per step. A static
+  run takes B ~ sqrt(32 n), between 32 and 1024: its recurrence within a
+  block is time-invariant, so each block is one causal FFT product of its
+  history sums with the block's impulse responses, computed once, plus
+  their responses to its incoming state. The work is O(n (log B +
+  jcut/B)), plus O(n S) when driven, and the memory O(n). The driven
+  finite chain (chain.py) runs on the same helper.
 
 * "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
   Lorentzian kernel,
@@ -102,7 +105,6 @@ _RK4_CHUNK = 1024  # RK4 steps whose step matrices are held at once
 _RK4_ROW = 32  # RK4 steps per row of running products; a power of 2 dividing _RK4_CHUNK
 _BLOCK = 256  # memory history block: earlier blocks enter by FFT
 _SUB = 16  # sub-block of a run whose node values vary: one transfer matrix each
-_SUB_STATIC = 32  # sub-block of a run whose node values never vary: one transfer matrix
 _CHUNK_BLOCKS = 8  # blocks whose transfer matrices are built at once
 
 
@@ -349,36 +351,39 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
     """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
     the Toeplitz memory base_k = forcing_k + sum_{m<k} kern[k - m] g_m.
 
-    step must be linear in (x, base): it is called on coefficient arrays
-    to build each sub-block's transfer matrix. values holds the n node
-    values v_k, one array per value; x0 is the initial state and kern the
-    kernel on lags 0 .. jcut (kern[0] is not used, zero beyond jcut);
-    forcing defaults to zero.
+    step must be linear in (x, base) and elementwise: it is called on
+    coefficient arrays. values holds the n node values v_k, one array per
+    value; x0 is the initial state and kern the kernel on lags 0 .. jcut
+    (kern[0] is not used, zero beyond jcut); forcing defaults to zero.
     Returns y (the first state component of x_1 .. x_n) and g. With a
-    limit, |y_k| > limit raises SolverError naming ends[k].
+    limit, the first step with |y_k| > limit or NaN raises SolverError
+    naming ends[k].
 
-    The history sum takes three routes (Hairer, Lubich & Schlichte, SIAM J.
-    Sci. Stat. Comput. 6:532, 1985): earlier blocks of _BLOCK steps by a
-    uniformly partitioned FFT convolution over the spectra of the blocks in
-    the kernel's reach (the only ones kept), earlier sub-blocks of S steps
-    in the block by a dense Toeplitz product, and the sub-block's own steps
-    through its transfer matrix, which maps the incoming state and the
-    sub-block's history sums to all of its outputs at once. When no node
-    value varies, one transfer matrix serves every sub-block and S is
-    _SUB_STATIC; otherwise each sub-block builds its own at O(S^2) per step,
-    _CHUNK_BLOCKS blocks at a time, and S is _SUB.
+    The steps run in blocks of B steps; earlier blocks enter a block's
+    history sums by a uniformly partitioned FFT convolution over the
+    spectra of the blocks in the kernel's reach, the only ones kept
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985).
+    When node values vary, B is _BLOCK and each sub-block of _SUB steps
+    builds its own transfer matrix (_transfers, _CHUNK_BLOCKS blocks at a
+    time); earlier sub-blocks of the block enter by a dense Toeplitz
+    product. When none varies, B is _static_block(n) and a block is the
+    causal FFT product of length 2 B of its history sums with the impulse
+    responses of _block_responses, plus their responses to its incoming
+    state; a block past the limit runs again by sub-blocks, free of FFT
+    rounding, to name its first bad step.
     """
     static = all(np.all(v == v[0]) for v in values)
-    B, S, dim = _BLOCK, _SUB_STATIC if static else _SUB, len(x0)
-    n = values[0].size
+    n, S, dim = values[0].size, _SUB, len(x0)
+    B = _static_block(n) if static else _BLOCK
     nblocks = -(-n // B)
     jcut = kern.size - 1
     ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [jB, (j+2)B) in reach
     kc = np.zeros((max(ndist, 1) + 1) * B, dtype=kern.dtype)  # zero at lag 0 and beyond jcut
     nk = min(kern.size, kc.size)
     kc[1:nk] = kern[1:nk]
+    if static:  # first, so that its temporaries do not add to the run's arrays
+        resp = _block_responses(step, tuple(v[0] for v in values), kc, dim, B)
     kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
-    near = sliding_window_view(kc[1 : B + S], B)[:, ::-1].astype(complex)  # K[B + r - c]
 
     # the steps run in whole blocks; padded steps repeat the last node values
     size = nblocks * B
@@ -387,49 +392,125 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
         return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
 
     forcing = np.zeros(size) if forcing is None else np.pad(forcing, (0, size - n))
-    one = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim) if static else None
     g = np.zeros(size, dtype=complex)
     y = np.empty(size, dtype=complex)
-    inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
-    inp[:dim] = x0
-    z = np.empty(2 * S + dim, dtype=complex)  # the sub-block's g, y and outgoing state
     # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's reach,
     # in up to twice as many rows, moved to the front when the rows run out
     cap = min(nblocks, 2 * ndist)
     specs = np.empty((max(cap, 1), 2 * B), dtype=complex)
     base = 0
     block = np.zeros(2 * B, dtype=complex)
-    span = _CHUNK_BLOCKS * B
-    for clo in range(0, size, span):
-        chi = min(clo + span, size)
-        if one is None:
-            mats = _transfers(step, [padded(v, clo, chi) for v in values], kc[:S], dim)
-        else:
-            mats = np.broadcast_to(one, ((chi - clo) // S,) + one.shape[1:])
-        for lo in range(clo, chi, B):
-            i = lo // B
-            far = forcing[lo : lo + B]
-            if i:
-                if i - 1 - base == cap:
-                    base = i - ndist
-                    specs[: ndist - 1] = specs[cap - ndist + 1 :]
-                block[:B] = g[lo - B : lo]
-                specs[i - 1 - base] = np.fft.fft(block)
-                m = min(ndist, i)  # partition j meets the block j + 1 back
-                spec = np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1])
-                far = far + np.fft.ifft(spec)[B:]
-            for c in range(0, B, S):
-                s0 = lo + c
-                inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[lo:s0]
-                np.matmul(mats[(s0 - clo) // S], inp, out=z)
-                g[s0 : s0 + S] = z[:S]
-                y[s0 : s0 + S] = z[S : 2 * S]
-                inp[:dim] = z[2 * S :]
-            if limit is not None:
-                bad = np.flatnonzero(np.abs(y[lo : min(lo + B, n)]) > limit)
-                if bad.size:
-                    raise SolverError(f"|b0| exceeded {limit} at t = {ends[lo + bad[0]]:.4g}")
+    spec = np.empty(2 * B, dtype=complex)  # FFT buffer, reused so that the run allocates less
+
+    def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
+        nonlocal base
+        i, far = lo // B, forcing[lo : lo + B]
+        if i:
+            if i - 1 - base == cap:
+                base = i - ndist
+                specs[: ndist - 1] = specs[cap - ndist + 1 :]
+            block[:B] = g[lo - B : lo]
+            np.fft.fft(block, out=specs[i - 1 - base])
+            m = min(ndist, i)  # partition j meets the block j + 1 back
+            np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1], out=spec)
+            far = far + np.fft.ifft(spec, out=spec)[B:]
+        return far
+
+    near = sliding_window_view(kc[1 : B + S], B)[:, ::-1]  # K[B + r - c]
+    if not static:  # a static run only runs a failing block again by sub-blocks
+        near = near.astype(complex)
+    inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
+    z = np.empty(2 * S + dim, dtype=complex)  # the sub-block's g, y and outgoing state
+
+    def sub_blocks(mats, lo, far, x):  # block lo // B, S steps per transfer matrix
+        inp[:dim] = x
+        for c in range(0, B, S):
+            s0 = lo + c
+            inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[lo:s0]
+            np.matmul(mats[c // S], inp, out=z)
+            g[s0 : s0 + S] = z[:S]
+            y[s0 : s0 + S] = z[S : 2 * S]
+            inp[:dim] = z[2 * S :]
+        return inp[:dim].copy()
+
+    def first_bad(lo):  # the first step of block lo // B beyond the limit (NaN too), or None
+        bad = np.flatnonzero(~(np.abs(y[lo : min(lo + B, n)]) <= limit))
+        return lo + bad[0] if bad.size else None
+
+    def guard(lo):
+        if (k := first_bad(lo)) is not None:
+            raise SolverError(f"|b0| exceeded {limit} at t = {ends[k]:.4g}")
+
+    x = np.array(x0, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught by guard
+        if not static:
+            span = _CHUNK_BLOCKS * B
+            for clo in range(0, size, span):
+                chi = min(clo + span, size)
+                mats = _transfers(step, [padded(v, clo, chi) for v in values], kc[:S], dim)
+                for lo in range(clo, chi, B):
+                    x = sub_blocks(mats[(lo - clo) // S :], lo, far_field(lo), x)
+                    if limit is not None:
+                        guard(lo)
+            return y[:n], g[:n]
+
+        hspec = np.fft.fft(resp[:2, :, dim], 2 * B)  # g and y from a unit history sum
+        free = resp[:2, :, :dim].copy()  # g and y from the incoming state
+        xfar = resp[1:, ::-1, dim].copy()  # outgoing state from a unit history sum at each step
+        xfree = resp[1:, -1, :dim].copy()  # outgoing state from the incoming state
+        del resp
+        gy = np.empty((2, 2 * B), dtype=complex)
+        for lo in range(0, size, B):
+            far = far_field(lo)
+            np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
+            np.fft.ifft(gy, out=gy)
+            gy[:, :B] += free @ x
+            g[lo : lo + B], y[lo : lo + B] = gy[:, :B]
+            xo = xfar @ far + xfree @ x
+            if limit is not None and first_bad(lo) is not None:
+                mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
+                xo = sub_blocks(np.broadcast_to(mats, (B // S,) + mats.shape[1:]), lo, far, x)
+                guard(lo)
+            x = xo
     return y[:n], g[:n]
+
+
+def _static_block(n: int) -> int:
+    """History block of a static run of n steps: the power of two nearest sqrt(32 n)
+    (B for n in [B^2 / 64, B^2 / 16)), kept within 32 .. 1024."""
+    return min(max(1 << ((n.bit_length() + 5) // 2), 32), 1024)
+
+
+def _block_responses(step, v, kc, dim: int, B: int) -> np.ndarray:
+    """Responses over B steps of a recurrence whose node values v never vary,
+    shape (1 + dim, B, dim + 1): g (row 0) and state component c (row 1 + c)
+    after each step, from a unit incoming state c (column c < dim) and from
+    a unit history sum at the first step (column dim).
+
+    The first _SUB steps run one at a time in extended precision, and the
+    responses over 2 L steps follow from those over L by FFT. A doubling
+    repeats the earlier rounding error twice, so it grows like B / _SUB;
+    the extended precision keeps the static run, which reuses the
+    responses in every block, as close to the direct sum as a driven run.
+    """
+    S = _SUB
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard of the run names a blow-up
+        resp = np.zeros((1 + dim, S, dim + 1), dtype=np.clongdouble)
+        x = tuple(np.eye(dim, dim + 1, dtype=np.clongdouble))
+        base = np.eye(1, dim + 1, dim, dtype=np.clongdouble)[0]
+        for r in range(S):
+            x, resp[0, r] = step(x, base, v)
+            resp[1:, r] = x
+            base = kc[r + 1 : 0 : -1] @ resp[0, : r + 1]
+        resp = resp.astype(complex)
+        L = S
+        while L < B:
+            hist = np.fft.ifft(np.fft.fft(resp[0].T, 2 * L) * np.fft.fft(kc[: 2 * L]))[:, L:]
+            spec = np.fft.fft(resp[:, :, dim], 2 * L)[:, None] * np.fft.fft(hist, 2 * L)
+            later = np.fft.ifft(spec, out=spec)[:, :, :L].transpose(0, 2, 1)
+            resp = np.concatenate([resp, later + resp[:, :, :dim] @ resp[1:, -1]], axis=1)
+            L *= 2
+        return resp
 
 
 def _transfers(step, values, kr, dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from welldecay.solvers import (
     _RK4_CHUNK,
     _RK4_ROW,
     _SUB,
-    _SUB_STATIC,
+    _static_block,
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
     AmplitudeTrajectory,
@@ -205,25 +205,31 @@ def test_volterra_rejects_wideband_and_too_coarse_steps():
 def test_volterra_divergence_guard():
     # a negative-weight kernel is unphysical and feeds the amplitude: the
     # solver must detect the blow-up instead of returning garbage, at the
-    # first such step and not at the end of a history block (step 33, in
-    # the first block, for weight = -40; step 634, in the third, for -0.5)
+    # first such step and not at the end of a history block. The 1600 steps
+    # run in static blocks of _static_block(1600) = 256: step 33, in the first
+    # block, for weight = -40; step 634, in the third, for -0.5; step 5 for
+    # -2000, whose block ends near 1e34, so that FFT rounding alone would put
+    # its first steps past the limit; and step 1 for -1e7, whose block
+    # overflows to inf and NaN, with no floating-point warning on the way
+    assert _static_block(1600) == 256
     p = SystemParams(e0=0.0)
-    for weight in (-40.0, -0.5):
+    for weight in (-40.0, -0.5, -2000.0, -1e7):
         for t_end in (8.0, -8.0):
             sd = WeightedLorentzian(lam=4.0, weight=weight)
             cfg = SolverConfig(dt=5e-3, t_end=t_end)
             times, b = volterra_reference(p, sd, cfg)
             assert abs(b[-1]) > DIVERGENCE_LIMIT
-            with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
-                solve(p, sd, cfg, "volterra")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
+                    solve(p, sd, cfg, "volterra")
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 23 with the five below
 @given(
     semicircle=st.booleans(),
     width=st.floats(5.0, 20.0),
-    n=st.sampled_from([1, 5, _SUB, _SUB + 1, _SUB_STATIC - 1, _SUB_STATIC, _SUB_STATIC + 1,
-                       256, 257, _BLOCK + _SUB_STATIC + 3, 1600]),
+    n=st.sampled_from([1, 5, _SUB, _SUB + 1, 31, 32, 33, 256, 257, 3 * 64 + 5, 1600]),
     e0=st.floats(-2.0, 2.0),
     drive=st.sampled_from([None, "level", "barrier"]),
     sign=st.sampled_from([1.0, -1.0]),
@@ -238,12 +244,13 @@ def test_volterra_divergence_guard():
 @example(semicircle=False, width=20.0, n=3 * _CHUNK_BLOCKS * _BLOCK, e0=0.4, drive="level",
          sign=-1.0, frac=0.95)
 def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, sign, frac):
-    # the blocked history (FFT blocks, dense sub-blocks, transfer matrices) against
-    # the direct sum: below one sub-block, at one and one past one sub-block (driven
-    # and static length) and block, over several blocks, and one past the first
-    # batch of driven transfer matrices, with the Lorentzian's jcut < n when
-    # lam dt ~ 0.05; 24 blocks against 4 in the kernel's reach move the kept
-    # block spectra down three times
+    # the blocked history (FFT blocks, dense sub-blocks, transfer matrices, static
+    # block responses) against the direct sum: below one sub-block, at one and one
+    # past one sub-block and driven block, one short of, at and one past one static
+    # block of 32 steps, three static blocks of 64 and five steps, over several
+    # blocks, and one past the first batch of driven transfer matrices, with the
+    # Lorentzian's jcut < n when lam dt ~ 0.05; 24 blocks against 4 in the
+    # kernel's reach move the kept block spectra down three times
     sd = Semicircle(width) if semicircle else Lorentzian(width)
     level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
     barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
@@ -259,17 +266,55 @@ def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, si
         assert np.max(np.abs(mirror.b0 - np.conj(traj.b0))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 3 * 64 + 5, 1023, 1024, 1025,
+                               12 * 256 + 5, 16 * 1024 + 5])
+@settings(max_examples=2, derandomize=True, deadline=None)  # 5 with the three below
+@given(
+    semicircle=st.booleans(),
+    width=st.floats(5.0, 20.0),
+    e0=st.floats(-2.0, 2.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    frac=st.floats(0.6, 0.99),
+)
+@example(semicircle=False, width=20.0, e0=0.0, sign=1.0, frac=0.99)
+@example(semicircle=False, width=5.0, e0=1.5, sign=-1.0, frac=0.6)
+@example(semicircle=True, width=6.0, e0=0.5, sign=-1.0, frac=0.9)
+def test_static_volterra_matches_direct_history_sum(n, semicircle, width, e0, sign, frac):
+    # the static block responses against the direct sum at the edges of the block
+    # length rule: one short of, at and one past one block of 32 and of 64 steps,
+    # three blocks of 64 and five steps, the last run of 128-step blocks and the
+    # first of 256, 12 blocks of 256 and 16 of 1024 with five steps more; a
+    # Lorentzian kernel that ends within one block (jcut = 838, below B = 1024 at
+    # the longest run) and one that spans more than five (jcut = 1382 > 5 * 256),
+    # and a full-history semicircle, both signs of t
+    blocks = {31: 32, 32: 32, 33: 32, 63: 32, 64: 64, 65: 64, 197: 64, 1023: 128,
+              1024: 256, 1025: 256, 3077: 256, 16389: 1024}
+    assert _static_block(n) == blocks[n]
+    sd = Semicircle(width) if semicircle else Lorentzian(width)
+    p = SystemParams(e0=e0)
+    dt = 2.0 * frac * default_dt(p, sd)
+    cfg = SolverConfig(dt=dt, t_end=sign * n * dt)
+    traj = solve_volterra(p, sd, cfg)
+    times, ref = volterra_reference(p, sd, cfg)
+    assert traj.times.size == n + 1 and np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.b0 - ref)) <= 1e-13
+    mirror = solve_volterra(p, sd, SolverConfig(dt=dt, t_end=-cfg.t_end))
+    assert np.max(np.abs(mirror.b0 - np.conj(traj.b0))) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "steps",
     [1, 2, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 5, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5,
-     _SUB_STATIC - 1, _SUB_STATIC, _SUB_STATIC + 1, _BLOCK + _SUB_STATIC + 3],
+     31, 32, 33, 3 * 64 + 5, _BLOCK + 35],
 )
 @pytest.mark.parametrize("driven", [False, True])
 def test_volterra_sub_block_edges(steps, driven):
     # node 0 enters with half weight as forcing of every step; a run shorter
     # than one sub-block, partial last sub-blocks, one past a block and one
-    # past the first batch of transfer matrices all match the direct sum, at
-    # the sub-block lengths of a driven (_SUB) and a static run (_SUB_STATIC)
+    # past the first batch of transfer matrices all match the direct sum, and
+    # so do a static run one short of, at and one past one block of 32 steps,
+    # one of three blocks of 64 and five steps, and one of two blocks of 128
+    # and 35 steps
     drive = LevelDrive(u=1.0, omega=2.0) if driven else None
     p = SystemParams(e0=0.7, level_drive=drive)
     cfg = SolverConfig(dt=4e-3, t_end=steps * 4e-3)
