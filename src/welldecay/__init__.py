@@ -23,11 +23,9 @@ from .model import (
 )
 from .solvers import (
     AmplitudeTrajectory,
-    MismatchError,
     ResolutionError,
     SolverConfig,
     SolverError,
-    convergence_order,
     default_dt,
     solve,
 )

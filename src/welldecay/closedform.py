@@ -65,7 +65,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bessel import bessel_ive, bessel_j, truncation_order
+from .bessel import J_ARG_MAX, bessel_ive, bessel_j, truncation_order
 from .model import ModelError, SystemParams, TWO_PI
 
 FLOQUET_TAIL_TOL = 1.0e-10
@@ -93,28 +93,31 @@ def _maybe_scalar(values, scalar: bool):
     return values[()] if scalar else values
 
 
-def b0_markovian_driven(params: SystemParams, t, linear_alpha: bool = False):
+def b0_markovian_driven(params: SystemParams, t):
     """Wide-band amplitude b0 = exp(-i Phi(t)) under the drives of params, any sign of t.
 
     Phi(t) = int_0^t E0(t') dt' - i sgn(t) (Gamma/2) int_0^t w^2(t') dt' is
     exact for a level drive, a barrier drive or both, and without a drive it
     is e^{-i E0 t - Gamma |t|/2}; its imaginary part is <= 0 for either sign
-    of t, so |b0| <= 1. The barrier drive keeps the full w^2 integral by
-    default; linear_alpha=True drops the O(alpha^2) part of w^2, the variant
-    used by the sideband resummation.
+    of t, so |b0| <= 1.
     """
     t, scalar = _as_float_array(t)
-    w2_int = params.w2_integral(t, linear_alpha)
+    w2_int = params.w2_integral(t)
     phase = params.e0_integral(t) - 0.5j * np.sign(t) * w2_int
     return _maybe_scalar(np.exp(-1j * phase), scalar)
 
 
 def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:
-    """Principal branch Q = sqrt(L^2 - 2 Gamma L - E0^2 - 2 i sgn E0 L), Re Q >= 0."""
-    q = np.sqrt(
-        complex(lam * lam - 2.0 * lam - params.e0 * params.e0)
-        - 2.0j * sign * params.e0 * lam
-    )
+    """Principal branch Q = sqrt(L^2 - 2 Gamma L - E0^2 - 2 i sgn E0 L), Re Q >= 0.
+
+    An E0 or L so large that Q^2 overflows (|E0| or L above about 1.3e154)
+    raises ModelError.
+    """
+    q2 = complex(lam * lam - 2.0 * lam - params.e0 * params.e0) - 2.0j * sign * params.e0 * lam
+    if not np.isfinite(q2):
+        raise ModelError(f"the Lorentzian closed form overflows: Q^2 is not finite at "
+                         f"E0 = {params.e0:g}, lambda = {lam:g}")
+    q = np.sqrt(q2)
     return -q if q.real < 0.0 else q
 
 
@@ -192,18 +195,20 @@ def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
     is the Bessel argument of the sideband weights, u/omega for the level
     and xi = alpha/omega for the barrier; n_max cuts both weight tails
     below FLOQUET_TAIL_TOL. The resummation covers one drive, so two active
-    drives raise ModelError.
+    drives raise ModelError, as does |x| >= J_ARG_MAX, the Bessel tables' limit.
     """
     if params.u != 0.0 and params.alpha != 0.0:
         raise ModelError("the sideband resummation covers one drive; both are active")
     if params.u != 0.0:
         om = params.level_drive.omega
-        x = params.u / om
+        x, name = params.u / om, "u/omega"
     elif params.alpha != 0.0:
         om = params.barrier_drive.omega
-        x = params.alpha / om
+        x, name = params.alpha / om, "alpha/omega"
     else:
         return None
+    if not abs(x) < J_ARG_MAX:
+        raise ModelError(f"the sideband sum needs |{name}| < {J_ARG_MAX:g}, got {name} = {x:g}")
     return x, om, truncation_order(abs(x), FLOQUET_TAIL_TOL)
 
 

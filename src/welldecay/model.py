@@ -96,8 +96,7 @@ class BarrierDrive:
     """Oscillating barrier transparency, w(t) = 1 + alpha sin(omega t).
 
     Another profile is a subclass that overrides w(t), rate(t) = dw/dt and
-    w2_integral(t, linear_alpha) = int_0^t w^2 dt', where linear_alpha=True
-    drops the O(alpha^2) part (the variant the sideband resummation uses).
+    w2_integral(t) = int_0^t w^2 dt'.
     """
 
     alpha: float
@@ -116,11 +115,9 @@ class BarrierDrive:
     def rate(self, t):
         return self.alpha * self.omega * np.cos(self.omega * t)
 
-    def w2_integral(self, t, linear_alpha: bool = False):
+    def w2_integral(self, t):
         al, om = self.alpha, self.omega
         out = t + 2.0 * al / om * (1.0 - np.cos(om * t))
-        if linear_alpha:
-            return out
         return out + al * al * (0.5 * t - np.sin(2.0 * om * t) / (4.0 * om))
 
 
@@ -178,9 +175,9 @@ class SystemParams:
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t) if self.barrier_drive is None else self.barrier_drive.rate(t)
 
-    def w2_integral(self, t, linear_alpha: bool = False):
+    def w2_integral(self, t):
         t = np.asarray(t, dtype=float)
-        return t if self.barrier_drive is None else self.barrier_drive.w2_integral(t, linear_alpha)
+        return t if self.barrier_drive is None else self.barrier_drive.w2_integral(t)
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,6 @@ class ResolutionError(ValueError):
     """Step size too coarse for the fastest scale in the problem."""
 
 
-class MismatchError(ValueError):
-    """Trajectories with different physics cannot be compared."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, signed end time, the error budget used for sanity bounds, and
@@ -182,14 +178,6 @@ class AmplitudeTrajectory:
         if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1.0e-9 * max(1.0, abs(t))):
             raise KeyError(f"t = {t} is not a grid node")
         return i
-
-    def same_physics(self, other: "AmplitudeTrajectory") -> bool:
-        return (
-            self.params == other.params
-            and self.sd == other.sd
-            and self.method == other.method
-            and math.isclose(self.times[-1], other.times[-1], rel_tol=1.0e-12, abs_tol=0.0)
-        )
 
 
 def _step_count(t_end: float, dt: float) -> float:
@@ -641,36 +629,3 @@ def solve_wideband(params: SystemParams, cfg: SolverConfig) -> AmplitudeTrajecto
     return _closed_form(
         params, WideBand(), cfg, lambda t: b0_markovian_driven(params, t), WIDEBAND_CLOSED
     )
-
-
-def convergence_order(
-    coarse: AmplitudeTrajectory,
-    fine: AmplitudeTrajectory,
-    reference,
-) -> float:
-    """Richardson estimate of the convergence order from a (dt, dt/2) run pair.
-
-    reference supplies the third datum the estimate needs: either a further
-    halved trajectory (dt/4), giving log2 of the ratio of successive
-    differences, or a callable t -> b0 evaluated as the exact solution,
-    giving log2 of the ratio of true errors. Identical runs degenerate to
-    zero differences and are reported as +inf.
-    """
-    if not coarse.same_physics(fine):
-        raise MismatchError("run pair differs in physics metadata")
-    if not math.isclose(fine.cfg.dt, 0.5 * coarse.cfg.dt, rel_tol=1.0e-9):
-        raise MismatchError("fine run must halve the coarse step")
-
-    if callable(reference):
-        e1 = float(np.max(np.abs(coarse.b0 - reference(coarse.times))))
-        e2 = float(np.max(np.abs(fine.b0 - reference(fine.times))))
-    else:
-        if not fine.same_physics(reference):
-            raise MismatchError("reference run differs in physics metadata")
-        if not math.isclose(reference.cfg.dt, 0.5 * fine.cfg.dt, rel_tol=1.0e-9):
-            raise MismatchError("reference run must halve the fine step")
-        e1 = float(np.max(np.abs(coarse.b0 - fine.b0[::2])))
-        e2 = float(np.max(np.abs(fine.b0 - reference.b0[::2])))
-    if e2 == 0.0:
-        return math.inf
-    return math.log2(e1 / e2)

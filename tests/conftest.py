@@ -1,6 +1,9 @@
-"""Shared helpers for the spectra-heavy tests."""
+"""Shared test helpers: spectrum conservation runs, Richardson convergence
+orders and the linear-alpha barrier amplitude."""
 
 import math
+
+import numpy as np
 
 from welldecay import spectra
 from welldecay.model import WideBand
@@ -36,3 +39,60 @@ def conservation_gap(params, t_end):
     traj = solve(params, WideBand(), SolverConfig(dt=dt, t_end=t_end))
     spec = spectrum_from_trajectory(traj, grid)
     return abs(float(traj.p0[-1]) + spec.norm - 1.0)
+
+
+class MismatchError(ValueError):
+    """Trajectories with different physics cannot be compared."""
+
+
+def same_physics(a, b) -> bool:
+    """Whether two trajectories solve the same problem to the same end time."""
+    return (
+        a.params == b.params
+        and a.sd == b.sd
+        and a.method == b.method
+        and math.isclose(a.times[-1], b.times[-1], rel_tol=1.0e-12, abs_tol=0.0)
+    )
+
+
+def convergence_order(coarse, fine, reference) -> float:
+    """Richardson estimate of the convergence order from a (dt, dt/2) run pair.
+
+    reference supplies the third datum the estimate needs: either a further
+    halved trajectory (dt/4), giving log2 of the ratio of successive
+    differences, or a callable t -> b0 evaluated as the exact solution,
+    giving log2 of the ratio of true errors. Identical runs degenerate to
+    zero differences and are reported as +inf.
+    """
+    if not same_physics(coarse, fine):
+        raise MismatchError("run pair differs in physics metadata")
+    if not math.isclose(fine.cfg.dt, 0.5 * coarse.cfg.dt, rel_tol=1.0e-9):
+        raise MismatchError("fine run must halve the coarse step")
+
+    if callable(reference):
+        e1 = float(np.max(np.abs(coarse.b0 - reference(coarse.times))))
+        e2 = float(np.max(np.abs(fine.b0 - reference(fine.times))))
+    else:
+        if not same_physics(fine, reference):
+            raise MismatchError("reference run differs in physics metadata")
+        if not math.isclose(reference.cfg.dt, 0.5 * fine.cfg.dt, rel_tol=1.0e-9):
+            raise MismatchError("reference run must halve the fine step")
+        e1 = float(np.max(np.abs(coarse.b0 - fine.b0[::2])))
+        e2 = float(np.max(np.abs(fine.b0 - reference.b0[::2])))
+    if e2 == 0.0:
+        return math.inf
+    return math.log2(e1 / e2)
+
+
+def b0_linear_alpha(params, t):
+    """Wide-band amplitude with the O(alpha^2) part of int_0^t w^2 dropped.
+
+    b0 = exp(-i [int_0^t E0 - (i/2) sgn(t) (t + 2 alpha/omega (1 - cos omega t))])
+    for the barrier drive w = 1 + alpha sin(omega t) of params: the amplitude
+    the sideband resummation closedform.floquet_spectrum sums exactly.
+    """
+    t = np.asarray(t, dtype=float)
+    al, om = params.alpha, params.barrier_drive.omega
+    w2_int = t + 2.0 * al / om * (1.0 - np.cos(om * t))
+    phase = params.e0_integral(t) - 0.5j * np.sign(t) * w2_int
+    return np.exp(-1j * phase)

@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import b0_linear_alpha
 
 from welldecay import closedform, spectra
 from welldecay.chain import revival_time
@@ -223,7 +224,7 @@ def test_c07_floquet_spectrum_consistency():
     base = solve_wideband(p_bar, SolverConfig(dt=dt_b, t_end=12.0))
     lin = AmplitudeTrajectory(
         base.times,
-        closedform.b0_markovian_driven(p_bar, base.times, linear_alpha=True),
+        b0_linear_alpha(p_bar, base.times),
         p_bar, base.sd, base.cfg, base.method,
     )
     spec_b = spectra.spectrum_from_trajectory(lin, grid_b)

@@ -16,7 +16,6 @@ PUBLIC_NAMES = {
     "FiniteChain",
     "LevelDrive",
     "Lorentzian",
-    "MismatchError",
     "ModelError",
     "ResolutionError",
     "Semicircle",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = {
     "bessel_ive",
     "bessel_j",
     "conservation_window",
-    "convergence_order",
     "default_dt",
     "energy_grid",
     "floquet_spectrum",
@@ -50,7 +48,7 @@ def test_public_names_are_pinned():
         for name in dir(welldecay)
         if not name.startswith("_") and not isinstance(getattr(welldecay, name), types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 29
     assert exported == PUBLIC_NAMES
 
 

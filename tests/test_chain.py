@@ -186,6 +186,17 @@ def test_unitarity_static_and_driven():
         assert abs(end_norm(driven) - 1.0) < 1e-8 * 10.0
 
 
+@pytest.mark.parametrize("level_drive", [None, LevelDrive(u=2.0, omega=2.0)])
+def test_norm_drift_past_the_limit_raises(monkeypatch, level_drive):
+    # the limit halved below the drift a run measures turns that same run into a failure
+    chain = FiniteChain(40, 6.0)
+    drift = run(1.0, chain, 3.0, 5e-3, level_drive).norm_drift
+    assert drift > 0.0
+    monkeypatch.setattr("welldecay.chain.NORM_DRIFT_LIMIT", 0.5 * drift / 3.0)
+    with pytest.raises(SolverError, match="norm drifted by"):
+        run(1.0, chain, 3.0, 5e-3, level_drive)
+
+
 def test_continuum_limit_against_semicircle_solution():
     # finite-N deviations from the continuum memory solution shrink with N,
     # and are already below discretization noise on the pre-revival window

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from welldecay import cli
+from welldecay import cli, solvers
 from welldecay.cli import main
 from welldecay.model import FiniteChain, LevelDrive, SystemParams
 from welldecay.solvers import SolverConfig, default_dt, solve
@@ -302,13 +302,42 @@ def test_numerical_failure_exit_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_amplitude_exits_2(tmp_path, capsys):
-    # lambda = 1e300 overflows the closed form to NaN: a numerical failure, not a JSON error
-    rc = main(["survival", "--model", "lorentzian", "--lambda", "1e300", "--method", "closed",
-               "--e0", "0", "--dt", "1e-302", "--t-max", "1e-300", "--out", str(tmp_path)])
+def test_nan_amplitude_exits_2(tmp_path, capsys, monkeypatch):
+    # a route whose amplitude turns NaN is a numerical failure, not a JSON error; the closed
+    # forms reject their overflows (next test), so a patched route supplies the NaN
+    def nan_past_zero(params, lam, t):
+        return np.where(np.asarray(t) == 0.0, 1.0 + 0.0j, np.nan)
+
+    monkeypatch.setattr(solvers, "b0_lorentzian_static", nan_past_zero)
+    rc = main(["survival", "--model", "lorentzian", "--lambda", "4", "--method", "closed",
+               "--t-max", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert "nan" in capsys.readouterr().err
+
+
+def test_lorentzian_closed_form_overflow_exits_1_naming_e0_and_lambda(tmp_path, capsys):
+    # lambda = 1e300 overflows Q^2 in the closed form: a usage error, before any file
+    out = tmp_path / "out"
+    rc = main(["survival", "--model", "lorentzian", "--lambda", "1e300", "--method", "closed",
+               "--e0", "0", "--dt", "1e-302", "--t-max", "1e-300", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "E0 = 0, lambda = 1e+300" in err, err
+
+
+@pytest.mark.parametrize("argv,ratio", [
+    ("--drive level --u 20000 --omega 1", "|u/omega| < 10000, got u/omega = 20000"),
+    ("--drive level --u -20000 --omega 1", "|u/omega| < 10000, got u/omega = -20000"),
+    ("--drive barrier --alpha 0.5 --omega 1e-5", "|alpha/omega| < 10000, got alpha/omega = 50000"),
+])
+def test_sideband_argument_past_the_bessel_limit_exits_1_naming_the_ratio(tmp_path, capsys,
+                                                                          argv, ratio):
+    out = tmp_path / "out"
+    assert main(["spectrum", *argv.split(), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sideband sum needs ") and ratio in err, err
 
 
 def test_revival_command(tmp_path):
@@ -386,6 +415,21 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_selftest_fails_a_check_past_its_bound_and_exits_2(capsys, monkeypatch):
+    # the ODE route's |b0| scaled by 1 + 1e-5 moves P0 by about 2e-5 near t = 0, twice
+    # the oracle triangle's 1e-5 bound; every other check keeps its own routes
+    def solve_off(params, reservoir, cfg, method="auto"):
+        traj = solve(params, reservoir, cfg, method)
+        if method == "ode":
+            traj.b0 = np.where(traj.times == 0.0, traj.b0, traj.b0 * (1.0 + 1e-5))
+        return traj
+
+    monkeypatch.setattr(cli, "solve", solve_off)
+    assert main(["selftest"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "Lorentzian oracle triangle" in fails[0], fails
 
 
 MANIFEST_KEYS = ["command", "parameters", "solver", "norm_checks", "qualitative_checks",

@@ -3,11 +3,13 @@
 import cmath
 import functools
 import math
+import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import b0_linear_alpha
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -107,7 +109,7 @@ def test_linear_alpha_variant_matches_full_to_first_order():
     for alpha in (0.08, 0.04, 0.02):
         p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha, om))
         full = closedform.b0_markovian_driven(p, t)
-        lin = closedform.b0_markovian_driven(p, t, linear_alpha=True)
+        lin = b0_linear_alpha(p, t)
         gaps.append(np.max(np.abs(full - lin)))
     # the variants differ at O(alpha^2): halving alpha quarters the gap
     assert gaps[1] < 0.30 * gaps[0]
@@ -133,6 +135,13 @@ def test_lorentzian_static_rejects_a_nonpositive_width():
     for lam in (0.0, -1.0):
         with pytest.raises(ModelError, match="half-width must be positive"):
             closedform.b0_lorentzian_static(SystemParams(e0=0.0), lam, 1.0)
+
+
+@pytest.mark.parametrize("e0,lam", [(2e154, 1.0), (0.0, 2e154)])
+def test_lorentzian_static_rejects_an_overflowing_q(e0, lam):
+    # Q^2 overflows past |E0| or lambda of about 1.3e154: ModelError, no NaN or warning
+    with pytest.raises(ModelError, match=re.escape(f"E0 = {e0:g}, lambda = {lam:g}")):
+        closedform.b0_lorentzian_static(SystemParams(e0=e0), lam, np.array([0.0, 1.0, -1.0]))
 
 
 def test_lorentzian_static_initial_condition():
@@ -301,10 +310,12 @@ def test_lineshape_markovian_long_time_normalization():
     assert abs(total - 1.0) < 1e-9
 
 
-def floquet_trajectory_oracle(params, e, t_max=80.0, dt=5e-4, linear_alpha=False):
+def floquet_trajectory_oracle(
+    params, e, t_max=80.0, dt=5e-4, amplitude=closedform.b0_markovian_driven
+):
     """Oracle: direct quadrature of P_r(t->inf) from the wide-band amplitude."""
     t = np.arange(0.0, t_max + dt / 2, dt)
-    b0 = closedform.b0_markovian_driven(params, t, linear_alpha=linear_alpha)
+    b0 = amplitude(params, t)
     if params.barrier_drive is not None:
         w = 1.0 + params.barrier_drive.alpha * np.sin(params.barrier_drive.omega * t)
     else:
@@ -567,7 +578,7 @@ def test_floquet_level_matches_trajectory_oracle(e):
 def test_floquet_barrier_matches_trajectory_oracle(e):
     # pins the sign of the prefactor-generated second term
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
-    ref = floquet_trajectory_oracle(p, e, linear_alpha=True)
+    ref = floquet_trajectory_oracle(p, e, amplitude=b0_linear_alpha)
     got = closedform.floquet_spectrum(p, e)
     assert abs(got - ref) < 2e-5 * max(ref, 1e-3)
 
@@ -585,7 +596,7 @@ def test_floquet_barrier_normalization_matches_its_parseval_value():
     # is Gamma int w^2 |b0_lin|^2 dt (= 1 + O(alpha^2 xi) , not 1 exactly)
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.2, omega=0.2))
     t = np.arange(0.0, 80.0, 2.5e-4)
-    b0 = closedform.b0_markovian_driven(p, t, linear_alpha=True)
+    b0 = b0_linear_alpha(p, t)
     w2 = (1.0 + 0.2 * np.sin(0.2 * t)) ** 2
     parseval = float(np.trapezoid(w2 * np.abs(b0) ** 2, t))
     total = quad(
@@ -601,7 +612,7 @@ def test_floquet_barrier_normalization_small_drive():
     # alpha^2-order excess (0.43% here)
     p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=0.1, omega=2.0))
     t = np.arange(0.0, 60.0, 2.5e-4)
-    b0 = closedform.b0_markovian_driven(p, t, linear_alpha=True)
+    b0 = b0_linear_alpha(p, t)
     w2 = (1.0 + 0.1 * np.sin(2.0 * t)) ** 2
     parseval = float(np.trapezoid(w2 * np.abs(b0) ** 2, t))
     total = quad(

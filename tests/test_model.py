@@ -145,12 +145,16 @@ def test_parameter_validation():
         LevelDrive(u=1.0, omega=0.0)
     with pytest.raises(ModelError):
         BarrierDrive(alpha=-0.1, omega=1.0)
+    with pytest.raises(ModelError, match="barrier drive needs omega > 0, got 0"):
+        BarrierDrive(alpha=0.1, omega=0.0)
     with pytest.raises(ModelError):
         Lorentzian(lam=-1.0)
     with pytest.raises(ModelError):
         Semicircle(w_band=0.0)
     with pytest.raises(ModelError):
         FiniteChain(n_levels=0, w_band=6.0)
+    with pytest.raises(ModelError, match="chain band edge must be positive, got 0"):
+        FiniteChain(5, 0.0)
     with pytest.raises(ModelError, match="SolverConfig.t_end must be nonzero and finite"):
         SolverConfig(dt=0.01, t_end=0.0)
     with pytest.raises(ModelError, match="SolverConfig.tolerance must be positive and finite"):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from conftest import MismatchError, convergence_order
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,9 @@ from welldecay.solvers import (
     DIVERGENCE_LIMIT,
     KERNEL_TRUNCATION,
     AmplitudeTrajectory,
-    MismatchError,
     ResolutionError,
     SolverConfig,
     SolverError,
-    convergence_order,
     default_dt,
     routes_for,
     solve,
@@ -781,3 +780,8 @@ def test_default_dt_obeys_resolution_rule():
     p = SystemParams(e0=3.0, level_drive=LevelDrive(u=3.0, omega=2.0))
     dt = default_dt(p, Lorentzian(4.0))
     assert dt * max(4.0, abs(p.e0) + 3.0, 2.0) <= 0.05
+
+
+def test_default_dt_rejects_a_reservoir_without_a_band():
+    with pytest.raises(ModelError, match="no resolution band for reservoir <object"):
+        default_dt(SystemParams(e0=0.0), object())

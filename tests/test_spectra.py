@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import b0_linear_alpha
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +75,7 @@ def test_barrier_drive_spectrum_matches_floquet_sum_at_peaks():
     base = wideband_run(p, 12.0, grid)
     lin = AmplitudeTrajectory(
         base.times,
-        closedform.b0_markovian_driven(p, base.times, linear_alpha=True),
+        b0_linear_alpha(p, base.times),
         p,
         base.sd,
         base.cfg,
