@@ -74,8 +74,8 @@ def truncation_order(x: float, tolerance: float) -> int:
         raise ValueError("tolerance must lie in (0, 1)")
     floor = int(math.ceil(x)) + 10
     top = _miller_start(floor, x)
-    j = np.array(_table(top, x, False))
-    i = np.array(_table(top, x, True))
+    j = _table(top, x, False)
+    i = _table(top, x, True)
     # entry m - 1 holds the tails of the cutoff m; sums run left to right
     j_tail = 1.0 - (j[0] * j[0] + 2.0 * np.cumsum(j[1:] ** 2))
     i_tail = 1.0 - (i[0] + 2.0 * np.cumsum(i[1:]))
@@ -97,7 +97,7 @@ def _bessel(name: str, n, x, modified: bool):
         raise ValueError(f"{name} argument out of supported range: |{x}| >= {J_ARG_MAX}")
     if not orders.ndim:
         orders = np.asarray(int(n))
-    table = np.array(_table(int(np.abs(orders).max(initial=0)), abs(x), modified))
+    table = _table(int(np.abs(orders).max(initial=0)), abs(x), modified)
     values = _sign(orders, x, modified) * table[np.abs(orders)]
     return values if orders.ndim else float(values)
 
@@ -117,7 +117,7 @@ def _miller_start(n: int, x: float) -> int:
     return m + m % 2
 
 
-def _table(top: int, x: float, modified: bool) -> list:
+def _table(top: int, x: float, modified: bool) -> np.ndarray:
     """[f_0, ..., f_top] at x >= 0, f_k = J_k(x), or e^{-x} I_k(x) if modified."""
     if x < _TINY_ARG:
         scale = math.exp(-x) if modified else 1.0
@@ -125,10 +125,11 @@ def _table(top: int, x: float, modified: bool) -> list:
         for k in range(1, top + 1):
             term *= 0.5 * x / k
             out.append(scale * term)
-        return out
+        return np.array(out)
     s = 1.0 if modified else -1.0
     upper, cur, norm = 0.0, 1.0e-30, 0.0
     vals = [0.0] * (top + 1)
+    rescales = []  # per rescaling, the lowest order stored by then
     for k in range(_miller_start(top, x), 0, -1):
         upper, cur = cur, (2.0 * k / x) * cur + s * upper
         if modified or k % 2:  # cur = f_{k-1}; J weights only the even orders
@@ -139,6 +140,11 @@ def _table(top: int, x: float, modified: bool) -> list:
             cur /= _RESCALE_LIMIT
             upper /= _RESCALE_LIMIT
             norm /= _RESCALE_LIMIT
-            vals = [v / _RESCALE_LIMIT for v in vals]
+            rescales.append(k - 1)
     norm -= cur  # f_0 was added with weight 2
-    return [v / norm for v in vals]
+    # each value takes the rescalings after it was stored, one division at a time; the
+    # last three take any double to a signed 0, which earlier ones would leave as it is
+    vals = np.array(vals)
+    for lowest in rescales[-3:]:
+        vals[lowest:] /= _RESCALE_LIMIT
+    return vals / norm

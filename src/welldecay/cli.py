@@ -351,23 +351,23 @@ def cmd_selftest(args) -> int:
     cfg = SolverConfig(dt=0.005, t_end=4.0)
     traj = solve(params, WideBand(), cfg)
     gap = float(np.max(np.abs(traj.p0 - np.exp(-np.abs(traj.times)))))
-    report("wideband static survival is exp(-Gamma|t|)", gap < 1e-12, f"max gap {gap:.2e}")
+    report("wideband static survival is exp(-Gamma|t|)", gap < 1e-14, f"max gap {gap:.2e}")
 
     p1 = SystemParams(e0=1.0)
     lor, cfg = Lorentzian(4.0), SolverConfig(dt=0.002, t_end=4.0, t_start=-4.0)
     tv, ex = solve(p1, lor, cfg, "volterra"), solve(p1, lor, cfg, "closed").p0
     g1 = float(np.max(np.abs(tv.p0 - ex)))
     g2 = float(np.max(np.abs(solve(p1, lor, cfg, "ode").p0 - ex)))
-    report("Lorentzian oracle triangle on [-4, 4]", g1 < 1e-5 and g2 < 1e-5,
-           f"volterra {g1:.2e}, ode {g2:.2e}")
+    report("Lorentzian oracle triangle on [-4, 4], Volterra", g1 < 1e-5, f"max gap {g1:.2e}")
+    report("Lorentzian oracle triangle on [-4, 4], ODE", g2 < 1e-11, f"max gap {g2:.2e}")
 
     sym = float(np.max(np.abs(tv.b0[::-1] - np.conj(tv.b0))))
-    report("time reversal b0(-t) = conj b0(t)", sym < 1e-10, f"max {sym:.2e}")
+    report("time reversal b0(-t) = conj b0(t)", sym < 1e-14, f"max {sym:.2e}")
 
     ct = solve(p1, FiniteChain(80, 6.0), SolverConfig(dt=0.005, t_end=5.0))
     cs = solve(p1, Semicircle(6.0), SolverConfig(dt=0.005, t_end=5.0))
     gap = float(np.max(np.abs(ct.p0 - cs.p0)))
-    report("chain matches semicircle memory solution", gap < 0.02, f"max gap {gap:.2e}")
+    report("chain matches semicircle memory solution", gap < 1e-4, f"max gap {gap:.2e}")
     report("chain norm conserved", ct.norm_drift < 1e-8, f"drift {ct.norm_drift:.2e}")
 
     lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))

@@ -21,7 +21,7 @@ real and even in tau for every (even) density implemented here:
 
 on support |E| <= W for the semicircle. A kernel method returns K on the
 one grid solve_volterra asks for, kernel(dt, n) = K(j dt) at the lags
-j = 0 .. n.
+j = 0 .. n, or fewer: the Lorentzian's end where K < KERNEL_TRUNCATION K(0).
 
 The finite chain discretizes the semicircle with N levels
 E_r = W cos(r pi/(N+1)) and couplings chosen so that Omega^2(E_r) rho(E_r)
@@ -48,6 +48,7 @@ import numpy as np
 from .bessel import _miller_start
 
 TWO_PI = 2.0 * math.pi
+KERNEL_TRUNCATION = 1.0e-18  # a kernel ends where it has decayed below this share of K(0)
 _PHASE_BLOCK = 256  # lags per block of _phase_sums, one matrix product each
 
 
@@ -210,11 +211,8 @@ class Lorentzian:
         return 1.0 / TWO_PI * l2 / (e * e + l2)
 
     def kernel(self, dt: float, n: int) -> np.ndarray:
-        return 0.5 * self.lam * np.exp(-self.lam * (dt * np.arange(n + 1)))
-
-    def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
-        # e^{-lam tau} < rel_tol beyond this point
-        return -math.log(rel_tol) / self.lam
+        jcut = min(n, int(math.ceil(-math.log(KERNEL_TRUNCATION) / self.lam / dt)))
+        return 0.5 * self.lam * np.exp(-self.lam * (dt * np.arange(jcut + 1)))
 
 
 @dataclass(frozen=True)
@@ -242,9 +240,6 @@ class Semicircle:
         chain = FiniteChain(m // 2, self.w_band)
         om = chain.couplings()
         return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real
-
-    def kernel_cutoff(self, rel_tol: float) -> Optional[float]:
-        return None  # algebraic tail, keep the full history
 
 
 @dataclass(frozen=True)

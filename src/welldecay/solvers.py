@@ -12,9 +12,9 @@ starts from b0(0) = 1:
   integration on a uniform grid with one predictor-corrector (Heun) pass
   per step; second-order accurate. The integral keeps its signed
   orientation, so integrating toward negative t needs no special casing.
-  Exponentially decaying kernels are truncated after jcut steps, below
-  1e-18 of their peak. The Heun step is linear in the state (b0, db0/dt)
-  and in its history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
+  The kernel ends itself: a Lorentzian after jcut steps, below 1e-18 of
+  its peak. The Heun step is linear in the state (b0, db0/dt) and in its
+  history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
   call of _memory_recurrence, which advances a linear recurrence with a
   Toeplitz memory a block of B steps at a time; earlier blocks enter by a
   uniformly partitioned FFT convolution (Hairer, Lubich & Schlichte, SIAM
@@ -99,7 +99,6 @@ ROUTES = {
 }
 
 RESOLUTION_LIMIT = 0.05
-KERNEL_TRUNCATION = 1.0e-18
 DIVERGENCE_LIMIT = 2.0
 _RK4_CHUNK = 1024  # RK4 steps whose step matrices are held at once
 _RK4_ROW = 32  # RK4 steps per row of running products; a power of 2 dividing _RK4_CHUNK
@@ -302,12 +301,9 @@ def solve_volterra(
     times = _grid(cfg)
     n = times.size - 1
     h = float(times[1] - times[0])  # signed
-    dt = abs(h)
-    cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
-    jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / dt)))
 
-    # K[m] = K(m dt) up to the truncation; the kernel is even, the |tau| grid suffices
-    kern = sd.kernel(dt, jcut)
+    kern = sd.kernel(abs(h), n)  # K[m] = K(m dt) to where K ends; even, so |tau| suffices
+    jcut = kern.size - 1
     k0 = float(kern[0])
     hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
 
@@ -328,14 +324,20 @@ def solve_volterra(
     b = np.empty(n + 1, dtype=complex)
     b[0] = 1.0
     b[1:] = _memory_recurrence(
-        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), kern, forcing,
-        DIVERGENCE_LIMIT, times[1:],
+        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), kern, forcing, times[1:]
     )[0]
 
     return AmplitudeTrajectory(times, b, params, sd, cfg, VOLTERRA_PC)
 
 
-def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=None):
+def _check_divergence(b: np.ndarray, times: np.ndarray) -> None:
+    """Raise SolverError at the first |b[k]| > DIVERGENCE_LIMIT or NaN, naming times[k]."""
+    bad = np.flatnonzero(~(np.abs(b) <= DIVERGENCE_LIMIT))
+    if bad.size:
+        raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[bad[0]]:.4g}")
+
+
+def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
     the Toeplitz memory base_k = forcing_k + sum_{m<k} kern[k - m] g_m.
 
@@ -343,9 +345,8 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
     coefficient arrays. values holds the n node values v_k, one array per
     value; x0 is the initial state and kern the kernel on lags 0 .. jcut
     (kern[0] is not used, zero beyond jcut); forcing defaults to zero.
-    Returns y (the first state component of x_1 .. x_n) and g. With a
-    limit, the first step with |y_k| > limit or NaN raises SolverError
-    naming ends[k].
+    Returns y (the first state component of x_1 .. x_n) and g. Given the
+    step end times ends, _check_divergence reads y after each block.
 
     The steps run in blocks of B steps; earlier blocks enter a block's
     history sums by a uniformly partitioned FFT convolution over the
@@ -357,8 +358,8 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
     product. When none varies, B is _static_block(n) and a block is the
     causal FFT product of length 2 B of its history sums with the impulse
     responses of _block_responses, plus their responses to its incoming
-    state; a block past the limit runs again by sub-blocks, free of FFT
-    rounding, to name its first bad step.
+    state (for g alone when its responses equal y's: y is then g); a block
+    past the limit runs again by sub-blocks, free of FFT rounding.
     """
     static = all(np.all(v == v[0]) for v in values)
     n, S, dim = values[0].size, _SUB, len(x0)
@@ -380,8 +381,9 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
         return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
 
     forcing = np.zeros(size) if forcing is None else np.pad(forcing, (0, size - n))
-    g = np.zeros(size, dtype=complex)
-    y = np.empty(size, dtype=complex)
+    rows = 1 if static and np.array_equal(resp[0], resp[1]) else 2  # g, then y unless y is g
+    gy_out = np.zeros((rows, size), dtype=complex)
+    g, y = gy_out[0], gy_out[-1]
     # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's reach,
     # in up to twice as many rows, moved to the front when the rows run out
     cap = min(nblocks, 2 * ndist)
@@ -416,21 +418,12 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
             s0 = lo + c
             inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[lo:s0]
             np.matmul(mats[c // S], inp, out=z)
-            g[s0 : s0 + S] = z[:S]
-            y[s0 : s0 + S] = z[S : 2 * S]
+            gy_out[:, s0 : s0 + S] = z[: 2 * S].reshape(2, S)[:rows]
             inp[:dim] = z[2 * S :]
         return inp[:dim].copy()
 
-    def first_bad(lo):  # the first step of block lo // B beyond the limit (NaN too), or None
-        bad = np.flatnonzero(~(np.abs(y[lo : min(lo + B, n)]) <= limit))
-        return lo + bad[0] if bad.size else None
-
-    def guard(lo):
-        if (k := first_bad(lo)) is not None:
-            raise SolverError(f"|b0| exceeded {limit} at t = {ends[k]:.4g}")
-
     x = np.array(x0, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught by guard
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_divergence names a blow-up
         if not static:
             span = _CHUNK_BLOCKS * B
             for clo in range(0, size, span):
@@ -438,27 +431,30 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, limit=None, ends=No
                 mats = _transfers(step, [padded(v, clo, chi) for v in values], kc[:S], dim)
                 for lo in range(clo, chi, B):
                     x = sub_blocks(mats[(lo - clo) // S :], lo, far_field(lo), x)
-                    if limit is not None:
-                        guard(lo)
+                    if ends is not None:
+                        _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
             return y[:n], g[:n]
 
-        hspec = np.fft.fft(resp[:2, :, dim], 2 * B)  # g and y from a unit history sum
-        free = resp[:2, :, :dim].copy()  # g and y from the incoming state
+        hspec = np.fft.fft(resp[:rows, :, dim], 2 * B)  # g (and y) from a unit history sum
+        free = resp[:rows, :, :dim].copy()  # g (and y) from the incoming state
         xfar = resp[1:, ::-1, dim].copy()  # outgoing state from a unit history sum at each step
         xfree = resp[1:, -1, :dim].copy()  # outgoing state from the incoming state
         del resp
-        gy = np.empty((2, 2 * B), dtype=complex)
+        gy = np.empty((rows, 2 * B), dtype=complex)
         for lo in range(0, size, B):
             far = far_field(lo)
             np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
             np.fft.ifft(gy, out=gy)
             gy[:, :B] += free @ x
-            g[lo : lo + B], y[lo : lo + B] = gy[:, :B]
+            gy_out[:, lo : lo + B] = gy[:, :B]
             xo = xfar @ far + xfree @ x
-            if limit is not None and first_bad(lo) is not None:
-                mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
-                xo = sub_blocks(np.broadcast_to(mats, (B // S,) + mats.shape[1:]), lo, far, x)
-                guard(lo)
+            if ends is not None:
+                try:
+                    _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
+                except SolverError:  # FFT rounding alone may cross the limit: rerun the block
+                    mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
+                    xo = sub_blocks(np.broadcast_to(mats, (B // S,) + mats.shape[1:]), lo, far, x)
+                    _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
             x = xo
     return y[:n], g[:n]
 
@@ -560,10 +556,7 @@ def solve_lorentzian_ode(
             prop = _rk4_propagators(a[2 * lo : 2 * hi + 1], bc[2 * lo : 2 * hi + 1], h)
             out = b[lo + 1 : hi + 1]
             y = _apply_in_turn(prop, y, out)
-            bad = np.flatnonzero(~(np.abs(out) <= DIVERGENCE_LIMIT))  # NaN too
-            if bad.size:
-                k = lo + 1 + bad[0]
-                raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[k]:.4g}")
+            _check_divergence(out, times[lo + 1 : hi + 1])
 
     return AmplitudeTrajectory(times, b, params, sd, cfg, LORENTZIAN_ODE)
 

@@ -72,13 +72,6 @@ class EnergySpectrum:
         return float(self.values[i])
 
 
-def sideband_count(params: SystemParams) -> int:
-    """Number of sidebands carrying weight above closedform.FLOQUET_TAIL_TOL, 0 when
-    undriven."""
-    sidebands = closedform._sidebands(params)
-    return 0 if sidebands is None else sidebands[2]
-
-
 def energy_grid(
     params: SystemParams,
     core_halfwidth: Optional[float] = None,

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import welldecay
-from welldecay import chain, solvers, spectra
+from welldecay import chain, solvers
 from welldecay.model import FiniteChain, Lorentzian, Semicircle, WideBand
 
 PUBLIC_NAMES = {
@@ -73,11 +73,10 @@ def test_reservoirs_hold_only_their_band_shape(cls, fields):
         (solvers, "solve_lorentzian_ode"),
         (solvers, "solve_wideband"),
         (chain, "evolve_chain"),
-        (spectra, "sideband_count"),
     ],
 )
 def test_traced_routes_stay_module_functions(module, name):
-    # the benchmark's per-layer trace keys its solver, chain and sideband
-    # metrics on these module functions, so they stay there by name
+    # the benchmark's per-layer trace keys its solver and chain metrics on
+    # these module functions, so they stay there by name
     fn = getattr(module, name)
     assert isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from welldecay import bessel
@@ -252,3 +252,37 @@ def test_miller_start_is_an_int_pinned_to_the_array_rule():
         new = [bessel._miller_start(n, float(x)) for x in xs]
         assert all(type(m) is int for m in new)
         assert new == old.tolist()
+
+
+def table_rescaling_every_value(top, x, modified):
+    """The Miller pass of bessel._table as it was: every rescaling divided each value
+    stored so far, at a cost of O(top) per rescaling."""
+    s = 1.0 if modified else -1.0
+    upper, cur, norm = 0.0, 1.0e-30, 0.0
+    vals = [0.0] * (top + 1)
+    for k in range(bessel._miller_start(top, x), 0, -1):
+        upper, cur = cur, (2.0 * k / x) * cur + s * upper
+        if modified or k % 2:
+            norm += 2.0 * cur
+        if k <= top + 1:
+            vals[k - 1] = cur
+        if abs(cur) > bessel._RESCALE_LIMIT:
+            cur /= bessel._RESCALE_LIMIT
+            upper /= bessel._RESCALE_LIMIT
+            norm /= bessel._RESCALE_LIMIT
+            vals = [v / bessel._RESCALE_LIMIT for v in vals]
+    norm -= cur
+    return [v / norm for v in vals]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(top=st.integers(0, 3000), x=st.floats(1.0e-7, 9999.0), modified=st.booleans())
+@example(top=5000, x=1.0e-7, modified=False)  # 212 rescalings
+@example(top=5000, x=1.0e-7, modified=True)
+@example(top=3000, x=0.5, modified=False)  # 44 rescalings
+@example(top=200, x=9999.0, modified=True)  # none
+def test_table_rescales_once_at_the_end_bit_for_bit(top, x, modified):
+    # each value divided by the rescalings after it was stored, at most three times,
+    # against the loop that divided every stored value at every rescaling
+    ref = np.array(table_rescaling_every_value(top, x, modified))
+    assert bessel._table(top, x, modified).tobytes() == ref.tobytes()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from welldecay import closedform
@@ -401,6 +401,10 @@ def test_driven_chain_sub_block_edges(steps):
     level=st.booleans(),
     sign=st.sampled_from([1.0, -1.0]),
 )
+# an idle drive at E0 = 0 leaves every node value constant: the static block responses,
+# with y and g in two rows
+@example(e0=0.0, u=0.0, omega=2.0, alpha=0.5, level=True, sign=1.0)
+@example(e0=0.0, u=1.0, omega=1.5, alpha=0.0, level=False, sign=-1.0)
 def test_driven_chain_matches_strang_reference_random(e0, u, omega, alpha, level, sign):
     if level:
         params = SystemParams(e0=e0, level_drive=LevelDrive(u, omega))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from welldecay import cli, solvers
 from welldecay.cli import main
-from welldecay.model import FiniteChain, LevelDrive, SystemParams
+from welldecay.model import FiniteChain, LevelDrive, Semicircle, SystemParams, WideBand
 from welldecay.solvers import SolverConfig, default_dt, solve
 
 
@@ -430,6 +430,44 @@ def test_selftest_fails_a_check_past_its_bound_and_exits_2(capsys, monkeypatch):
     assert main(["selftest"]) == 2
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
     assert len(fails) == 1 and "Lorentzian oracle triangle" in fails[0], fails
+
+
+@pytest.mark.parametrize(
+    "route, error, check",
+    [
+        (lambda p, r, m: isinstance(r, WideBand) and p.static, 1e-14, "wideband static"),
+        (lambda p, r, m: m == "ode", 1e-10, "oracle triangle on [-4, 4], ODE"),
+        (lambda p, r, m: m == "volterra", 1e-13, "time reversal"),
+        (lambda p, r, m: isinstance(r, Semicircle), 1e-4, "chain matches semicircle"),
+    ],
+    ids=["wideband", "ode", "time-reversal", "chain-semicircle"],
+)
+def test_selftest_fails_each_tightened_check_just_past_its_bound(capsys, monkeypatch, route,
+                                                                 error, check):
+    # one route's b0 scaled by 1 + error at t > 0 moves P0 there by about 2 error, past the
+    # bound of its own check (1e-14, 1e-11, 1e-14 and 1e-4) and of no other
+    def solve_off(params, reservoir, cfg, method="auto"):
+        traj = solve(params, reservoir, cfg, method)
+        if route(params, reservoir, method):
+            traj.b0 = np.where(traj.times > 0.0, traj.b0 * (1.0 + error), traj.b0)
+        return traj
+
+    monkeypatch.setattr(cli, "solve", solve_off)
+    assert main(["selftest"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and check in fails[0], fails
+
+
+def test_selftest_runs_as_a_module_with_runtime_warnings_as_errors():
+    # the command line of CI's console-script step, through the __main__ exit of cli.py
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "welldecay.cli", "selftest"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.count("[PASS]") == 7 and "[FAIL]" not in run.stdout
 
 
 MANIFEST_KEYS = ["command", "parameters", "solver", "norm_checks", "qualitative_checks",

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from welldecay.bessel import bessel_j
 from welldecay.model import (
+    KERNEL_TRUNCATION,
     BarrierDrive,
     FiniteChain,
     LevelDrive,
@@ -66,6 +67,23 @@ def test_kernel_matches_density_quadrature_semicircle(tau):
     tau = j * LAG_DT
     ref = quad(lambda e: semi.density(e) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
     assert abs(semi.kernel(LAG_DT, j)[j] - ref) < 1e-9
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(lam=st.floats(1.0, 1000.0), dt=st.floats(1.0e-4, 0.05), n=st.integers(0, 5000))
+@example(lam=4.0, dt=0.01, n=5000)
+@example(lam=4.0, dt=0.01, n=1000)
+def test_kernels_end_themselves(lam, dt, n):
+    # the Lorentzian keeps the lags up to the first one at which K has fallen below
+    # KERNEL_TRUNCATION of K(0), at most n; the semicircle's algebraic tail keeps all n + 1
+    jcut = min(n, math.ceil(-math.log(KERNEL_TRUNCATION) / lam / dt))
+    kern = Lorentzian(lam).kernel(dt, n)
+    assert kern.shape == (jcut + 1,)
+    if jcut < n:
+        assert kern[jcut] <= KERNEL_TRUNCATION * kern[0] * (1.0 + 1e-9)
+    if jcut > 0:
+        assert kern[jcut - 1] > KERNEL_TRUNCATION * kern[0] * (1.0 - 1e-9)
+    assert Semicircle(6.0).kernel(dt, n).shape == (n + 1,)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)

@@ -30,7 +30,6 @@ from welldecay.solvers import (
     _SUB,
     _static_block,
     DIVERGENCE_LIMIT,
-    KERNEL_TRUNCATION,
     AmplitudeTrajectory,
     ResolutionError,
     SolverConfig,
@@ -69,9 +68,8 @@ def volterra_reference(params, sd, cfg):
     n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
     times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
     h = times[1] - times[0]
-    kern = sd.kernel(cfg.dt, n)
-    cutoff = sd.kernel_cutoff(KERNEL_TRUNCATION)
-    jcut = n if cutoff is None else min(n, int(math.ceil(cutoff / cfg.dt)))
+    kern = sd.kernel(cfg.dt, n)  # lags 0 .. jcut, where the kernel ends itself
+    jcut = kern.size - 1
     w, e0 = params.w_at(times), params.e0_at(times)
     b = np.zeros(n + 1, dtype=complex)
     f = np.empty(n + 1, dtype=complex)
@@ -222,6 +220,29 @@ def test_volterra_divergence_guard():
                 warnings.simplefilter("error")
                 with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
                     solve(p, sd, cfg, "volterra")
+
+
+def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeypatch):
+    # a static Volterra run has g = w b = b, so one array serves both; the chain's g is
+    # the bright component's update, so a chain under an idle drive at E0 = 0, whose
+    # node values are constant too, keeps the two apart
+    runs, static = [], []
+    recurrence, responses = solvers._memory_recurrence, solvers._block_responses
+
+    def recorded(*args, **kwargs):
+        runs.append(recurrence(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solvers, "_memory_recurrence", recorded)
+    monkeypatch.setattr("welldecay.chain._memory_recurrence", recorded)
+    monkeypatch.setattr(solvers, "_block_responses", lambda *a: static.append(1) or responses(*a))
+    cfg = SolverConfig(dt=4e-3, t_end=2.0)
+    solve_volterra(SystemParams(e0=0.7), Semicircle(6.0), cfg)
+    solve_volterra(SystemParams(e0=0.7), Lorentzian(4.0), replace(cfg, t_end=-2.0))
+    idle, chain = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.0, omega=2.0)), FiniteChain(20, 4.0)
+    solve(idle, chain, SolverConfig(dt=default_dt(idle, chain), t_end=1.5))
+    assert len(static) == 3
+    assert [np.shares_memory(y, g) for y, g in runs] == [True, True, False]
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 23 with the five below
