@@ -26,10 +26,14 @@ the star-coupling rotation of (b0, vhat.br) and the phases again. The bright
 direction vhat is fixed and the reservoir phases are diagonal, so the
 rotation's update delta_k of the bright component reaches later steps only
 through vhat.br_k = sum_{m<k} K_{k-m} delta_m, K_j = sum_r vhat_r^2
-e^{-i E_r j h}: b0 is a scalar recurrence with a Toeplitz memory, run by the
-Volterra solver's recurrence helper. K_j is a phase sum too; the norm at
-every _PHASE_BLOCK-th step and the last, and the final reservoir amplitudes,
-follow from prefix sums of delta_m e^{i E_r m h} over the same phase tables.
+e^{-i E_r j h}: b0 is a scalar recurrence with a memory, run by the Volterra
+solver's recurrence helper. The memory is a sum over the N reservoir modes
+(the chain mapping of Chin, Rivas, Huelga & Plenio, J. Math. Phys.
+51:092109, 2010), so the helper carries their amplitudes M_r(k) = sum_{m<k}
+delta_m e^{-i E_r (k - m) h} across its blocks, O(N) state in place of a
+table of n lags. The same amplitudes are the reservoir: br_k = vhat
+e^{i E_r h/2} M(k), so the norm at every block end and the final br need no
+second pass over the run.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _PHASE_BLOCK, FiniteChain, ModelError, SystemParams, _phase_sums
+from .model import FiniteChain, ModelError, SystemParams, _phase_sums
 from .solvers import (
     AmplitudeTrajectory,
     SolverConfig,
@@ -92,7 +96,7 @@ def evolve_chain(
 def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray):
     lam, vec = np.linalg.eigh(_hamiltonian(params, chain))
     c0 = vec[0, :]  # overlap of the initial state with each eigenmode
-    b0 = _phase_sums(c0 * c0, lam * (times[1] - times[0]), times.size - 1)[0]  # t_k = k dt
+    b0 = _phase_sums(c0 * c0, lam * (times[1] - times[0]), times.size - 1)  # t_k = k dt
     b0[0] = 1.0  # U(0) = I exactly
     # the full state on 8 nodes, the last among them, to spot-check unitarity
     nodes = np.linspace(0, times.size - 1, 8, dtype=int)
@@ -116,10 +120,15 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
     if low.size:
         i = low[0]
         raise SolverError(f"barrier profile w(t) reached {wmid[i]:.3g} at t = {mids[i]:.4g}")
-    e0_mid = params.e0_integral(mids)
-    phase1 = np.exp(-1j * (e0_mid - params.e0_integral(times[:-1])))
-    phase2 = np.exp(-1j * (params.e0_integral(times[:-1] + h) - e0_mid))
     theta = vnorm * wmid * h
+    e0_mid = params.e0_integral(mids)
+    values = (
+        np.exp(-1j * (e0_mid - params.e0_integral(times[:-1]))),
+        np.cos(theta),
+        np.sin(theta),
+        np.exp(-1j * (params.e0_integral(times[:-1] + h) - e0_mid)),
+    )
+    del mids, wmid, e0_mid, theta  # only the step values stay through the run
 
     # Strang step k: the phase ph1, the star-coupling rotation of (b, vhat.br) by
     # (c, s), the phase ph2, with e^{-i E_r h/2} on br before and after. br then
@@ -130,25 +139,14 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
         b = ph1 * x[0]
         return (ph2 * (c * b - 1j * s * proj),), -1j * s * b + (c - 1.0) * proj
 
-    # K_j = sum_r vhat_r^2 e^{-i E_r j h}; the reservoir sums below reuse its tables,
-    # e^{-i E_r (q P + t) h} = shift[q, r] turn[t, r]
-    P = _PHASE_BLOCK
+    # the kernel as its N modes; M(k) at each block end k gives the norm there and br
     theta_r = er * h
-    kern, turn, shift = _phase_sums(vhat * vhat, theta_r, n)
+    y, _, (ends, amps) = _memory_recurrence(strang, values, (1.0,), (vhat * vhat, theta_r))
     b0 = np.empty(n + 1, dtype=complex)
     b0[0] = 1.0
-    b0[1:], delta = _memory_recurrence(
-        strang, (phase1, np.cos(theta), np.sin(theta), phase2), (1.0,), kern
-    )
-
-    # br_k = vhat e^{i E_r h/2} sum_{m<k} delta_m e^{-i E_r (k-m) h}; the norm at every
-    # block end and at the last node from the block sums of delta_m e^{i E_r m h}
-    nd = -(-n // P)
-    blocks = np.pad(delta, (0, nd * P - n)).reshape(nd, P)
-    sums = np.cumsum((blocks @ turn.conj()) * shift[:nd].conj(), axis=0)
-    ends = np.minimum(P * np.arange(1, nd + 1), n)
-    drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(sums) ** 2 @ vhat**2 - 1.0)))
-    br = vhat * np.exp(-1j * (n - 0.5) * theta_r) * sums[-1]
+    b0[1:] = y
+    drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(amps) ** 2 @ vhat**2 - 1.0)))
+    br = vhat * np.exp(0.5j * theta_r) * amps[-1]
     return b0, br, drift
 
 

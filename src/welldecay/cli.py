@@ -368,7 +368,7 @@ def cmd_selftest(args) -> int:
     cs = solve(p1, Semicircle(6.0), SolverConfig(dt=0.005, t_end=5.0))
     gap = float(np.max(np.abs(ct.p0 - cs.p0)))
     report("chain matches semicircle memory solution", gap < 1e-4, f"max gap {gap:.2e}")
-    report("chain norm conserved", ct.norm_drift < 1e-8, f"drift {ct.norm_drift:.2e}")
+    report("chain norm conserved", ct.norm_drift < 1e-14, f"drift {ct.norm_drift:.2e}")
 
     lev = SystemParams(e0=0.0, level_drive=LevelDrive(3.0, 2.0))
     grid = spectra.energy_grid(lev, tail_halfwidth=None)

@@ -236,7 +236,7 @@ def floquet_spectrum(params: SystemParams, e_r):
             raise ModelError(f"barrier spectrum needs alpha < 1, got {al}")
         a = np.pad(bessel_ive(orders, x), 2)
         coef = a[1:-1] + 0.5j * al * (a[:-2] - a[2:])  # partial fractions, see the module docstring
-    out = _pole_sum_sq(coef, e_r - params.e0, om)
+    out = _pole_sum_sq(coef, e_r - params.e0, om)  # in the detuning buffer
     out *= 1.0 / TWO_PI
     return _maybe_scalar(out, scalar)
 
@@ -244,6 +244,7 @@ def floquet_spectrum(params: SystemParams, e_r):
 def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float):
     """|A(d)|^2, A(d) = sum_m coef_m / (d - m omega + i/2), at every detuning d, with m
     centred on 0; all sums in real arithmetic, 1/(d + i/2) = (d - i/2) / (d^2 + 1/4).
+    The result is written over detuning, a float array floquet_spectrum owns.
 
     The targets are walked in ascending order (sorted only when they are
     not), _PANEL_BLOCK at a time, and grouped into panels of one width 1/4
@@ -254,7 +255,8 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float):
     by the T_j recurrence and one (2 x p) @ (p x targets) product. Every
     other target takes the direct blocked sum. Cost O(panels p M + N_E p) for
     M poles and N_E targets, against O(M N_E) for the direct sum; memory
-    O(N_E) for the output (and the sort order) plus O(_POLE_BLOCK) per block.
+    O(N_E) only for unsorted targets (their order and sorted copy), plus
+    O(_POLE_BLOCK) per block.
 
     The direct sum serves every target when M <= 2p, where one interpolated
     target costs more than its M pole terms, and when the targets' reach
@@ -307,7 +309,7 @@ def _pole_sum_sq(coef: np.ndarray, detuning: np.ndarray, omega: float):
         return vals
 
     flat = np.atleast_1d(detuning).ravel()
-    out = np.empty(flat.size)
+    out = flat  # each target is read before its value is written, the sorted copy first
     reach = max(flat.max(initial=0.0), -flat.min(initial=0.0)) + poles[-1] - poles[0] + 2.0
     if coef.size <= 2 * _CHEB_POINTS or not reach < 2.0**40:
         for lo in range(0, flat.size, step):

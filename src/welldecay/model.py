@@ -30,9 +30,10 @@ and weights of the N-point Gauss-Chebyshev rule of the second kind for S(E).
 The semicircle kernel is therefore the coupling sum of a long enough chain,
 K(j dt) = sum_r Omega_r^2 cos(E_r j dt), exact once 2N exceeds the order
 beyond which the Chebyshev coefficients J_k(W n dt) of the phase have
-decayed. That sum, the static chain's b0 and the driven chain's memory
-kernel are all phase sums sum_r a_r e^{-i theta_r j}, formed by one helper,
-_phase_sums. Neither the wide band nor the chain has a kernel method;
+decayed. That sum and the static chain's b0 are both phase sums
+sum_r a_r e^{-i theta_r j}, formed by one helper, _phase_sums; the driven
+chain's memory kernel is one too, but its run carries the N modes instead of
+the lags. Neither the wide band nor the chain has a kernel method;
 solve_volterra rejects both.
 """
 
@@ -239,7 +240,7 @@ class Semicircle:
         m = _miller_start(0, self.w_band * n * dt)
         chain = FiniteChain(m // 2, self.w_band)
         om = chain.couplings()
-        return _phase_sums(om * om, chain.level_energies() * dt, n)[0].real
+        return _phase_sums(om * om, chain.level_energies() * dt, n).real
 
 
 @dataclass(frozen=True)
@@ -287,14 +288,13 @@ class FiniteChain:
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]
 
 
-def _phase_sums(weights: np.ndarray, theta: np.ndarray, n: int):
-    """s_j = sum_r weights_r e^{-i theta_r j}, j = 0 .. n, and the tables forming them.
+def _phase_sums(weights: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
+    """s_j = sum_r weights_r e^{-i theta_r j}, j = 0 .. n.
 
     With P = _PHASE_BLOCK, e^{-i theta_r (q P + t)} = shift[q, r] turn[t, r], so
-    each block of P lags is one matrix product. Returns (s, turn, shift), turn of
-    shape (P, R) and shift of shape (n // P + 1, R), for callers that reuse them.
+    each block of P lags is one matrix product of the two tables.
     """
     P = _PHASE_BLOCK
     turn = np.exp(-1j * np.outer(np.arange(P), theta))
     shift = np.exp(-1j * np.outer(P * np.arange(n // P + 1), theta))
-    return ((shift * weights) @ turn.T).ravel()[: n + 1], turn, shift
+    return ((shift * weights) @ turn.T).ravel()[: n + 1]

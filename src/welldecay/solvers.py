@@ -27,7 +27,9 @@ starts from b0(0) = 1:
   history sums with the block's impulse responses, computed once, plus
   their responses to its incoming state. The work is O(n (log B +
   jcut/B)), plus O(n S) when driven, and the memory O(n). The driven
-  finite chain (chain.py) runs on the same helper.
+  finite chain (chain.py) runs on the same helper, with its kernel given
+  as its N reservoir modes: the run then carries their O(N) amplitudes
+  across the blocks in place of the partitioned FFT.
 
 * "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
   Lorentzian kernel,
@@ -339,23 +341,40 @@ def _check_divergence(b: np.ndarray, times: np.ndarray) -> None:
 
 def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
-    the Toeplitz memory base_k = forcing_k + sum_{m<k} kern[k - m] g_m.
+    the Toeplitz memory base_k = forcing_k + sum_{m<k} K_{k-m} g_m.
 
     step must be linear in (x, base) and elementwise: it is called on
     coefficient arrays. values holds the n node values v_k, one array per
-    value; x0 is the initial state and kern the kernel on lags 0 .. jcut
-    (kern[0] is not used, zero beyond jcut); forcing defaults to zero.
-    Returns y (the first state component of x_1 .. x_n) and g. Given the
-    step end times ends, _check_divergence reads y after each block.
+    value; x0 is the initial state and forcing defaults to zero. The kernel
+    comes in one of two forms:
 
-    The steps run in blocks of B steps; earlier blocks enter a block's
-    history sums by a uniformly partitioned FFT convolution over the
-    spectra of the blocks in the kernel's reach, the only ones kept
-    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985).
+    * lags, an array of K_j on lags 0 .. jcut (K_0 is not used, zero beyond
+      jcut), for a continuum;
+    * modes, a pair (a, theta) with K_j = sum_r a_r e^{-i theta_r j}, for a
+      discrete reservoir.
+
+    Returns y (the first state component of x_1 .. x_n), g and, for modes,
+    the pair (k, M): the step counts k at every block end, the last n, and
+    the mode amplitudes M_r(k) = sum_{m<k} e^{-i theta_r (k - m)} g_m there
+    (None for lags). Given the step end times ends, _check_divergence reads
+    y after each block.
+
+    The steps run in blocks of B steps, and earlier blocks enter a block's
+    history sums as its far field. For lags it is a uniformly partitioned
+    FFT convolution over the spectra of the blocks in the kernel's reach,
+    the only ones kept (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6:532, 1985). For modes the run carries M instead, O(R) state
+    for R modes (Lubich & Schaedle, SIAM J. Sci. Comput. 24:161, 2002): a
+    block starting at step l has the far field sum_r e^{-i theta_r t} a_r
+    M_r(l) at its step l + t, and M_r(l + B) = e^{-i theta_r B} M_r(l) +
+    sum_{t<B} e^{-i theta_r (B - t)} g_{l+t}, both products with the table
+    e^{-i theta_r t}, t < B, and the block phase formed directly.
+
     When node values vary, B is _BLOCK and each sub-block of _SUB steps
     builds its own transfer matrix (_transfers, _CHUNK_BLOCKS blocks at a
     time); earlier sub-blocks of the block enter by a dense Toeplitz
-    product. When none varies, B is _static_block(n) and a block is the
+    product. When none varies, B is _static_block(n) for lags and _BLOCK for
+    modes, whose far field costs O(R) per step whatever B; a block is the
     causal FFT product of length 2 B of its history sums with the impulse
     responses of _block_responses, plus their responses to its incoming
     state (for g alone when its responses equal y's: y is then g); a block
@@ -363,16 +382,22 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     """
     static = all(np.all(v == v[0]) for v in values)
     n, S, dim = values[0].size, _SUB, len(x0)
-    B = _static_block(n) if static else _BLOCK
+    modes = isinstance(kern, tuple)
+    B = _static_block(n) if static and not modes else _BLOCK
     nblocks = -(-n // B)
-    jcut = kern.size - 1
-    ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [jB, (j+2)B) in reach
-    kc = np.zeros((max(ndist, 1) + 1) * B, dtype=kern.dtype)  # zero at lag 0 and beyond jcut
-    nk = min(kern.size, kc.size)
-    kc[1:nk] = kern[1:nk]
+    if modes:
+        amp, theta = kern
+        turn = np.exp(-1j * np.outer(np.arange(B), theta))  # e^{-i theta_r t}, t < B
+        kc = np.zeros(B + S, dtype=complex)  # the lags below B, all a block reaches
+        kc[1:B] = turn[1:] @ amp
+    else:
+        jcut = kern.size - 1
+        ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [jB, (j+2)B) in reach
+        kc = np.zeros((max(ndist, 1) + 1) * B, dtype=kern.dtype)  # zero at lag 0 and beyond jcut
+        nk = min(kern.size, kc.size)
+        kc[1:nk] = kern[1:nk]
     if static:  # first, so that its temporaries do not add to the run's arrays
         resp = _block_responses(step, tuple(v[0] for v in values), kc, dim, B)
-    kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
 
     # the steps run in whole blocks; padded steps repeat the last node values
     size = nblocks * B
@@ -380,31 +405,50 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     def padded(v, lo, hi):  # v[lo:hi] padded to whole sub-blocks, as (sub-blocks, S)
         return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
 
-    forcing = np.zeros(size) if forcing is None else np.pad(forcing, (0, size - n))
+    if forcing is not None:
+        forcing = np.pad(forcing, (0, size - n))
     rows = 1 if static and np.array_equal(resp[0], resp[1]) else 2  # g, then y unless y is g
     gy_out = np.zeros((rows, size), dtype=complex)
     g, y = gy_out[0], gy_out[-1]
-    # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's reach,
-    # in up to twice as many rows, moved to the front when the rows run out
-    cap = min(nblocks, 2 * ndist)
-    specs = np.empty((max(cap, 1), 2 * B), dtype=complex)
-    base = 0
-    block = np.zeros(2 * B, dtype=complex)
     spec = np.empty(2 * B, dtype=complex)  # FFT buffer, reused so that the run allocates less
 
-    def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
-        nonlocal base
-        i, far = lo // B, forcing[lo : lo + B]
-        if i:
-            if i - 1 - base == cap:
-                base = i - ndist
-                specs[: ndist - 1] = specs[cap - ndist + 1 :]
-            block[:B] = g[lo - B : lo]
-            np.fft.fft(block, out=specs[i - 1 - base])
-            m = min(ndist, i)  # partition j meets the block j + 1 back
-            np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1], out=spec)
-            far = far + np.fft.ifft(spec, out=spec)[B:]
-        return far
+    if modes:
+        carried = np.zeros((nblocks + 1, theta.size), dtype=complex)  # M at 0 and each block end
+        block_phase = np.exp(-1j * B * theta)  # e^{-i theta_r B} formed directly: powers drift
+
+        def carry(i, hi, phase):  # M at step hi from M at the start of block i
+            lo = i * B
+            carried[i + 1] = phase * carried[i] + turn[1] * (g[lo:hi][::-1] @ turn[: hi - lo])
+
+        def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
+            i = lo // B
+            if i:
+                carry(i - 1, lo, block_phase)
+            far = turn @ (amp * carried[i])
+            return far if forcing is None else far + forcing[lo : lo + B]
+    else:
+        kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
+        # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's
+        # reach, in up to twice as many rows, moved to the front when the rows run out
+        cap = min(nblocks, 2 * ndist)
+        specs = np.empty((max(cap, 1), 2 * B), dtype=complex)
+        base = 0
+        block = np.zeros(2 * B, dtype=complex)
+
+        def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
+            nonlocal base
+            i = lo // B
+            far = np.zeros(B) if forcing is None else forcing[lo : lo + B]
+            if i:
+                if i - 1 - base == cap:
+                    base = i - ndist
+                    specs[: ndist - 1] = specs[cap - ndist + 1 :]
+                block[:B] = g[lo - B : lo]
+                np.fft.fft(block, out=specs[i - 1 - base])
+                m = min(ndist, i)  # partition j meets the block j + 1 back
+                np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1], out=spec)
+                far = far + np.fft.ifft(spec, out=spec)[B:]
+            return far
 
     near = sliding_window_view(kc[1 : B + S], B)[:, ::-1]  # K[B + r - c]
     if not static:  # a static run only runs a failing block again by sub-blocks
@@ -433,30 +477,34 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
                     x = sub_blocks(mats[(lo - clo) // S :], lo, far_field(lo), x)
                     if ends is not None:
                         _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
-            return y[:n], g[:n]
-
-        hspec = np.fft.fft(resp[:rows, :, dim], 2 * B)  # g (and y) from a unit history sum
-        free = resp[:rows, :, :dim].copy()  # g (and y) from the incoming state
-        xfar = resp[1:, ::-1, dim].copy()  # outgoing state from a unit history sum at each step
-        xfree = resp[1:, -1, :dim].copy()  # outgoing state from the incoming state
-        del resp
-        gy = np.empty((rows, 2 * B), dtype=complex)
-        for lo in range(0, size, B):
-            far = far_field(lo)
-            np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
-            np.fft.ifft(gy, out=gy)
-            gy[:, :B] += free @ x
-            gy_out[:, lo : lo + B] = gy[:, :B]
-            xo = xfar @ far + xfree @ x
-            if ends is not None:
-                try:
-                    _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
-                except SolverError:  # FFT rounding alone may cross the limit: rerun the block
-                    mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
-                    xo = sub_blocks(np.broadcast_to(mats, (B // S,) + mats.shape[1:]), lo, far, x)
-                    _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
-            x = xo
-    return y[:n], g[:n]
+                del mats  # before the next chunk's matrices are built beside them
+        else:
+            hspec = np.fft.fft(resp[:rows, :, dim], 2 * B)  # g (and y) from a unit history sum
+            free = resp[:rows, :, :dim].copy()  # g (and y) from the incoming state
+            xfar = resp[1:, ::-1, dim].copy()  # outgoing state from a unit history sum at each step
+            xfree = resp[1:, -1, :dim].copy()  # outgoing state from the incoming state
+            del resp
+            gy = np.empty((rows, 2 * B), dtype=complex)
+            for lo in range(0, size, B):
+                far = far_field(lo)
+                np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
+                np.fft.ifft(gy, out=gy)
+                gy[:, :B] += free @ x
+                gy_out[:, lo : lo + B] = gy[:, :B]
+                xo = xfar @ far + xfree @ x
+                if ends is not None:
+                    try:
+                        _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
+                    except SolverError:  # FFT rounding alone may cross the limit: rerun the block
+                        mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
+                        mats = np.broadcast_to(mats, (B // S,) + mats.shape[1:])
+                        xo = sub_blocks(mats, lo, far, x)
+                        _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
+                x = xo
+    if not modes:
+        return y[:n], g[:n], None
+    carry(nblocks - 1, n, np.exp(-1j * (n - size + B) * theta))  # to n, not over padded steps
+    return y[:n], g[:n], (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
 
 
 def _static_block(n: int) -> int:

@@ -43,6 +43,7 @@ _GRID_POINTS, _GRID_REFINE = 4001, 5  # energy_grid's core points, refinement at
 _WING_BUDGET = 5.0e-4  # line-wing mass conservation_window leaves outside
 _OVERSAMPLE = 2  # the FFT grid has at least this many points per time sample
 _SPREAD = 16  # FFT grid points on each side of a target in the Gaussian interpolation
+_CHECK_BLOCK = 1 << 14  # energies per chunk of EnergySpectrum.build's checks and norm
 
 
 @dataclass
@@ -60,15 +61,22 @@ class EnergySpectrum:
         values = np.asarray(values, dtype=float)
         if energies.ndim != 1 or energies.shape != values.shape:
             raise ValueError("energies and values must be matching 1-d arrays")
-        if np.any(np.diff(energies) <= 0.0):
-            raise ValueError("energy grid must be strictly increasing")
-        if np.any(values < -1.0e-12):
-            raise ValueError("spectral values must be nonnegative")
-        norm = float(np.trapezoid(values, energies))
+        norm = 0.0
+        # chunks overlapping by one node, so that no check or trapezoid needs a whole-grid copy
+        for lo in range(0, max(energies.size - 1, 1), _CHECK_BLOCK):
+            e, v = energies[lo : lo + _CHECK_BLOCK + 1], values[lo : lo + _CHECK_BLOCK + 1]
+            if np.any(np.diff(e) <= 0.0):
+                raise ValueError("energy grid must be strictly increasing")
+            if np.any(v < -1.0e-12):
+                raise ValueError("spectral values must be nonnegative")
+            norm += float(np.trapezoid(v, e))
         return cls(energies, values, time, norm)
 
     def value_at(self, e: float) -> float:
-        i = int(np.argmin(np.abs(self.energies - e)))
+        """The value at the grid energy nearest e, the lower one on a tie."""
+        i = int(np.searchsorted(self.energies, e))
+        if i == self.energies.size or (i and e - self.energies[i - 1] <= self.energies[i] - e):
+            i -= 1
         return float(self.values[i])
 
 
@@ -102,8 +110,11 @@ def energy_grid(
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
         segments.append(params.e0 + t)
         segments.append(params.e0 - t)
-    # sort and drop repeats by hand: np.unique gives the same array but imports numpy.ma
-    grid = np.sort(np.concatenate(segments))
+    # sort in place and drop repeats by hand: np.unique gives the same array but imports
+    # numpy.ma, and each whole-grid copy adds to the peak memory
+    grid = np.concatenate(segments)
+    del segments
+    grid.sort()
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,13 +384,35 @@ def test_driven_chain_matches_step_by_step_strang(drive, t_end):
 
 @pytest.mark.parametrize(
     "steps",
-    [1, _SUB - 1, _SUB, _SUB + 1, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5],
+    [1, _SUB - 1, _SUB, _SUB + 1, _BLOCK + _SUB + 3, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+     _CHUNK_BLOCKS * _BLOCK + 5],
 )
 def test_driven_chain_sub_block_edges(steps):
     # fewer steps than one sub-block, a partial last sub-block, one past a
-    # block, and one past the first batch of transfer matrices
-    params = SystemParams(e0=-0.3, level_drive=LevelDrive(u=1.0, omega=3.0))
-    check_against_strang_reference(params, FiniteChain(12, 4.0), 2e-3, steps * 2e-3)
+    # block, a last block one short of full, full and of one step (the carried
+    # modes end on step n, not on a padded step), and one past the first batch
+    # of transfer matrices; an idle drive at E0 = 0 runs the static blocks
+    for e0, u in ((-0.3, 1.0), (0.0, 0.0)):
+        params = SystemParams(e0=e0, level_drive=LevelDrive(u=u, omega=3.0))
+        check_against_strang_reference(params, FiniteChain(12, 4.0), 2e-3, steps * 2e-3)
+
+
+def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
+    # the benchmark's survival-chain-level run, N = 250 and 33,333 steps. Measured
+    # peak 6.12 MB: the step values (1.6 MB), y and g (1.07 MB), the phase table of
+    # B = 256 lags (1.02 MB), the modes at the 131 block ends (0.52 MB) and one chunk
+    # of transfer matrices (1.15 MB). The n-lag kernel table with its block spectra
+    # and their ring, which the modes replace, held 12.34 MB at the peak. The drift
+    # reads 2.4e-14; a block phase taken as the B-th power of e^{-i E_r h} reads 3.6e-13
+    params = SystemParams(e0=0.758, level_drive=LevelDrive(u=1.0, omega=1.0))
+    tracemalloc.start()
+    try:
+        traj = solve(params, FiniteChain(250, 6.0), SolverConfig(dt=0.003, t_end=100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 33_334 and traj.norm_drift <= 1e-13
+    assert peak <= 7.0e6
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

@@ -458,6 +458,21 @@ def test_selftest_fails_each_tightened_check_just_past_its_bound(capsys, monkeyp
     assert len(fails) == 1 and check in fails[0], fails
 
 
+def test_selftest_fails_the_chain_norm_just_past_its_bound(capsys, monkeypatch):
+    # the static chain's drift (8.9e-16) raised by 1e-14 crosses the 1e-14 bound of its
+    # own check; the chain's b0, which the semicircle check reads, stays as it is
+    def solve_off(params, reservoir, cfg, method="auto"):
+        traj = solve(params, reservoir, cfg, method)
+        if isinstance(reservoir, FiniteChain):
+            traj.norm_drift += 1e-14
+        return traj
+
+    monkeypatch.setattr(cli, "solve", solve_off)
+    assert main(["selftest"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "chain norm conserved" in fails[0], fails
+
+
 def test_selftest_runs_as_a_module_with_runtime_warnings_as_errors():
     # the command line of CI's console-script step, through the __main__ exit of cli.py
     src = str(Path(cli.__file__).resolve().parents[1])

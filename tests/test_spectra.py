@@ -1,6 +1,7 @@
 """Tunneled-particle spectra: quadrature route vs closed forms, conservation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def test_uniform_sum_matches_direct_sum_for_any_phase(n, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(g))
 
 
-def unique_grid(params, core_halfwidth=None, tail_halfwidth=2000.0, tail_points=800):
-    """energy_grid's points merged by np.unique, the reference for its sort-and-drop."""
+def grid_segments(params, core_halfwidth=None, tail_halfwidth=2000.0, tail_points=800):
+    """energy_grid's segments: the core, the sideband windows and the tails."""
     sidebands = closedform._sidebands(params)
     omega, n_max = (0.0, 0) if sidebands is None else sidebands[1:]
     if core_halfwidth is None:
@@ -330,7 +331,7 @@ def unique_grid(params, core_halfwidth=None, tail_halfwidth=2000.0, tail_points=
     if tail_halfwidth is not None and tail_halfwidth > core_halfwidth:
         t = np.exp(np.linspace(math.log(core_halfwidth), math.log(tail_halfwidth), tail_points))
         segments += [params.e0 + t, params.e0 - t]
-    return np.unique(np.concatenate(segments))
+    return segments
 
 
 @pytest.mark.parametrize("e0", [0.0, 0.3, 0.9])
@@ -344,9 +345,31 @@ def unique_grid(params, core_halfwidth=None, tail_halfwidth=2000.0, tail_points=
     ],
 )
 def test_energy_grid_is_the_np_unique_grid_bit_for_bit(e0, drive, kwargs):
+    # np.unique of the segments, and the copying sort with its repeat drop that the
+    # in-place sort replaced
     p = SystemParams(e0=e0, **drive)
-    got, ref = energy_grid(p, **kwargs), unique_grid(p, **kwargs)
-    assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
+    got = energy_grid(p, **kwargs)
+    merged = np.sort(np.concatenate(grid_segments(p, **kwargs)))
+    for ref in (np.unique(merged), merged[np.concatenate(([True], merged[1:] != merged[:-1]))]):
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_level_spectrum_pipeline_memory_holds_no_spare_grid_copy():
+    # spectrum --drive level --u 20 --omega 0.1: 302,315 energies, 2.42 MB per array.
+    # Measured peak 6.67 MB: the grid and the detuning buffer, which takes the pole
+    # sum, plus one block of the sum; energy_grid's own peak is its segments and their
+    # concatenation (5.18 MB), and build's chunks add 0.4 MB. The whole-grid copies of
+    # the copying sort, the separate pole-sum output and the whole-grid checks of
+    # build held 9.69 MB
+    p = SystemParams(e0=0.4, level_drive=LevelDrive(u=20.0, omega=0.1))
+    tracemalloc.start()
+    try:
+        spec = spectrum_asymptotic(p, energy_grid(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.energies.size == 302_315
+    assert peak <= 7.6e6
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -379,6 +402,71 @@ def test_energy_spectrum_validation():
                              (np.ones((2, 2)), np.ones((2, 2)))):
         with pytest.raises(ValueError, match="matching 1-d arrays"):
             EnergySpectrum.build(energies, values, 1.0)
+
+
+@pytest.mark.parametrize("size", [2, 3, spectra._CHECK_BLOCK, spectra._CHECK_BLOCK + 1,
+                                  spectra._CHECK_BLOCK + 2, 3 * spectra._CHECK_BLOCK + 7])
+def test_build_norm_is_the_whole_grid_trapezoid(size):
+    # the chunks overlap by one node, so every interval enters once, as in np.trapezoid
+    rng = np.random.default_rng(size)
+    energies = np.cumsum(rng.uniform(1e-3, 1.0, size))
+    values = rng.uniform(0.0, 2.0, size)
+    ref = np.trapezoid(values, energies)
+    assert abs(EnergySpectrum.build(energies, values, 1.0).norm - ref) <= 1e-15 * ref
+
+
+def test_build_norm_on_the_level_benchmark_grid():
+    p = SystemParams(e0=0.4, level_drive=LevelDrive(u=20.0, omega=0.1))
+    grid = energy_grid(p)
+    values = closedform.floquet_spectrum(p, grid)
+    ref = np.trapezoid(values, grid)
+    assert abs(EnergySpectrum.build(grid, values, math.inf).norm - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("at", [-1, 0, 1])
+def test_build_checks_reach_across_chunk_seams(at):
+    # the node the first two chunks share, and its neighbours: a repeated energy on
+    # either side of it and a negative value on it are each still rejected
+    i, size = spectra._CHECK_BLOCK + at, 5 * spectra._CHECK_BLOCK // 2
+    energies, values = np.arange(size, dtype=float), np.ones(size)
+    repeated = energies.copy()
+    repeated[i] = repeated[i - 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnergySpectrum.build(repeated, values, 1.0)
+    negative = values.copy()
+    negative[i] = -1e-9
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnergySpectrum.build(energies, negative, 1.0)
+    EnergySpectrum.build(energies, values, 1.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    size=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+@example(size=1, seed=0, ties=False)
+@example(size=2, seed=1, ties=True)
+def test_value_at_is_the_argmin_node(size, seed, ties):
+    # targets at every node, at every midpoint, and outside the grid on both sides;
+    # on a lattice of step 1/4 the midpoints are exact ties, which go to the lower node
+    rng = np.random.default_rng(seed)
+    if ties:
+        energies = 0.25 * np.arange(size) - 3.0
+    else:
+        energies = np.cumsum(rng.uniform(1e-6, 1.0, size)) - 0.5 * size
+    spec = EnergySpectrum.build(energies, np.arange(size, dtype=float), 1.0)
+    span = energies[-1] - energies[0] + 1.0
+    targets = np.concatenate([
+        energies,
+        0.5 * (energies[1:] + energies[:-1]),
+        energies[0] - span * rng.uniform(0.0, 2.0, 4),
+        energies[-1] + span * rng.uniform(0.0, 2.0, 4),
+        rng.uniform(energies[0] - 1.0, energies[-1] + 1.0, 20),
+    ])
+    for e in targets:
+        assert spec.value_at(e) == float(np.argmin(np.abs(energies - e))), e
 
 
 def test_asymptotic_spectrum_follows_the_drive_of_params():
