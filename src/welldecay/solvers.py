@@ -323,9 +323,7 @@ def solve_volterra(
     # the trapezoid gives node 0 half weight: g_0 = w_0 b_0 / 2 enters every step as forcing
     forcing = np.zeros(n)
     forcing[:jcut] = 0.5 * float(w[0]) * kern[1:]
-    b = np.empty(n + 1, dtype=complex)
-    b[0] = 1.0
-    b[1:] = _memory_recurrence(
+    b = _memory_recurrence(
         heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), kern, forcing, times[1:]
     )[0]
 
@@ -353,11 +351,12 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     * modes, a pair (a, theta) with K_j = sum_r a_r e^{-i theta_r j}, for a
       discrete reservoir.
 
-    Returns y (the first state component of x_1 .. x_n), g and, for modes,
+    Returns y (the first state component of x_0 .. x_n), g and, for modes,
     the pair (k, M): the step counts k at every block end, the last n, and
     the mode amplitudes M_r(k) = sum_{m<k} e^{-i theta_r (k - m)} g_m there
-    (None for lags). Given the step end times ends, _check_divergence reads
-    y after each block.
+    (None for lags). A mode kernel reads g only within a block, so its run
+    keeps one block of g and returns None for it. Given the step end times
+    ends, _check_divergence reads y after each block.
 
     The steps run in blocks of B steps, and earlier blocks enter a block's
     history sums as its far field. For lags it is a uniformly partitioned
@@ -408,8 +407,16 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     if forcing is not None:
         forcing = np.pad(forcing, (0, size - n))
     rows = 1 if static and np.array_equal(resp[0], resp[1]) else 2  # g, then y unless y is g
-    gy_out = np.zeros((rows, size), dtype=complex)
-    g, y = gy_out[0], gy_out[-1]
+    x = np.array(x0, dtype=complex)
+    y_out = np.zeros(size + 1, dtype=complex)  # x_0, then the steps' y; the caller's b0
+    y_out[0] = x[0]
+    y = y_out[1:]
+    one_block = modes and rows == 2  # g as far back as the far field reads it
+    g = y if rows == 1 else np.zeros(B if one_block else size, dtype=complex)
+
+    def g_at(lo):  # g of the block starting at step lo
+        return g if one_block else g[lo : lo + B]
+
     spec = np.empty(2 * B, dtype=complex)  # FFT buffer, reused so that the run allocates less
 
     if modes:
@@ -418,7 +425,8 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
 
         def carry(i, hi, phase):  # M at step hi from M at the start of block i
             lo = i * B
-            carried[i + 1] = phase * carried[i] + turn[1] * (g[lo:hi][::-1] @ turn[: hi - lo])
+            gb = g_at(lo)[: hi - lo]
+            carried[i + 1] = phase * carried[i] + turn[1] * (gb[::-1] @ turn[: hi - lo])
 
         def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
             i = lo // B
@@ -458,15 +466,16 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
 
     def sub_blocks(mats, lo, far, x):  # block lo // B, S steps per transfer matrix
         inp[:dim] = x
+        gb = g_at(lo)
         for c in range(0, B, S):
-            s0 = lo + c
-            inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[lo:s0]
+            inp[dim:] = far[c : c + S] + near[:, B - c :] @ gb[:c]
             np.matmul(mats[c // S], inp, out=z)
-            gy_out[:, s0 : s0 + S] = z[: 2 * S].reshape(2, S)[:rows]
+            gb[c : c + S] = z[:S]
+            if rows == 2:
+                y[lo + c : lo + c + S] = z[S : 2 * S]
             inp[:dim] = z[2 * S :]
         return inp[:dim].copy()
 
-    x = np.array(x0, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_divergence names a blow-up
         if not static:
             span = _CHUNK_BLOCKS * B
@@ -490,7 +499,9 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
                 np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
                 np.fft.ifft(gy, out=gy)
                 gy[:, :B] += free @ x
-                gy_out[:, lo : lo + B] = gy[:, :B]
+                g_at(lo)[:] = gy[0, :B]
+                if rows == 2:
+                    y[lo : lo + B] = gy[1, :B]
                 xo = xfar @ far + xfree @ x
                 if ends is not None:
                     try:
@@ -502,9 +513,9 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
                         _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
                 x = xo
     if not modes:
-        return y[:n], g[:n], None
+        return y_out[: n + 1], g[:n], None
     carry(nblocks - 1, n, np.exp(-1j * (n - size + B) * theta))  # to n, not over padded steps
-    return y[:n], g[:n], (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
+    return y_out[: n + 1], None, (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
 
 
 def _static_block(n: int) -> int:

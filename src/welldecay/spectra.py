@@ -74,6 +74,8 @@ class EnergySpectrum:
 
     def value_at(self, e: float) -> float:
         """The value at the grid energy nearest e, the lower one on a tie."""
+        if not math.isfinite(e):
+            raise ModelError(f"value_at needs a finite energy, got {e}")
         i = int(np.searchsorted(self.energies, e))
         if i == self.energies.size or (i and e - self.energies[i - 1] <= self.energies[i] - e):
             i -= 1

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from welldecay import closedform
-from welldecay.chain import evolve_chain, lineshape_exact, revival_time
+from welldecay.chain import _star_modes, evolve_chain, lineshape_exact, revival_time
 from welldecay.spectra import spectrum_from_trajectory
 from welldecay.model import (
     BarrierDrive,
@@ -98,11 +99,36 @@ def check_against_strang_reference(params, chain, dt, t_end):
     assert traj.norm_drift <= 1e-12 and drift <= 1e-12
 
 
+def star_eigh(e0, chain):
+    """LAPACK's eigh of the dense (N+1)-square star Hamiltonian: the reference of the
+    static path, which never forms that matrix."""
+    h = np.diag(np.concatenate([[e0], chain.level_energies()]))
+    h[0, 1:] = h[1:, 0] = chain.couplings()
+    return np.linalg.eigh(h)
+
+
 class DecoupledChain(FiniteChain):
     """Chain levels with every coupling switched off."""
 
     def couplings(self):
         return np.zeros(self.n_levels)
+
+
+class AlternateChain(FiniteChain):
+    """Chain levels with every other coupling switched off: a partial deflation."""
+
+    def couplings(self):
+        om = super().couplings()
+        om[::2] = 0.0
+        return om
+
+
+class PairedChain(FiniteChain):
+    """Each level of the first half of the chain twice over: coinciding levels."""
+
+    def level_energies(self):
+        e = super().level_energies()
+        return np.repeat(e[: (e.size + 1) // 2], 2)[: e.size]
 
 
 def test_decoupled_chain_is_free_evolution():
@@ -113,6 +139,105 @@ def test_decoupled_chain_is_free_evolution():
     ref = np.exp(-1j * 1.3 * traj.times)
     assert np.max(np.abs(traj.b0 - ref)) < 1e-12
     assert np.max(np.abs(traj.br)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [{"level_drive": LevelDrive(u=1.0, omega=1.0)}, {"barrier_drive": BarrierDrive(0.5, 1.5)}],
+    ids=["level", "barrier"],
+)
+def test_driven_decoupled_chain_is_free_evolution(drive):
+    # no coupling leaves the Strang run a zero kernel: b0 only turns by its level
+    params = SystemParams(e0=0.3, **drive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = solve(params, DecoupledChain(10, 4.0), SolverConfig(dt=0.005, t_end=1.0))
+    assert traj.method == "strang-splitting"
+    assert np.max(np.abs(traj.b0 - np.exp(-1j * params.e0_integral(traj.times)))) <= 1e-12
+    assert np.all(traj.br == 0.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from([FiniteChain, DecoupledChain, AlternateChain, PairedChain]),
+    n=st.integers(1, 400),
+    w=st.floats(1.0, 10.0),
+    place=st.sampled_from(["in", "edge", "out"]),
+    side=st.sampled_from([1.0, -1.0]),
+    frac=st.floats(0.0, 1.0),
+)
+@example(kind=FiniteChain, n=400, w=6.0, place="out", side=-1.0, frac=0.0)
+@example(kind=AlternateChain, n=1, w=2.0, place="in", side=1.0, frac=0.0)
+@example(kind=PairedChain, n=2, w=3.0, place="edge", side=1.0, frac=0.5)
+def test_static_modes_match_eigh(kind, n, w, place, side, frac):
+    # E0 in the band, within 0.3 of an edge, or 1 to 4 beyond it, where a bound state
+    # splits off; DecoupledChain and AlternateChain deflate all or half of the levels,
+    # PairedChain merges coinciding ones. Measured over 300 random draws against eigh:
+    # |dlam| <= 9.8e-15, |dc0^2| <= 1.9e-14, |db0| <= 5.2e-14 to t = 5 (eigh's eigenvalues
+    # are the less accurate: up to 3.5e-14 from 40-digit roots at N = 250, the secular
+    # ones 1.4e-16), |dbr| <= 8.7e-15 and a drift of at most 2.3e-15
+    offset = {"in": 0.9 * frac * w, "edge": w + 0.6 * frac - 0.3, "out": w + 1.0 + 3.0 * frac}
+    e0 = side * offset[place]
+    chain = kind(n, w)
+    lam_ref, vec = star_eigh(e0, chain)
+    overlap = vec[0] ** 2 > 1e-20  # a deflated level's eigenvector misses the well
+    lam, c0sq, _, _ = _star_modes(e0, chain.level_energies(), chain.couplings(), np.zeros(1))
+    assert lam.size == np.count_nonzero(overlap)
+    assert np.max(np.abs(lam - lam_ref[overlap])) <= 2e-14
+    assert np.max(np.abs(c0sq - vec[0, overlap] ** 2)) <= 5e-14
+    params = SystemParams(e0=e0)
+    traj = solve(params, chain, SolverConfig(dt=default_dt(params, chain), t_end=5.0))
+    ref = np.exp(-1j * np.outer(traj.times, lam_ref)) @ vec[0] ** 2
+    assert np.max(np.abs(traj.b0 - ref)) <= 1e-13
+    ref_br = vec[1:] @ (np.exp(-1j * lam_ref * traj.times[-1]) * vec[0])
+    assert np.max(np.abs(traj.br - ref_br)) <= 3e-14
+    assert traj.norm_drift <= 1e-14
+
+
+@pytest.mark.parametrize("field", ["level_energies", "couplings"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_static_chain_rejects_a_non_finite_level_or_coupling(field, bad):
+    # a NaN coupling would otherwise fall below the deflation bound and drop out unseen
+    class Broken(FiniteChain):
+        def level_energies(self):
+            e = super().level_energies()
+            if field == "level_energies":
+                e[3] = bad
+            return e
+
+        def couplings(self):  # FiniteChain's couplings read the levels: take the sound ones
+            om = FiniteChain(self.n_levels, self.w_band).couplings()
+            if field == "couplings":
+                om[3] = bad
+            return om
+
+    with pytest.raises(ModelError, match="must be finite"):
+        run(0.5, Broken(10, 4.0), 1.0, 5e-3)
+
+
+def test_static_chain_runs_without_a_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the static chain called a dense eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    traj = run(0.5, FiniteChain(250, 6.0), 10.0, 5e-3)
+    assert traj.method == "eigendecomposition" and traj.norm_drift <= 1e-14
+
+
+def test_static_chain_memory_holds_no_square_matrix():
+    # N = 4,000 over 300 steps, where one (N+1)-square matrix of floats is 128 MB.
+    # Measured peak 33.7 MB: nearly all of it model._phase_sums' table of 256 lags by
+    # N + 1 modes (16.4 MB) beside its exponent; the secular solver's root x level
+    # arrays are 2^15 elements a chunk
+    tracemalloc.start()
+    try:
+        traj = run(0.5, FiniteChain(4000, 6.0), 0.9, 3e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 301 and traj.norm_drift <= 1e-14
+    assert peak <= 40e6
 
 
 def test_chain_trajectory_spectrum_is_weighted_by_the_semicircle_envelope():
@@ -324,9 +449,7 @@ def test_state_access_requires_stored_reservoir():
 @pytest.mark.parametrize("backward", [False, True])
 def test_static_b0_matches_eigenbasis_sum(backward):
     chain, e0 = FiniteChain(30, 5.0), 0.4
-    h = np.diag(np.concatenate([[e0], chain.level_energies()]))
-    h[0, 1:] = h[1:, 0] = chain.couplings()
-    lam, vec = np.linalg.eigh(h)
+    lam, vec = star_eigh(e0, chain)
     traj = run(e0, chain, -25.0 if backward else 25.0, 0.008)
     ref = np.exp(-1j * np.outer(traj.times, lam)) @ vec[0] ** 2
     assert np.max(np.abs(traj.b0 - ref)) < 1e-13
@@ -399,11 +522,12 @@ def test_driven_chain_sub_block_edges(steps):
 
 def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
     # the benchmark's survival-chain-level run, N = 250 and 33,333 steps. Measured
-    # peak 6.12 MB: the step values (1.6 MB), y and g (1.07 MB), the phase table of
-    # B = 256 lags (1.02 MB), the modes at the 131 block ends (0.52 MB) and one chunk
-    # of transfer matrices (1.15 MB). The n-lag kernel table with its block spectra
-    # and their ring, which the modes replace, held 12.34 MB at the peak. The drift
-    # reads 2.4e-14; a block phase taken as the B-th power of e^{-i E_r h} reads 3.6e-13
+    # peak 5.59 MB: the step values (1.6 MB), y, which is the returned b0 (0.53 MB), the
+    # phase table of B = 256 lags (1.02 MB), the modes at the 131 block ends (0.52 MB)
+    # and one chunk of transfer matrices (1.15 MB). g of the whole run and a copy of y
+    # into b0 held 6.12 MB at the peak; the n-lag kernel table with its block spectra
+    # and their ring, which the modes replace, 12.34 MB. The drift reads 2.4e-14; a
+    # block phase taken as the B-th power of e^{-i E_r h} reads 3.6e-13
     params = SystemParams(e0=0.758, level_drive=LevelDrive(u=1.0, omega=1.0))
     tracemalloc.start()
     try:
@@ -412,7 +536,7 @@ def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
     finally:
         tracemalloc.stop()
     assert traj.times.size == 33_334 and traj.norm_drift <= 1e-13
-    assert peak <= 7.0e6
+    assert peak <= 6.6e6
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

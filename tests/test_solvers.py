@@ -242,7 +242,8 @@ def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeyp
     idle, chain = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.0, omega=2.0)), FiniteChain(20, 4.0)
     solve(idle, chain, SolverConfig(dt=default_dt(idle, chain), t_end=1.5))
     assert len(static) == 3
-    assert [np.shares_memory(y, g) for y, g, _ in runs] == [True, True, False]
+    assert [np.shares_memory(y, g) for y, g, _ in runs[:2]] == [True, True]
+    assert runs[2][1] is None  # the chain keeps g apart, one block at a time
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 23 with the five below

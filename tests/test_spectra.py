@@ -469,6 +469,14 @@ def test_value_at_is_the_argmin_node(size, seed, ties):
         assert spec.value_at(e) == float(np.argmin(np.abs(energies - e))), e
 
 
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_value_at_rejects_a_non_finite_energy(e):
+    # the bisection would place nan and inf past the last node and -inf before the first
+    spec = EnergySpectrum.build(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0)
+    with pytest.raises(ModelError, match=f"finite energy, got {e}$"):
+        spec.value_at(e)
+
+
 def test_asymptotic_spectrum_follows_the_drive_of_params():
     # a barrier drive gives the barrier sideband sum, not the undriven line 2/pi
     p = SystemParams(e0=0.3, barrier_drive=BarrierDrive(alpha=0.5, omega=0.5))
