@@ -31,8 +31,8 @@ eigenvectors v_j[r] = c0_j g_r/(lam_j - E_r), c0_j^2 = 1/f'(lam_j), are
 orthogonal to working precision (Gu & Eisenstat, SIAM J. Matrix Anal.
 Appl. 16:172, 1995). Every root x level array is formed a chunk of roots at
 a time. Then b0 = sum_j c0_j^2 e^{-i lam_j t} on every sample at once by the
-blocked phase sums of model._phase_sums (no error accumulation), and the
-full state on 8 samples checks unitarity.
+blocked phase sums of _phase_sums (no error accumulation), and the full
+state on 8 samples checks unitarity.
 
 Driven Hamiltonians take a Strang step of diagonal phases, the
 star-coupling rotation of (b0, vhat.br) and the phases again. The bright
@@ -56,14 +56,16 @@ from typing import Optional
 
 import numpy as np
 
-from .model import FiniteChain, ModelError, SystemParams, _phase_sums
+from .model import FiniteChain, ModelError, SystemParams
 from .solvers import (
+    _TABLE,
     AmplitudeTrajectory,
     SolverConfig,
     SolverError,
     _check_resolution,
     _grid,
     _memory_recurrence,
+    _within_table,
 )
 from .spectra import EnergySpectrum
 
@@ -71,6 +73,7 @@ NORM_DRIFT_LIMIT = 1.0e-6  # per unit time; exceeding this aborts the run
 _REVIVAL_DROP, _REVIVAL_RISE = 0.01, 0.05  # revival_time: P0 empties below, returns above
 _SECULAR_CHUNK = 1 << 15  # root x level elements per temporary of the static modes
 _SECULAR_PASSES = 64  # safeguarded steps per root at most; 3 to 7 reach the root
+_PHASE_BLOCK = 256  # lags per block of _phase_sums at most, one matrix product each
 _EPS = float(np.finfo(float).eps)
 
 
@@ -106,6 +109,26 @@ def _evolve_eig(params: SystemParams, chain: FiniteChain, times: np.ndarray):
     b0[0] = 1.0  # U(0) = I exactly
     norms = np.abs(b_nodes) ** 2 + np.sum(np.abs(states) ** 2, axis=1)
     return b0, states[-1], float(np.max(np.abs(norms - 1.0)))
+
+
+def _phase_sums(weights: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
+    """s_j = sum_r weights_r e^{-i theta_r j}, j = 0 .. n.
+
+    With P lags per block, e^{-i theta_r (q P + t)} = shift[q, r] turn[t, r],
+    so each block is one matrix product of the two tables. P is _PHASE_BLOCK,
+    halved while the P x R table of R modes exceeds _TABLE entries, and the
+    shift rows are formed a chunk of at most _TABLE entries at a time.
+    """
+    P = _within_table(_PHASE_BLOCK, theta.size, 1)
+    turn = np.exp(-1j * np.outer(np.arange(P), theta))
+    starts = P * np.arange(n // P + 1)
+    out = np.empty((starts.size, P), dtype=complex)
+    step = max(1, _TABLE // theta.size)
+    for lo in range(0, starts.size, step):
+        shift = np.exp(-1j * np.outer(starts[lo : lo + step], theta))
+        shift *= weights
+        np.matmul(shift, turn.T, out=out[lo : lo + step])
+    return out.ravel()[: n + 1]
 
 
 def _star_modes(e0: float, er: np.ndarray, g: np.ndarray, nodes: np.ndarray):
@@ -278,7 +301,7 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
 
     # the kernel as its N modes; M(k) at each block end k gives the norm there and br
     theta_r = er * h
-    b0, _, (ends, amps) = _memory_recurrence(strang, values, (1.0,), (vhat * vhat, theta_r))
+    b0, (ends, amps) = _memory_recurrence(strang, values, (1.0,), (vhat * vhat, theta_r))
     drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(amps) ** 2 @ vhat**2 - 1.0)))
     br = vhat * np.exp(0.5j * theta_r) * amps[-1]
     return b0, br, drift

@@ -20,21 +20,21 @@ real and even in tau for every (even) density implemented here:
     semicircle    S(E) = 1/(2 pi) sqrt(1 - E^2/W^2)      K = J_1(W tau)/(2 tau)
 
 on support |E| <= W for the semicircle. A kernel method returns K on the
-one grid solve_volterra asks for, kernel(dt, n) = K(j dt) at the lags
-j = 0 .. n, or fewer: the Lorentzian's end where K < KERNEL_TRUNCATION K(0).
+lags j = 0 .. n of the grid solve_volterra asks for as its modes:
+kernel(dt, n) = (a, theta) with K(j dt) = sum_r a_r e^{-i theta_r j}. The
+Lorentzian is one damped mode, a = L/2 and theta = -i L dt.
 
 The finite chain discretizes the semicircle with N levels
 E_r = W cos(r pi/(N+1)) and couplings chosen so that Omega^2(E_r) rho(E_r)
 reproduces the semicircle density: the levels and Omega_r^2 are the nodes
 and weights of the N-point Gauss-Chebyshev rule of the second kind for S(E).
 The semicircle kernel is therefore the coupling sum of a long enough chain,
-K(j dt) = sum_r Omega_r^2 cos(E_r j dt), exact once 2N exceeds the order
+K(j dt) = sum_r Omega_r^2 e^{-i E_r j dt}, exact once 2N exceeds the order
 beyond which the Chebyshev coefficients J_k(W n dt) of the phase have
-decayed. That sum and the static chain's b0 are both phase sums
-sum_r a_r e^{-i theta_r j}, formed by one helper, _phase_sums; the driven
-chain's memory kernel is one too, but its run carries the N modes instead of
-the lags. Neither the wide band nor the chain has a kernel method;
-solve_volterra rejects both.
+decayed: its modes are a = Omega_r^2 and theta = E_r dt. The driven chain's
+memory kernel is a mode sum too, and every memory integral runs by carrying
+its modes, O(n (log B + R)) work for R modes. Neither the wide band nor the
+chain has a kernel method; solve_volterra rejects both.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ import numpy as np
 from .bessel import _miller_start
 
 TWO_PI = 2.0 * math.pi
-KERNEL_TRUNCATION = 1.0e-18  # a kernel ends where it has decayed below this share of K(0)
-_PHASE_BLOCK = 256  # lags per block of _phase_sums, one matrix product each
 
 
 class ModelError(ValueError):
@@ -211,9 +209,8 @@ class Lorentzian:
         l2 = self.lam * self.lam
         return 1.0 / TWO_PI * l2 / (e * e + l2)
 
-    def kernel(self, dt: float, n: int) -> np.ndarray:
-        jcut = min(n, int(math.ceil(-math.log(KERNEL_TRUNCATION) / self.lam / dt)))
-        return 0.5 * self.lam * np.exp(-self.lam * (dt * np.arange(jcut + 1)))
+    def kernel(self, dt: float, n: int) -> tuple:
+        return np.array([0.5 * self.lam]), np.array([-1j * self.lam * dt])
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ class Semicircle:
         inside = 1.0 - (e / self.w_band) ** 2
         return 1.0 / TWO_PI * np.sqrt(np.clip(inside, 0.0, None))
 
-    def kernel(self, dt: float, n: int) -> np.ndarray:
+    def kernel(self, dt: float, n: int) -> tuple:
         # J_1(W tau)/(2 tau) as the coupling sum of a chain long enough for
         # a = W n dt: the Chebyshev coefficients J_k(a) of e^{-i a E/W} fall below
         # 1e-17 from the (even) Miller start order m on, and the M-level rule is
@@ -240,7 +237,7 @@ class Semicircle:
         m = _miller_start(0, self.w_band * n * dt)
         chain = FiniteChain(m // 2, self.w_band)
         om = chain.couplings()
-        return _phase_sums(om * om, chain.level_energies() * dt, n).real
+        return om * om, chain.level_energies() * dt
 
 
 @dataclass(frozen=True)
@@ -287,14 +284,3 @@ class FiniteChain:
 
 SpectralDensity = Union[WideBand, Lorentzian, Semicircle, FiniteChain]
 
-
-def _phase_sums(weights: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
-    """s_j = sum_r weights_r e^{-i theta_r j}, j = 0 .. n.
-
-    With P = _PHASE_BLOCK, e^{-i theta_r (q P + t)} = shift[q, r] turn[t, r], so
-    each block of P lags is one matrix product of the two tables.
-    """
-    P = _PHASE_BLOCK
-    turn = np.exp(-1j * np.outer(np.arange(P), theta))
-    shift = np.exp(-1j * np.outer(P * np.arange(n // P + 1), theta))
-    return ((shift * weights) @ turn.T).ravel()[: n + 1]

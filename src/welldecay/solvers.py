@@ -12,24 +12,24 @@ starts from b0(0) = 1:
   integration on a uniform grid with one predictor-corrector (Heun) pass
   per step; second-order accurate. The integral keeps its signed
   orientation, so integrating toward negative t needs no special casing.
-  The kernel ends itself: a Lorentzian after jcut steps, below 1e-18 of
-  its peak. The Heun step is linear in the state (b0, db0/dt) and in its
-  history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one
-  call of _memory_recurrence, which advances a linear recurrence with a
-  Toeplitz memory a block of B steps at a time; earlier blocks enter by a
-  uniformly partitioned FFT convolution (Hairer, Lubich & Schlichte, SIAM
-  J. Sci. Stat. Comput. 6:532, 1985). A driven run takes B = 256 and steps
+  The kernel comes as its R modes, K(j dt) = sum_r a_r e^{-i theta_r j}
+  (model.py). The Heun step is linear in the state (b0, db0/dt) and in its
+  history sum sum_{j<k} K((k-j) dt) w_j b_j, so the solve is one call of
+  _memory_recurrence, which advances a linear recurrence with a Toeplitz
+  memory a block of B steps at a time; earlier blocks enter through the
+  modes' amplitudes, carried across the block ends (Lubich & Schaedle,
+  SIAM J. Sci. Comput. 24:161, 2002). A driven run takes B = 256 and steps
   through sub-blocks of S = 16 steps: earlier sub-blocks of the block enter
   by a dense Toeplitz product and the sub-block's own steps through a
   transfer matrix built from its node values, at O(S^2) per step. A static
-  run takes B ~ sqrt(32 n), between 32 and 1024: its recurrence within a
-  block is time-invariant, so each block is one causal FFT product of its
-  history sums with the block's impulse responses, computed once, plus
-  their responses to its incoming state. The work is O(n (log B +
-  jcut/B)), plus O(n S) when driven, and the memory O(n). The driven
-  finite chain (chain.py) runs on the same helper, with its kernel given
-  as its N reservoir modes: the run then carries their O(N) amplitudes
-  across the blocks in place of the partitioned FFT.
+  run takes B ~ sqrt(32 n), between 32 and 1024, halved while its B x R
+  phase table exceeds 2^16 entries but not below 256: its recurrence
+  within a block is time-invariant, so each block is one causal FFT
+  product of its history sums with the block's impulse responses, computed
+  once, plus their responses to its incoming state. The work is O(n (log B
+  + R)), plus O(n S) when driven, and the memory O(n + B R). The driven
+  finite chain (chain.py) runs on the same helper, its kernel given as its
+  N reservoir modes.
 
 * "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
   Lorentzian kernel,
@@ -104,7 +104,8 @@ RESOLUTION_LIMIT = 0.05
 DIVERGENCE_LIMIT = 2.0
 _RK4_CHUNK = 1024  # RK4 steps whose step matrices are held at once
 _RK4_ROW = 32  # RK4 steps per row of running products; a power of 2 dividing _RK4_CHUNK
-_BLOCK = 256  # memory history block: earlier blocks enter by FFT
+_BLOCK = 256  # memory history block of a driven run; _TABLE lowers a static one no further
+_TABLE = 1 << 16  # entries of a lags x modes phase table, kept to by fewer lags per block
 _SUB = 16  # sub-block of a run whose node values vary: one transfer matrix each
 _CHUNK_BLOCKS = 8  # blocks whose transfer matrices are built at once
 
@@ -304,9 +305,8 @@ def solve_volterra(
     n = times.size - 1
     h = float(times[1] - times[0])  # signed
 
-    kern = sd.kernel(abs(h), n)  # K[m] = K(m dt) to where K ends; even, so |tau| suffices
-    jcut = kern.size - 1
-    k0 = float(kern[0])
+    modes = _kernel_modes(sd, abs(h), n)  # K is even, so |tau| suffices
+    k0 = np.sum(modes[0])
     hh, c0, c1 = 0.5 * h, 0.5 * k0, 0.5 * h * k0  # Heun and trapezoid weights at K(0)
 
     def heun(x, base, v):  # step k reaches node k + 1, where w = v[0] and -i E0 = v[1]
@@ -320,14 +320,26 @@ def solve_volterra(
 
     w = params.w_at(times)
     e0 = params.e0_at(times)
-    # the trapezoid gives node 0 half weight: g_0 = w_0 b_0 / 2 enters every step as forcing
-    forcing = np.zeros(n)
-    forcing[:jcut] = 0.5 * float(w[0]) * kern[1:]
+    # the trapezoid gives node 0 half weight: g_{-1} = w_0 b_0 / 2 enters every step's memory
     b = _memory_recurrence(
-        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), kern, forcing, times[1:]
+        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), modes, 0.5 * float(w[0]),
+        times[1:],
     )[0]
 
     return AmplitudeTrajectory(times, b, params, sd, cfg, VOLTERRA_PC)
+
+
+def _kernel_modes(sd: SpectralDensity, dt: float, n: int) -> tuple:
+    """sd.kernel(dt, n), checked to be modes (a, theta): K(j dt) = sum_r a_r e^{-i theta_r j}."""
+    modes = sd.kernel(dt, n)
+    try:
+        a, theta = (np.asarray(part) for part in modes)
+    except (TypeError, ValueError):  # not a pair
+        a = theta = None
+    if a is None or a.ndim != 1 or theta.shape != a.shape:
+        raise ModelError(f"{type(sd).__name__}.kernel(dt, n) must return modes (a, theta), two "
+                         f"1-D arrays of one length with K(j dt) = sum_r a_r e^{{-i theta_r j}}")
+    return a, theta
 
 
 def _check_divergence(b: np.ndarray, times: np.ndarray) -> None:
@@ -337,43 +349,33 @@ def _check_divergence(b: np.ndarray, times: np.ndarray) -> None:
         raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[bad[0]]:.4g}")
 
 
-def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
+def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
     """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
-    the Toeplitz memory base_k = forcing_k + sum_{m<k} K_{k-m} g_m.
+    the memory base_k = sum_{-1 <= m < k} K_{k-m} g_m of the kernel given by its
+    modes (a, theta), K_j = sum_r a_r e^{-i theta_r j}, and g_{-1} = m0.
 
     step must be linear in (x, base) and elementwise: it is called on
     coefficient arrays. values holds the n node values v_k, one array per
-    value; x0 is the initial state and forcing defaults to zero. The kernel
-    comes in one of two forms:
+    value; x0 is the initial state. Returns y (the first state component of
+    x_0 .. x_n) and the pair (k, M): the step counts k at every block end,
+    the last n, and the mode amplitudes M_r(k) = sum_{-1 <= m < k}
+    e^{-i theta_r (k - m)} g_m there. Given the step end times ends,
+    _check_divergence reads y after each block.
 
-    * lags, an array of K_j on lags 0 .. jcut (K_0 is not used, zero beyond
-      jcut), for a continuum;
-    * modes, a pair (a, theta) with K_j = sum_r a_r e^{-i theta_r j}, for a
-      discrete reservoir.
-
-    Returns y (the first state component of x_0 .. x_n), g and, for modes,
-    the pair (k, M): the step counts k at every block end, the last n, and
-    the mode amplitudes M_r(k) = sum_{m<k} e^{-i theta_r (k - m)} g_m there
-    (None for lags). A mode kernel reads g only within a block, so its run
-    keeps one block of g and returns None for it. Given the step end times
-    ends, _check_divergence reads y after each block.
-
-    The steps run in blocks of B steps, and earlier blocks enter a block's
-    history sums as its far field. For lags it is a uniformly partitioned
-    FFT convolution over the spectra of the blocks in the kernel's reach,
-    the only ones kept (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6:532, 1985). For modes the run carries M instead, O(R) state
-    for R modes (Lubich & Schaedle, SIAM J. Sci. Comput. 24:161, 2002): a
-    block starting at step l has the far field sum_r e^{-i theta_r t} a_r
-    M_r(l) at its step l + t, and M_r(l + B) = e^{-i theta_r B} M_r(l) +
-    sum_{t<B} e^{-i theta_r (B - t)} g_{l+t}, both products with the table
-    e^{-i theta_r t}, t < B, and the block phase formed directly.
+    The steps run in blocks of B steps. Earlier blocks enter a block's
+    history sums as its far field, through the carried amplitudes M, O(R)
+    state for R modes (Lubich & Schaedle, SIAM J. Sci. Comput. 24:161,
+    2002): a block starting at step l has the far field sum_r e^{-i theta_r
+    t} a_r M_r(l) at its step l + t, and M_r(l + B) = e^{-i theta_r B}
+    M_r(l) + sum_{t<B} e^{-i theta_r (B - t)} g_{l+t}, both products with
+    the table e^{-i theta_r t}, t < B, and the block phase formed directly.
+    So the run keeps one block of g.
 
     When node values vary, B is _BLOCK and each sub-block of _SUB steps
     builds its own transfer matrix (_transfers, _CHUNK_BLOCKS blocks at a
     time); earlier sub-blocks of the block enter by a dense Toeplitz
-    product. When none varies, B is _static_block(n) for lags and _BLOCK for
-    modes, whose far field costs O(R) per step whatever B; a block is the
+    product. When none varies, B is _static_block(n), halved while the
+    phase table exceeds _TABLE entries but not below _BLOCK; a block is the
     causal FFT product of length 2 B of its history sums with the impulse
     responses of _block_responses, plus their responses to its incoming
     state (for g alone when its responses equal y's: y is then g); a block
@@ -381,20 +383,12 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     """
     static = all(np.all(v == v[0]) for v in values)
     n, S, dim = values[0].size, _SUB, len(x0)
-    modes = isinstance(kern, tuple)
-    B = _static_block(n) if static and not modes else _BLOCK
+    amp, theta = modes
+    B = _within_table(_static_block(n) if static else _BLOCK, theta.size, _BLOCK)
     nblocks = -(-n // B)
-    if modes:
-        amp, theta = kern
-        turn = np.exp(-1j * np.outer(np.arange(B), theta))  # e^{-i theta_r t}, t < B
-        kc = np.zeros(B + S, dtype=complex)  # the lags below B, all a block reaches
-        kc[1:B] = turn[1:] @ amp
-    else:
-        jcut = kern.size - 1
-        ndist = min(jcut // B + 1, nblocks - 1)  # kernel partitions [jB, (j+2)B) in reach
-        kc = np.zeros((max(ndist, 1) + 1) * B, dtype=kern.dtype)  # zero at lag 0 and beyond jcut
-        nk = min(kern.size, kc.size)
-        kc[1:nk] = kern[1:nk]
+    turn = np.exp(-1j * np.outer(np.arange(B), theta))  # e^{-i theta_r t}, t < B
+    kc = np.zeros(B + S, dtype=complex)  # the lags below B, all a block reaches
+    kc[1:B] = turn[1:] @ amp
     if static:  # first, so that its temporaries do not add to the run's arrays
         resp = _block_responses(step, tuple(v[0] for v in values), kc, dim, B)
 
@@ -404,75 +398,38 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
     def padded(v, lo, hi):  # v[lo:hi] padded to whole sub-blocks, as (sub-blocks, S)
         return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
 
-    if forcing is not None:
-        forcing = np.pad(forcing, (0, size - n))
     rows = 1 if static and np.array_equal(resp[0], resp[1]) else 2  # g, then y unless y is g
     x = np.array(x0, dtype=complex)
     y_out = np.zeros(size + 1, dtype=complex)  # x_0, then the steps' y; the caller's b0
     y_out[0] = x[0]
     y = y_out[1:]
-    one_block = modes and rows == 2  # g as far back as the far field reads it
-    g = y if rows == 1 else np.zeros(B if one_block else size, dtype=complex)
-
-    def g_at(lo):  # g of the block starting at step lo
-        return g if one_block else g[lo : lo + B]
-
+    g = np.zeros(B, dtype=complex)  # g of the block, as far back as the far field reads it
     spec = np.empty(2 * B, dtype=complex)  # FFT buffer, reused so that the run allocates less
+    carried = np.zeros((nblocks + 1, theta.size), dtype=complex)  # M at 0 and each block end
+    carried[0] = turn[1] * m0
+    block_phase = np.exp(-1j * B * theta)  # e^{-i theta_r B} formed directly: powers drift
 
-    if modes:
-        carried = np.zeros((nblocks + 1, theta.size), dtype=complex)  # M at 0 and each block end
-        block_phase = np.exp(-1j * B * theta)  # e^{-i theta_r B} formed directly: powers drift
+    def carry(i, hi, phase):  # M at step hi from M at the start of block i
+        gb = g[: hi - i * B][::-1].copy()  # contiguous: a reversed view takes matmul off BLAS
+        carried[i + 1] = phase * carried[i] + turn[1] * (gb @ turn[: gb.size])
 
-        def carry(i, hi, phase):  # M at step hi from M at the start of block i
-            lo = i * B
-            gb = g_at(lo)[: hi - lo]
-            carried[i + 1] = phase * carried[i] + turn[1] * (gb[::-1] @ turn[: hi - lo])
-
-        def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
-            i = lo // B
-            if i:
-                carry(i - 1, lo, block_phase)
-            far = turn @ (amp * carried[i])
-            return far if forcing is None else far + forcing[lo : lo + B]
-    else:
-        kspec = np.fft.fft(sliding_window_view(kc, 2 * B)[::B][:ndist], axis=1)
-        # FFTs of the zero-padded blocks base, base + 1, .. of g: the ndist in the kernel's
-        # reach, in up to twice as many rows, moved to the front when the rows run out
-        cap = min(nblocks, 2 * ndist)
-        specs = np.empty((max(cap, 1), 2 * B), dtype=complex)
-        base = 0
-        block = np.zeros(2 * B, dtype=complex)
-
-        def far_field(lo):  # forcing plus the history sums over earlier blocks, block lo // B
-            nonlocal base
-            i = lo // B
-            far = np.zeros(B) if forcing is None else forcing[lo : lo + B]
-            if i:
-                if i - 1 - base == cap:
-                    base = i - ndist
-                    specs[: ndist - 1] = specs[cap - ndist + 1 :]
-                block[:B] = g[lo - B : lo]
-                np.fft.fft(block, out=specs[i - 1 - base])
-                m = min(ndist, i)  # partition j meets the block j + 1 back
-                np.einsum("jk,jk->k", specs[i - base - m : i - base], kspec[m - 1 :: -1], out=spec)
-                far = far + np.fft.ifft(spec, out=spec)[B:]
-            return far
+    def far_field(lo):  # the history sums over g_{-1} and earlier blocks, block lo // B
+        i = lo // B
+        if i:
+            carry(i - 1, lo, block_phase)
+        return turn @ (amp * carried[i])
 
     near = sliding_window_view(kc[1 : B + S], B)[:, ::-1]  # K[B + r - c]
-    if not static:  # a static run only runs a failing block again by sub-blocks
-        near = near.astype(complex)
     inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
     z = np.empty(2 * S + dim, dtype=complex)  # the sub-block's g, y and outgoing state
 
     def sub_blocks(mats, lo, far, x):  # block lo // B, S steps per transfer matrix
         inp[:dim] = x
-        gb = g_at(lo)
         for c in range(0, B, S):
-            inp[dim:] = far[c : c + S] + near[:, B - c :] @ gb[:c]
+            inp[dim:] = far[c : c + S] + near[:, B - c :] @ g[:c]
             np.matmul(mats[c // S], inp, out=z)
-            gb[c : c + S] = z[:S]
-            if rows == 2:
-                y[lo + c : lo + c + S] = z[S : 2 * S]
+            g[c : c + S] = z[:S]
+            y[lo + c : lo + c + S] = z[S : 2 * S]
             inp[:dim] = z[2 * S :]
         return inp[:dim].copy()
 
@@ -499,9 +456,8 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
                 np.multiply(np.fft.fft(far, 2 * B, out=spec), hspec, out=gy)
                 np.fft.ifft(gy, out=gy)
                 gy[:, :B] += free @ x
-                g_at(lo)[:] = gy[0, :B]
-                if rows == 2:
-                    y[lo : lo + B] = gy[1, :B]
+                g[:] = gy[0, :B]
+                y[lo : lo + B] = gy[-1, :B]  # the g row when y is g
                 xo = xfar @ far + xfree @ x
                 if ends is not None:
                     try:
@@ -512,10 +468,15 @@ def _memory_recurrence(step, values, x0, kern, forcing=None, ends=None):
                         xo = sub_blocks(mats, lo, far, x)
                         _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
                 x = xo
-    if not modes:
-        return y_out[: n + 1], g[:n], None
     carry(nblocks - 1, n, np.exp(-1j * (n - size + B) * theta))  # to n, not over padded steps
-    return y_out[: n + 1], None, (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
+    return y_out[: n + 1], (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
+
+
+def _within_table(B: int, modes: int, floor: int) -> int:
+    """B halved until a B x modes phase table keeps to _TABLE entries, not below floor."""
+    while B > floor and B * modes > _TABLE:
+        B //= 2
+    return B
 
 
 def _static_block(n: int) -> int:

@@ -1,5 +1,5 @@
 """Shared test helpers: spectrum conservation runs, Richardson convergence
-orders and the linear-alpha barrier amplitude."""
+orders, the linear-alpha barrier amplitude and a kernel's values at its lags."""
 
 import math
 
@@ -96,3 +96,13 @@ def b0_linear_alpha(params, t):
     w2_int = t + 2.0 * al / om * (1.0 - np.cos(om * t))
     phase = params.e0_integral(t) - 0.5j * np.sign(t) * w2_int
     return np.exp(-1j * phase)
+
+
+def kernel_lags(sd, dt, n):
+    """K(j dt), j = 0 .. n, from the modes (a, theta) of sd.kernel(dt, n): the direct
+    sum K_j = sum_r a_r e^{-i theta_r j}, formed a few lags at a time."""
+    a, theta = sd.kernel(dt, n)
+    lags = np.arange(n + 1)
+    step = max(1, (1 << 16) // max(theta.size, 1))
+    return np.concatenate([np.exp(-1j * np.outer(lags[lo : lo + step], theta)) @ a
+                           for lo in range(0, n + 1, step)])

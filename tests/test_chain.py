@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from welldecay import closedform
-from welldecay.chain import _star_modes, evolve_chain, lineshape_exact, revival_time
+from welldecay.chain import _phase_sums, _star_modes, evolve_chain, lineshape_exact, revival_time
 from welldecay.spectra import spectrum_from_trajectory
 from welldecay.model import (
     BarrierDrive,
@@ -26,6 +26,7 @@ from welldecay.solvers import (
     _BLOCK,
     _CHUNK_BLOCKS,
     _SUB,
+    RESOLUTION_LIMIT,
     AmplitudeTrajectory,
     ResolutionError,
     SolverConfig,
@@ -226,18 +227,21 @@ def test_static_chain_runs_without_a_dense_eigensolver(monkeypatch):
 
 
 def test_static_chain_memory_holds_no_square_matrix():
-    # N = 4,000 over 300 steps, where one (N+1)-square matrix of floats is 128 MB.
-    # Measured peak 33.7 MB: nearly all of it model._phase_sums' table of 256 lags by
-    # N + 1 modes (16.4 MB) beside its exponent; the secular solver's root x level
-    # arrays are 2^15 elements a chunk
-    tracemalloc.start()
-    try:
-        traj = run(0.5, FiniteChain(4000, 6.0), 0.9, 3e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traj.times.size == 301 and traj.norm_drift <= 1e-14
-    assert peak <= 40e6
+    # N = 4,000, where one (N+1)-square matrix of floats is 128 MB. Measured peaks
+    # 3.70 MB over 300 steps and 4.87 MB over 6,668: _phase_sums keeps its table of
+    # 16 lags by N + 1 modes and each chunk of its shift rows to 2^16 entries, and the
+    # secular solver's root x level arrays are 2^15 elements a chunk. A table of 256
+    # lags read 33.4 MB at either length, and 16 lags with every shift row at once
+    # 55 MB over 6,668 steps
+    for steps, bound in ((300, 8e6), (6_668, 10e6)):
+        tracemalloc.start()
+        try:
+            traj = run(0.5, FiniteChain(4000, 6.0), steps * 3e-3, 3e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == steps + 1 and traj.norm_drift <= 1e-14
+        assert peak <= bound
 
 
 def test_chain_trajectory_spectrum_is_weighted_by_the_semicircle_envelope():
@@ -444,6 +448,42 @@ def test_state_access_requires_stored_reservoir():
     assert traj.br is None
     with pytest.raises(ModelError, match="no reservoir amplitudes"):
         lineshape_exact(traj)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    dt=st.floats(1e-3, 0.1),
+)
+def test_phase_sums_match_direct_sum(terms, dt):
+    # s_j = sum_r c_r e^{-i j lam_r dt} with |lam_r| dt up to the resolution limit
+    frac, re, im = (np.array(v) for v in zip(*terms))
+    c = re + 1j * im
+    lam = frac * RESOLUTION_LIMIT / dt
+    for n in (0, 1, 6, 255, 256, 257, 1024):
+        for h in (dt, -dt):
+            got = _phase_sums(c, lam * h, n)
+            ref = np.exp(-1j * np.outer(h * np.arange(n + 1), lam)) @ c
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("modes", [257, 4001])
+def test_phase_sums_of_many_modes_match_direct_sum(modes):
+    # more modes than a table of 256 lags keeps within its budget: 128 lags per block
+    # for 257 modes; 16 for 4,001, whose shift rows come in chunks of 16 (five at n = 1024)
+    rng = np.random.default_rng(modes)
+    c = rng.uniform(-1.0, 1.0, modes) + 1j * rng.uniform(-1.0, 1.0, modes)
+    theta = rng.uniform(-1.0, 1.0, modes) * RESOLUTION_LIMIT
+    for n in (0, 15, 16, 17, 127, 128, 129, 1024):
+        got = _phase_sums(c, theta, n)
+        ref = np.concatenate([np.exp(-1j * np.outer(np.arange(lo, min(lo + 16, n + 1)), theta)) @ c
+                              for lo in range(0, n + 1, 16)])
+        assert got.shape == (n + 1,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(c))
 
 
 @pytest.mark.parametrize("backward", [False, True])

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import kernel_lags
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from welldecay.bessel import bessel_j
 from welldecay.model import (
-    KERNEL_TRUNCATION,
     BarrierDrive,
     FiniteChain,
     LevelDrive,
@@ -18,9 +18,8 @@ from welldecay.model import (
     ModelError,
     Semicircle,
     SystemParams,
-    _phase_sums,
 )
-from welldecay.solvers import RESOLUTION_LIMIT, SolverConfig
+from welldecay.solvers import SolverConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,9 +38,9 @@ def test_density_semicircle_band_edge():
 
 
 def test_kernel_values_at_zero_lag():
-    assert abs(Lorentzian(4.0).kernel(0.1, 0)[0] - 2.0) < 1e-15  # lam / 2
+    assert abs(kernel_lags(Lorentzian(4.0), 0.1, 0)[0] - 2.0) < 1e-15  # lam / 2
     # semicircle limit W / 4, cross-checked by quadrature below
-    assert abs(Semicircle(6.0).kernel(0.1, 0)[0] - 1.5) < 1e-12
+    assert abs(kernel_lags(Semicircle(6.0), 0.1, 0)[0] - 1.5) < 1e-12
 
 
 LAG_DT = 0.05  # the lag grid of the quadrature checks; each tau is a multiple
@@ -57,7 +56,7 @@ def test_kernel_matches_density_quadrature_lorentzian(tau):
         ref = quad(lambda e: lor.density(e), -np.inf, np.inf)[0]
     else:
         ref = quad(lambda e: lor.density(e), 0, np.inf, weight="cos", wvar=tau)[0] * 2.0
-    assert abs(lor.kernel(LAG_DT, j)[j] - ref) < 1e-9
+    assert abs(kernel_lags(lor, LAG_DT, j)[j] - ref) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3, 1.1, 4.0, 10.0])
@@ -66,24 +65,7 @@ def test_kernel_matches_density_quadrature_semicircle(tau):
     j = round(tau / LAG_DT)
     tau = j * LAG_DT
     ref = quad(lambda e: semi.density(e) * math.cos(e * tau), -6.0, 6.0, limit=400)[0]
-    assert abs(semi.kernel(LAG_DT, j)[j] - ref) < 1e-9
-
-
-@settings(max_examples=20, derandomize=True, deadline=None)
-@given(lam=st.floats(1.0, 1000.0), dt=st.floats(1.0e-4, 0.05), n=st.integers(0, 5000))
-@example(lam=4.0, dt=0.01, n=5000)
-@example(lam=4.0, dt=0.01, n=1000)
-def test_kernels_end_themselves(lam, dt, n):
-    # the Lorentzian keeps the lags up to the first one at which K has fallen below
-    # KERNEL_TRUNCATION of K(0), at most n; the semicircle's algebraic tail keeps all n + 1
-    jcut = min(n, math.ceil(-math.log(KERNEL_TRUNCATION) / lam / dt))
-    kern = Lorentzian(lam).kernel(dt, n)
-    assert kern.shape == (jcut + 1,)
-    if jcut < n:
-        assert kern[jcut] <= KERNEL_TRUNCATION * kern[0] * (1.0 + 1e-9)
-    if jcut > 0:
-        assert kern[jcut - 1] > KERNEL_TRUNCATION * kern[0] * (1.0 - 1e-9)
-    assert Semicircle(6.0).kernel(dt, n).shape == (n + 1,)
+    assert abs(kernel_lags(semi, LAG_DT, j)[j] - ref) < 1e-9
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -94,33 +76,12 @@ def test_kernels_end_themselves(lam, dt, n):
 def test_semicircle_kernel_matches_bessel(w, n, a):
     # the chain's coupling sum against J_1(W tau)/(2 tau) on lags up to W n dt = a
     dt = a / (w * max(n, 1))
-    kern = Semicircle(w).kernel(dt, n)
-    assert kern.shape == (n + 1,) and kern.dtype == np.float64
+    kern = kernel_lags(Semicircle(w), dt, n)
+    assert kern.shape == (n + 1,)
     for j in {0, 1, n // 2, n, 255, 256, 257} & set(range(n + 1)):
         tau = j * dt
         ref = w / 4.0 if j == 0 else bessel_j(1, w * tau) / (2.0 * tau)
         assert abs(kern[j] - ref) <= 1e-13 * w / 4.0
-
-
-@settings(max_examples=10, derandomize=True, deadline=None)
-@given(
-    terms=st.lists(
-        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        min_size=1,
-        max_size=40,
-    ),
-    dt=st.floats(1e-3, 0.1),
-)
-def test_phase_sums_match_direct_sum(terms, dt):
-    # s_j = sum_r c_r e^{-i j lam_r dt} with |lam_r| dt up to the resolution limit
-    frac, re, im = (np.array(v) for v in zip(*terms))
-    c = re + 1j * im
-    lam = frac * RESOLUTION_LIMIT / dt
-    for n in (0, 1, 6, 255, 256, 257, 1024):
-        for h in (dt, -dt):
-            got = _phase_sums(c, lam * h, n)
-            ref = np.exp(-1j * np.outer(h * np.arange(n + 1), lam)) @ c
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.sum(np.abs(c))
 
 
 def test_matched_lorentzian_curvature():

@@ -1,12 +1,13 @@
 """Numerical solvers against closed-form oracles, symmetry, and order checks."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from conftest import MismatchError, convergence_order
+from conftest import MismatchError, convergence_order, kernel_lags
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +53,8 @@ class WeightedLorentzian(Lorentzian):
     weight: float = 1.0
 
     def kernel(self, dt, n):
-        return self.weight * super().kernel(dt, n)
+        a, theta = super().kernel(dt, n)
+        return self.weight * a, theta
 
 
 def lorentzian_oracle(params, lam):
@@ -68,19 +70,15 @@ def volterra_reference(params, sd, cfg):
     n = max(1, int(round(abs(cfg.t_end) / cfg.dt)))
     times = math.copysign(1.0, cfg.t_end) * cfg.dt * np.arange(n + 1)
     h = times[1] - times[0]
-    kern = sd.kernel(cfg.dt, n)  # lags 0 .. jcut, where the kernel ends itself
-    jcut = kern.size - 1
+    kern = kernel_lags(sd, cfg.dt, n)
     w, e0 = params.w_at(times), params.e0_at(times)
     b = np.zeros(n + 1, dtype=complex)
     f = np.empty(n + 1, dtype=complex)
     b[0], f[0] = 1.0, -1j * e0[0]
     g = w * b
     for k in range(1, n + 1):
-        lo = max(0, k - jcut)
-        kw = kern[k - lo : 0 : -1]  # K[(k-j) dt] for j = lo .. k-1
-        base = np.dot(kw, g[lo:k])
-        if lo == 0:
-            base -= 0.5 * kw[0] * g[0]
+        kw = kern[k:0:-1]  # K[(k-j) dt] for j = 0 .. k-1
+        base = np.dot(kw, g[:k]) - 0.5 * kw[0] * g[0]
         bp = b[k - 1] + h * f[k - 1]
         integral = h * (base + 0.5 * kern[0] * w[k] * bp)
         fp = -1j * e0[k] * bp - w[k] * integral
@@ -199,6 +197,27 @@ def test_volterra_rejects_wideband_and_too_coarse_steps():
         solve_volterra(p, Lorentzian(4.0), SolverConfig(dt=0.1, t_end=1.0))
 
 
+def lags(self, dt, n):  # the kernel's values at the lags, not its modes
+    return 0.5 * self.lam * np.exp(-self.lam * dt * np.arange(n + 1))
+
+
+@pytest.mark.parametrize(
+    "kernel, steps",
+    [(lags, 1000), (lags, 1), (lambda self, dt, n: None, 10),
+     (lambda self, dt, n: (np.ones(3), np.ones(2)), 10),
+     (lambda self, dt, n: (np.ones((2, 2)), np.ones((2, 2))), 10),
+     (lambda self, dt, n: (np.ones(2), np.ones(2), np.ones(2)), 10)],
+    ids=["lags", "two-lags", "none", "unequal", "2-d", "triple"],
+)
+def test_volterra_rejects_a_kernel_that_is_not_modes(kernel, steps):
+    # a kernel is its modes (a, theta); lags of an older override, of any length, are
+    # refused at the boundary with the contract named
+    sd = type("Override", (Lorentzian,), {"kernel": kernel})(4.0)
+    cfg = SolverConfig(dt=1e-3, t_end=steps * 1e-3)
+    with pytest.raises(ModelError, match=r"must return modes \(a, theta\)"):
+        solve(SystemParams(e0=0.5), sd, cfg, "volterra")
+
+
 def test_volterra_divergence_guard():
     # a negative-weight kernel is unphysical and feeds the amplitude: the
     # solver must detect the blow-up instead of returning garbage, at the
@@ -223,9 +242,11 @@ def test_volterra_divergence_guard():
 
 
 def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeypatch):
-    # a static Volterra run has g = w b = b, so one array serves both; the chain's g is
-    # the bright component's update, so a chain under an idle drive at E0 = 0, whose
-    # node values are constant too, keeps the two apart
+    # the recurrence returns y, the caller's b0, with the carried modes at its block
+    # ends, and keeps g one block at a time: y is the run's one n-long array. The
+    # 48,000-step lambda = 200 run peaks at 3.15 MB traced, and a second g of the whole
+    # run (0.77 MB) would take it past the bound. Every static run is found static, the
+    # chain under an idle drive at E0 = 0 too, whose node values are constant
     runs, static = [], []
     recurrence, responses = solvers._memory_recurrence, solvers._block_responses
 
@@ -242,8 +263,17 @@ def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeyp
     idle, chain = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.0, omega=2.0)), FiniteChain(20, 4.0)
     solve(idle, chain, SolverConfig(dt=default_dt(idle, chain), t_end=1.5))
     assert len(static) == 3
-    assert [np.shares_memory(y, g) for y, g, _ in runs[:2]] == [True, True]
-    assert runs[2][1] is None  # the chain keeps g apart, one block at a time
+    for y, (ends, amps) in runs:
+        assert y.size == ends[-1] + 1 and amps.shape[0] == ends.size
+    assert [amps.shape[1] for _, (_, amps) in runs[1:]] == [1, 20]
+    p, sd = SystemParams(e0=0.3), Lorentzian(200.0)
+    tracemalloc.start()
+    try:
+        traj = solve_volterra(p, sd, SolverConfig(dt=default_dt(p, sd), t_end=6.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 48_001 and peak <= 3.5e6
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 23 with the five below
@@ -265,13 +295,13 @@ def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeyp
 @example(semicircle=False, width=20.0, n=3 * _CHUNK_BLOCKS * _BLOCK, e0=0.4, drive="level",
          sign=-1.0, frac=0.95)
 def test_volterra_matches_direct_history_sum(semicircle, width, n, e0, drive, sign, frac):
-    # the blocked history (FFT blocks, dense sub-blocks, transfer matrices, static
+    # the blocked history (carried modes, dense sub-blocks, transfer matrices, static
     # block responses) against the direct sum: below one sub-block, at one and one
     # past one sub-block and driven block, one short of, at and one past one static
     # block of 32 steps, three static blocks of 64 and five steps, over several
     # blocks, and one past the first batch of driven transfer matrices, with the
-    # Lorentzian's jcut < n when lam dt ~ 0.05; 24 blocks against 4 in the
-    # kernel's reach move the kept block spectra down three times
+    # Lorentzian's mode decayed to 1e-17 of K(0) within 800 lags when lam dt ~ 0.05,
+    # and carried over 24 blocks
     sd = Semicircle(width) if semicircle else Lorentzian(width)
     level = LevelDrive(u=1.5, omega=3.0) if drive == "level" else None
     barrier = BarrierDrive(alpha=0.5, omega=3.0) if drive == "barrier" else None
@@ -304,10 +334,10 @@ def test_static_volterra_matches_direct_history_sum(n, semicircle, width, e0, si
     # the static block responses against the direct sum at the edges of the block
     # length rule: one short of, at and one past one block of 32 and of 64 steps,
     # three blocks of 64 and five steps, the last run of 128-step blocks and the
-    # first of 256, 12 blocks of 256 and 16 of 1024 with five steps more; a
-    # Lorentzian kernel that ends within one block (jcut = 838, below B = 1024 at
-    # the longest run) and one that spans more than five (jcut = 1382 > 5 * 256),
-    # and a full-history semicircle, both signs of t
+    # first of 256, 12 blocks of 256 and 16 of 1024 with five steps more (the
+    # semicircle's modes lower the longest to 256); a Lorentzian kernel that decays
+    # within one block and one that reaches over several, and a full-history
+    # semicircle, both signs of t
     blocks = {31: 32, 32: 32, 33: 32, 63: 32, 64: 64, 65: 64, 197: 64, 1023: 128,
               1024: 256, 1025: 256, 3077: 256, 16389: 1024}
     assert _static_block(n) == blocks[n]
@@ -324,13 +354,37 @@ def test_static_volterra_matches_direct_history_sum(n, semicircle, width, e0, si
 
 
 @pytest.mark.parametrize(
+    "sd, steps, dt, driven, block, modes",
+    [(Lorentzian(200.0), 48_000, 1.25e-4, False, 1024, 1),
+     (Semicircle(6.0), 4096, 150.0 / (6.0 * 4096), False, 512, 116),
+     (Semicircle(6.0), 20_160, 84.0 / 20_160, False, 256, 309),
+     (Semicircle(6.0), 100, 4e-3, False, 64, 19),
+     (Lorentzian(4.0), 4096, 1e-3, True, _BLOCK, 1)],
+)
+def test_block_length_keeps_the_phase_table_within_its_budget(
+    monkeypatch, sd, steps, dt, driven, block, modes
+):
+    # one block rule: a static run takes _static_block(n), halved while its table of
+    # B lags by R modes exceeds 2^16 entries but not below _BLOCK (the benchmark's
+    # lambda = 200 run keeps 1024, its semicircle gets 256); a driven run takes _BLOCK
+    assert _static_block(steps) == {48_000: 1024, 4096: 512, 20_160: 1024, 100: 64}[steps]
+    runs, recurrence = [], solvers._memory_recurrence
+    monkeypatch.setattr(solvers, "_memory_recurrence",
+                        lambda *a: runs.append(recurrence(*a)) or runs[-1])
+    drive = LevelDrive(u=1.0, omega=2.0) if driven else None
+    solve_volterra(SystemParams(e0=0.3, level_drive=drive), sd, SolverConfig(dt, steps * dt))
+    (_, (ends, amps)), = runs
+    assert ends[0] == block and ends[-1] == steps and amps.shape[1] == modes
+
+
+@pytest.mark.parametrize(
     "steps",
     [1, 2, _SUB - 1, _SUB, _SUB + 1, 3 * _SUB + 5, _BLOCK + _SUB + 3, _CHUNK_BLOCKS * _BLOCK + 5,
      31, 32, 33, 3 * 64 + 5, _BLOCK + 35],
 )
 @pytest.mark.parametrize("driven", [False, True])
 def test_volterra_sub_block_edges(steps, driven):
-    # node 0 enters with half weight as forcing of every step; a run shorter
+    # node 0 enters with half weight as g_{-1} in every step's memory; a run shorter
     # than one sub-block, partial last sub-blocks, one past a block and one
     # past the first batch of transfer matrices all match the direct sum, and
     # so do a static run one short of, at and one past one block of 32 steps,
