@@ -273,22 +273,23 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
     vnorm = float(np.linalg.norm(om))
     vhat = om / vnorm if vnorm > 0.0 else om  # no coupling: a zero kernel, free evolution
 
-    # every drive value the steps need, evaluated once: nodes, midpoints, step ends
-    mids = times[:-1] + 0.5 * h
-    wmid = params.w_at(mids)
-    low = np.flatnonzero(wmid <= 0.0)
-    if low.size:
-        i = low[0]
-        raise SolverError(f"barrier profile w(t) reached {wmid[i]:.3g} at t = {mids[i]:.4g}")
-    theta = vnorm * wmid * h
-    e0_mid = params.e0_integral(mids)
-    values = (
-        np.exp(-1j * (e0_mid - params.e0_integral(times[:-1]))),
-        np.cos(theta),
-        np.sin(theta),
-        np.exp(-1j * (params.e0_integral(times[:-1] + h) - e0_mid)),
-    )
-    del mids, wmid, e0_mid, theta  # only the step values stay through the run
+    # the drive values of steps lo .. hi - 1 at their nodes, midpoints and ends
+    def values(lo, hi):
+        t = times[lo:hi]
+        mids = t + 0.5 * h
+        wmid = params.w_at(mids)
+        low = np.flatnonzero(wmid <= 0.0)
+        if low.size:
+            i = low[0]
+            raise SolverError(f"barrier profile w(t) reached {wmid[i]:.3g} at t = {mids[i]:.4g}")
+        theta = vnorm * wmid * h
+        e0_mid = params.e0_integral(mids)
+        return (
+            np.exp(-1j * (e0_mid - params.e0_integral(t))),
+            np.cos(theta),
+            np.sin(theta),
+            np.exp(-1j * (params.e0_integral(t + h) - e0_mid)),
+        )
 
     # Strang step k: the phase ph1, the star-coupling rotation of (b, vhat.br) by
     # (c, s), the phase ph2, with e^{-i E_r h/2} on br before and after. br then
@@ -299,11 +300,12 @@ def _evolve_strang(chain: FiniteChain, params: SystemParams, times: np.ndarray):
         b = ph1 * x[0]
         return (ph2 * (c * b - 1j * s * proj),), -1j * s * b + (c - 1.0) * proj
 
-    # the kernel as its N modes; M(k) at each block end k gives the norm there and br
+    # the kernel as its N modes; M(k) gives the norm at each block end k and br at the last
     theta_r = er * h
-    b0, (ends, amps) = _memory_recurrence(strang, values, (1.0,), (vhat * vhat, theta_r))
-    drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + np.abs(amps) ** 2 @ vhat**2 - 1.0)))
-    br = vhat * np.exp(0.5j * theta_r) * amps[-1]
+    b0, ends, mass, m_end = _memory_recurrence(
+        strang, values, times.size - 1, (1.0,), (vhat * vhat, theta_r))
+    drift = float(np.max(np.abs(np.abs(b0[ends]) ** 2 + mass - 1.0)))
+    br = vhat * np.exp(0.5j * theta_r) * m_end
     return b0, br, drift
 
 

@@ -27,10 +27,10 @@ at E0 + n omega:
                    second term + i alpha omega / (d_n^2 - omega^2) generated
                    by the w(t) prefactor (d_n = E - E0 - n omega + i Gamma/2).
 
-floquet_spectrum takes the weights from the one active drive of params, a
-level drive with u != 0 or a barrier drive with alpha != 0; _sidebands owns
-that choice, the Bessel argument x (u/omega or xi) and the cutoff n_max,
-and spectra reads its sideband count and grid from the same rule. Each
+floquet_spectrum takes the weights from the one drive of params (SystemParams
+drops a drive of zero amplitude); _sidebands owns that choice, the Bessel
+argument x (u/omega or xi) and the cutoff n_max, and spectra reads its
+sideband count and grid from the same rule. Each
 weight list, n = -n_max .. n_max, is one bessel_j or bessel_ive table (one
 Miller pass at x; e^{-xi} I_n is finite for any xi < 1e4).
 
@@ -54,8 +54,8 @@ energy, so N_E energies over M poles cost O(panels p M + N_E p) instead of
 O(M N_E). Sparser panels, and every energy when M <= 2p or when the
 energies and poles reach 2^40 (see _pole_sum_sq), take the direct sum.
 
-Everything is vectorized over the time / energy argument; sgn(0) = 0, which
-makes b0(0) = 1 exact. Non-finite energies are rejected.
+Everything is vectorized over the time / energy argument, the time-domain
+amplitudes _CHUNK times at a time; sgn(0) = 0, which makes b0(0) = 1 exact. Non-finite energies are rejected.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ FLOQUET_TAIL_TOL = 1.0e-10
 _POLE_BLOCK = 1 << 16  # (energy, pole) pairs per block of the sideband sums
 _CHEB_POINTS = 18  # Chebyshev points per panel of the sideband sums
 _PANEL_BLOCK = _POLE_BLOCK // _CHEB_POINTS  # targets per block of the panel walk
+_CHUNK = 1 << 12  # times or targets per chunk of the time-domain closed forms and spectra's NUFFT
 
 
 _PHASE4 = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^n exactly, indexed by n % 4
@@ -93,6 +94,16 @@ def _maybe_scalar(values, scalar: bool):
     return values[()] if scalar else values
 
 
+def _in_chunks(f, t: np.ndarray) -> np.ndarray:
+    """f(t) for a complex-valued elementwise f, evaluated _CHUNK entries of t at a time, so
+    that f's temporaries stay the size of one chunk."""
+    flat = t.reshape(-1)
+    out = np.empty(flat.size, dtype=complex)
+    for lo in range(0, flat.size, _CHUNK):
+        out[lo : lo + _CHUNK] = f(flat[lo : lo + _CHUNK])
+    return out.reshape(t.shape)
+
+
 def b0_markovian_driven(params: SystemParams, t):
     """Wide-band amplitude b0 = exp(-i Phi(t)) under the drives of params, any sign of t.
 
@@ -102,9 +113,11 @@ def b0_markovian_driven(params: SystemParams, t):
     of t, so |b0| <= 1.
     """
     t, scalar = _as_float_array(t)
-    w2_int = params.w2_integral(t)
-    phase = params.e0_integral(t) - 0.5j * np.sign(t) * w2_int
-    return _maybe_scalar(np.exp(-1j * phase), scalar)
+
+    def b0(t):
+        return np.exp(-1j * (params.e0_integral(t) - 0.5j * np.sign(t) * params.w2_integral(t)))
+
+    return _maybe_scalar(_in_chunks(b0, t), scalar)
 
 
 def lorentzian_q(params: SystemParams, lam: float, sign: float) -> complex:
@@ -135,28 +148,31 @@ def b0_lorentzian_static(params: SystemParams, lam: float, t):
     if not lam > 0.0:
         raise ModelError(f"Lorentzian half-width must be positive, got {lam}")
     t, scalar = _as_float_array(t)
-    t = np.atleast_1d(t)
-    at = np.abs(t)
     q = lorentzian_q(params, lam, 1.0)
     k = lam + 1j * params.e0  # L + i E0
     c = k.conjugate() / q if q else 0.0  # Q = 0 leaves every time to the |z| < 1 form
-    # 0.5 (1 + c) (e^{(Q-k)|t|/2} + r e^{-(Q+k)|t|/2}), r = (1-c)/(1+c), in two buffers: no
-    # product overwrites its operand, where numpy's rounding depends on the array length
-    em = at * (-0.5 * (q + k))
-    np.exp(em, out=em)
-    out = em * ((1.0 - c) / (1.0 + c))
-    np.multiply(at, 0.5 * (q - k), out=em)
-    np.exp(em, out=em)
-    out += em
-    out = np.multiply(out, 0.5 * (1.0 + c), out=em)
-    near = abs(q) * at < 2.0
-    a = at[near]
-    z = 0.5 * q * a
-    sinhc = np.sinc(z / np.pi * 1j)  # sinh(z)/z, 1 at z = 0
-    out[near] = np.exp(-0.5 * k * a) * (np.cosh(z) + k.conjugate() * 0.5 * a * sinhc)
-    out[at == 0.0] = 1.0  # U(0) = I exactly, also where Q overflows
-    out.imag *= np.where(t < 0.0, -1.0, 1.0)  # b0(-t) = conj b0(t)
-    return out[0] if scalar else out
+
+    def b0(t):
+        at = np.abs(t)
+        # 0.5 (1 + c) (e^{(Q-k)|t|/2} + r e^{-(Q+k)|t|/2}), r = (1-c)/(1+c), in two buffers:
+        # no product overwrites its operand, where numpy's rounding depends on the length
+        em = at * (-0.5 * (q + k))
+        np.exp(em, out=em)
+        out = em * ((1.0 - c) / (1.0 + c))
+        np.multiply(at, 0.5 * (q - k), out=em)
+        np.exp(em, out=em)
+        out += em
+        out = np.multiply(out, 0.5 * (1.0 + c), out=em)
+        near = abs(q) * at < 2.0
+        a = at[near]
+        z = 0.5 * q * a
+        sinhc = np.sinc(z / np.pi * 1j)  # sinh(z)/z, 1 at z = 0
+        out[near] = np.exp(-0.5 * k * a) * (np.cosh(z) + k.conjugate() * 0.5 * a * sinhc)
+        out[at == 0.0] = 1.0  # U(0) = I exactly, also where Q overflows
+        out.imag *= np.where(t < 0.0, -1.0, 1.0)  # b0(-t) = conj b0(t)
+        return out
+
+    return _maybe_scalar(_in_chunks(b0, t), scalar)
 
 
 def short_time_coefficients(lam: float) -> Tuple[float, float]:
@@ -189,20 +205,20 @@ def lineshape_markovian(params: SystemParams, e_r, t: float):
 
 
 def _sidebands(params: SystemParams) -> Optional[Tuple[float, float, int]]:
-    """(x, omega, n_max) of the active drive of params, None when none is active.
+    """(x, omega, n_max) of the drive of params, None when it has none.
 
-    A level drive is active when u != 0, a barrier drive when alpha != 0. x
-    is the Bessel argument of the sideband weights, u/omega for the level
+    x is the Bessel argument of the sideband weights, u/omega for the level
     and xi = alpha/omega for the barrier; n_max cuts both weight tails
-    below FLOQUET_TAIL_TOL. The resummation covers one drive, so two active
-    drives raise ModelError, as does |x| >= J_ARG_MAX, the Bessel tables' limit.
+    below FLOQUET_TAIL_TOL. The resummation covers one drive, so two drives
+    raise ModelError, as does |x| >= J_ARG_MAX, the Bessel tables' limit.
+    SystemParams drops a drive of zero amplitude, so static params have none.
     """
-    if params.u != 0.0 and params.alpha != 0.0:
+    if params.level_drive is not None and params.barrier_drive is not None:
         raise ModelError("the sideband resummation covers one drive; both are active")
-    if params.u != 0.0:
+    if params.level_drive is not None:
         om = params.level_drive.omega
         x, name = params.u / om, "u/omega"
-    elif params.alpha != 0.0:
+    elif params.barrier_drive is not None:
         om = params.barrier_drive.omega
         x, name = params.alpha / om, "alpha/omega"
     else:
@@ -228,7 +244,7 @@ def floquet_spectrum(params: SystemParams, e_r):
         return lineshape_markovian(params, e_r, math.inf)
     x, om, n_max = sidebands
     orders = np.arange(-n_max, n_max + 1)
-    if params.u != 0.0:
+    if params.level_drive is not None:
         coef = _PHASE4[orders % 4] * bessel_j(orders, x)
     else:
         al = params.alpha

@@ -126,7 +126,9 @@ class SystemParams:
     """Static level position and optional drives (all in units of Gamma = 1).
 
     Both drives may be present simultaneously; they are evaluated
-    independently wherever that combination is supported. The solvers read
+    independently wherever that combination is supported. A LevelDrive with
+    u = 0 or a BarrierDrive with alpha = 0 is dropped, so the run is static
+    exactly when static says so; a subclass profile is kept. The solvers read
     the drives only through the profiles e0_at = E0(t), e0_rate = dE0/dt,
     e0_integral = int_0^t E0 dt', w_at = w(t), w_rate = dw/dt and
     w2_integral = int_0^t w^2 dt', each vectorized over t.
@@ -138,6 +140,11 @@ class SystemParams:
 
     def __post_init__(self):
         _check_finite(self, "e0")
+        # a sinusoid of zero amplitude is no drive; a subclass profile may still move
+        if type(self.level_drive) is LevelDrive and self.level_drive.u == 0.0:
+            object.__setattr__(self, "level_drive", None)
+        if type(self.barrier_drive) is BarrierDrive and self.barrier_drive.alpha == 0.0:
+            object.__setattr__(self, "barrier_drive", None)
 
     @property
     def u(self) -> float:

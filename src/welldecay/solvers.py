@@ -27,9 +27,11 @@ starts from b0(0) = 1:
   within a block is time-invariant, so each block is one causal FFT
   product of its history sums with the block's impulse responses, computed
   once, plus their responses to its incoming state. The work is O(n (log B
-  + R)), plus O(n S) when driven, and the memory O(n + B R). The driven
-  finite chain (chain.py) runs on the same helper, its kernel given as its
-  N reservoir modes.
+  + R)), plus O(n S) when driven. The memory is b0 plus fixed blocks,
+  O(n + B R): one row of carried modes, one block of the recurrence, and
+  node values as constants when static, else evaluated a chunk of blocks
+  at a time. The driven finite chain (chain.py) runs on the same helper,
+  its kernel given as its N reservoir modes.
 
 * "ode" (solve_lorentzian_ode): the equivalent second-order ODE for the
   Lorentzian kernel,
@@ -60,6 +62,11 @@ Every route reads E0(t) and w(t) from its SystemParams.
 A cfg with t_start != 0 spans both sides of t = 0: solve runs the route once
 per side from t = 0 and joins them on the grid t_start -> 0 -> t_end; the
 routes themselves run one side and refuse such a cfg.
+
+Every route but "ode", which holds its coefficients on every node and
+half-node, keeps its output plus fixed-size working blocks, so the step
+count is the one size admitted: _step_count refuses more than STEP_BUDGET
+steps, 2 GiB of times, b0 and P0.
 
 Grids always contain t = 0 as a node and satisfy the resolution rule
 dt * max(1, band, |E0| + u, omega) <= 0.05, 1 being the level width Gamma
@@ -101,6 +108,7 @@ ROUTES = {
 }
 
 RESOLUTION_LIMIT = 0.05
+STEP_BUDGET = 1 << 26  # steps a run may take: 2 GiB of output at 32 bytes (t, b0, P0) a step
 DIVERGENCE_LIMIT = 2.0
 _RK4_CHUNK = 1024  # RK4 steps whose step matrices are held at once
 _RK4_ROW = 32  # RK4 steps per row of running products; a power of 2 dividing _RK4_CHUNK
@@ -183,10 +191,11 @@ class AmplitudeTrajectory:
 
 
 def _step_count(t_end: float, dt: float) -> float:
-    """|t_end| / dt, unrounded; a count no time grid can hold raises ModelError."""
+    """|t_end| / dt, unrounded; a count past STEP_BUDGET raises ModelError."""
     steps = abs(t_end) / dt
-    if not steps < 2.0**60:  # inf too: no float64 array has that many entries
-        raise ModelError(f"|t_end| / dt = {steps:.3g} steps, more than a time grid can hold")
+    if not steps <= STEP_BUDGET:  # inf and NaN too
+        raise ModelError(f"|t_end| / dt = {steps:.3g} steps, more than the budget of "
+                         f"{STEP_BUDGET} steps (2 GiB of times, b0 and P0)")
     return steps
 
 
@@ -318,13 +327,16 @@ def solve_volterra(
         integral = integral + c1 * wk * (bnew - bp)
         return (bnew, ie * bnew - wk * integral), wk * bnew
 
-    w = params.w_at(times)
-    e0 = params.e0_at(times)
+    w0, ie0 = float(params.w_at(times[0])), -1j * float(params.e0_at(times[0]))
+    if params.static:
+        values = (w0, ie0)
+    else:
+        def values(lo, hi):  # steps lo .. hi - 1, which reach nodes lo + 1 .. hi
+            t = times[lo + 1 : hi + 1]
+            return params.w_at(t), -1j * params.e0_at(t)
+
     # the trapezoid gives node 0 half weight: g_{-1} = w_0 b_0 / 2 enters every step's memory
-    b = _memory_recurrence(
-        heun, (w[1:], -1j * e0[1:]), (1.0, -1j * float(e0[0])), modes, 0.5 * float(w[0]),
-        times[1:],
-    )[0]
+    b = _memory_recurrence(heun, values, n, (1.0, ie0), modes, 0.5 * w0, times[1:])[0]
 
     return AmplitudeTrajectory(times, b, params, sd, cfg, VOLTERRA_PC)
 
@@ -349,17 +361,20 @@ def _check_divergence(b: np.ndarray, times: np.ndarray) -> None:
         raise SolverError(f"|b0| exceeded {DIVERGENCE_LIMIT} at t = {times[bad[0]]:.4g}")
 
 
-def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
+def _memory_recurrence(step, values, n, x0, modes, m0=0.0, ends=None):
     """Run the linear recurrence x_{k+1}, g_k = step(x_k, base_k, v_k), k < n, with
     the memory base_k = sum_{-1 <= m < k} K_{k-m} g_m of the kernel given by its
     modes (a, theta), K_j = sum_r a_r e^{-i theta_r j}, and g_{-1} = m0.
 
     step must be linear in (x, base) and elementwise: it is called on
-    coefficient arrays. values holds the n node values v_k, one array per
-    value; x0 is the initial state. Returns y (the first state component of
-    x_0 .. x_n) and the pair (k, M): the step counts k at every block end,
-    the last n, and the mode amplitudes M_r(k) = sum_{-1 <= m < k}
-    e^{-i theta_r (k - m)} g_m there. Given the step end times ends,
+    coefficient arrays. values gives the node values v_k: a tuple of
+    constants when none varies, else a function values(lo, hi) that returns
+    those of steps lo .. hi - 1, one array per value, called once per chunk
+    of _CHUNK_BLOCKS blocks in step order; no n-long array of them is formed.
+    x0 is the initial state. Returns y (the first state component of x_0 ..
+    x_n), the step counts k at every block end (the last n), sum_r a_r
+    |M_r(k)|^2 there and M(n), for the mode amplitudes M_r(k) = sum_{-1 <=
+    m < k} e^{-i theta_r (k - m)} g_m. Given the step end times ends,
     _check_divergence reads y after each block.
 
     The steps run in blocks of B steps. Earlier blocks enter a block's
@@ -369,20 +384,20 @@ def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
     t} a_r M_r(l) at its step l + t, and M_r(l + B) = e^{-i theta_r B}
     M_r(l) + sum_{t<B} e^{-i theta_r (B - t)} g_{l+t}, both products with
     the table e^{-i theta_r t}, t < B, and the block phase formed directly.
-    So the run keeps one block of g.
+    So the run keeps one block of g and one row of M beside y.
 
     When node values vary, B is _BLOCK and each sub-block of _SUB steps
-    builds its own transfer matrix (_transfers, _CHUNK_BLOCKS blocks at a
-    time); earlier sub-blocks of the block enter by a dense Toeplitz
-    product. When none varies, B is _static_block(n), halved while the
-    phase table exceeds _TABLE entries but not below _BLOCK; a block is the
-    causal FFT product of length 2 B of its history sums with the impulse
-    responses of _block_responses, plus their responses to its incoming
-    state (for g alone when its responses equal y's: y is then g); a block
-    past the limit runs again by sub-blocks, free of FFT rounding.
+    builds its own transfer matrix (_transfers, one chunk at a time);
+    earlier sub-blocks of the block enter by a dense Toeplitz product. When
+    none varies, B is _static_block(n), halved while the phase table
+    exceeds _TABLE entries but not below _BLOCK; a block is the causal FFT
+    product of length 2 B of its history sums with the impulse responses of
+    _block_responses, plus their responses to its incoming state (for g
+    alone when its responses equal y's: y is then g); a block past the
+    limit runs again by sub-blocks, free of FFT rounding.
     """
-    static = all(np.all(v == v[0]) for v in values)
-    n, S, dim = values[0].size, _SUB, len(x0)
+    static = not callable(values)
+    S, dim = _SUB, len(x0)
     amp, theta = modes
     B = _within_table(_static_block(n) if static else _BLOCK, theta.size, _BLOCK)
     nblocks = -(-n // B)
@@ -390,13 +405,16 @@ def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
     kc = np.zeros(B + S, dtype=complex)  # the lags below B, all a block reaches
     kc[1:B] = turn[1:] @ amp
     if static:  # first, so that its temporaries do not add to the run's arrays
-        resp = _block_responses(step, tuple(v[0] for v in values), kc, dim, B)
+        resp = _block_responses(step, values, kc, dim, B)
 
     # the steps run in whole blocks; padded steps repeat the last node values
     size = nblocks * B
 
-    def padded(v, lo, hi):  # v[lo:hi] padded to whole sub-blocks, as (sub-blocks, S)
-        return np.pad(v[lo:hi], (0, max(0, hi - n)), mode="edge").reshape(-1, S)
+    def chunk(lo, hi):  # node values of steps lo .. hi - 1 as (sub-blocks, S), padded
+        if static:
+            return [np.full(((hi - lo) // S, S), v) for v in values]
+        return [np.pad(v, (0, hi - lo - v.size), mode="edge").reshape(-1, S)
+                for v in values(lo, min(hi, n))]
 
     rows = 1 if static and np.array_equal(resp[0], resp[1]) else 2  # g, then y unless y is g
     x = np.array(x0, dtype=complex)
@@ -405,19 +423,30 @@ def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
     y = y_out[1:]
     g = np.zeros(B, dtype=complex)  # g of the block, as far back as the far field reads it
     spec = np.empty(2 * B, dtype=complex)  # FFT buffer, reused so that the run allocates less
-    carried = np.zeros((nblocks + 1, theta.size), dtype=complex)  # M at 0 and each block end
-    carried[0] = turn[1] * m0
+    carried = turn[1] * m0  # M at the start of the block
+    mass = np.empty(nblocks, dtype=np.result_type(amp, 1.0))  # sum_r a_r |M_r|^2 at block ends
+    # M at the block ends not yet in mass, summed 8 at a time and the last 9 to 16 at once
+    # (or all, when fewer): each sum then rounds as in one product over every block end
+    held = np.empty((16, theta.size), dtype=complex)
+    summed = 0
     block_phase = np.exp(-1j * B * theta)  # e^{-i theta_r B} formed directly: powers drift
 
     def carry(i, hi, phase):  # M at step hi from M at the start of block i
+        nonlocal carried, summed
         gb = g[: hi - i * B][::-1].copy()  # contiguous: a reversed view takes matmul off BLAS
-        carried[i + 1] = phase * carried[i] + turn[1] * (gb @ turn[: gb.size])
+        carried = phase * carried + turn[1] * (gb @ turn[: gb.size])
+        if i - summed == 16:
+            mass[summed : summed + 8] = np.abs(held[:8]) ** 2 @ amp
+            held[:8] = held[8:]
+            summed += 8
+        held[i - summed] = carried
+        if hi == n:
+            mass[summed:] = np.abs(held[: i - summed + 1]) ** 2 @ amp
 
     def far_field(lo):  # the history sums over g_{-1} and earlier blocks, block lo // B
-        i = lo // B
-        if i:
-            carry(i - 1, lo, block_phase)
-        return turn @ (amp * carried[i])
+        if lo:
+            carry(lo // B - 1, lo, block_phase)
+        return turn @ (amp * carried)
 
     near = sliding_window_view(kc[1 : B + S], B)[:, ::-1]  # K[B + r - c]
     inp = np.empty(dim + S, dtype=complex)  # incoming state, then the sub-block's history sums
@@ -438,7 +467,7 @@ def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
             span = _CHUNK_BLOCKS * B
             for clo in range(0, size, span):
                 chi = min(clo + span, size)
-                mats = _transfers(step, [padded(v, clo, chi) for v in values], kc[:S], dim)
+                mats = _transfers(step, chunk(clo, chi), kc[:S], dim)
                 for lo in range(clo, chi, B):
                     x = sub_blocks(mats[(lo - clo) // S :], lo, far_field(lo), x)
                     if ends is not None:
@@ -463,13 +492,13 @@ def _memory_recurrence(step, values, x0, modes, m0=0.0, ends=None):
                     try:
                         _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
                     except SolverError:  # FFT rounding alone may cross the limit: rerun the block
-                        mats = _transfers(step, [padded(v, 0, S) for v in values], kc[:S], dim)
-                        mats = np.broadcast_to(mats, (B // S,) + mats.shape[1:])
+                        mats = np.broadcast_to(_transfers(step, chunk(0, S), kc[:S], dim),
+                                               (B // S, 2 * S + dim, dim + S))
                         xo = sub_blocks(mats, lo, far, x)
                         _check_divergence(y[lo : min(lo + B, n)], ends[lo : lo + B])
                 x = xo
     carry(nblocks - 1, n, np.exp(-1j * (n - size + B) * theta))  # to n, not over padded steps
-    return y_out[: n + 1], (np.minimum(B * np.arange(1, nblocks + 1), n), carried[1:])
+    return y_out[: n + 1], np.minimum(B * np.arange(1, nblocks + 1), n), mass, carried
 
 
 def _within_table(B: int, modes: int, floor: int) -> int:

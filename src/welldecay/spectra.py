@@ -163,12 +163,13 @@ def spectrum_from_trajectory(traj: AmplitudeTrajectory, energies: np.ndarray) ->
             f"trajectory step cannot resolve the grid: dt * max|E| = {worst:.3g} "
             f"> {TRAJECTORY_PHASE_LIMIT}; refine dt or shrink the energy window"
         )
-    w = traj.params.w_at(times)
-    weights = np.full_like(times, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    g = weights * w * b0
-    dens = np.asarray(traj.sd.density(energies), dtype=float)
-    values = np.abs(_uniform_sum(g, energies * dt)) ** 2 * dens
+    g = dt * traj.params.w_at(times)  # the trapezoid weights times w
+    g[0] *= 0.5
+    g[-1] *= 0.5
+    g = g * b0
+    values = np.abs(_uniform_sum(g, energies * dt))
+    values *= values
+    values *= np.asarray(traj.sd.density(energies), dtype=float)
     return EnergySpectrum.build(energies, values, time=float(times[-1]))
 
 
@@ -192,9 +193,10 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     a scalar from a table of the _SPREAD ratios e^{-(2|s| - 1) h^2/4 tau}, so
     rounding grows by about 2 _SPREAD ulp. Node indices wrap modulo the grid,
     also where the grid is smaller than the stencil.
+    The grid is formed once and read off closedform._CHUNK targets at a time.
     Measured against a long-double direct sum: within 5e-14 of sum |g_k| for
     |x| <= 10 and N = 1..1000, within 1e-14 for |x| <= 0.2. Cost
-    O(N log N + _SPREAD len(x)), memory O(N + len(x)).
+    O(N log N + _SPREAD len(x)), memory O(N) beside the len(x) results.
     """
     n = g.size
     centre = n // 2
@@ -202,17 +204,29 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     size = 1 << math.ceil(math.log2(_OVERSAMPLE * n))
     r = size / n
     tau = math.pi * _SPREAD / (n * n * r * (r - 0.5))
-    h = 2.0 * math.pi / size
     fine = np.zeros(size, dtype=complex)
     fine[m % size] = g * np.exp(tau * m * m)
-    fine = np.fft.ifft(fine)  # 1/size cancels the grid sum's quadrature weight
+    del m
+    np.fft.ifft(fine, out=fine)  # 1/size cancels the grid sum's quadrature weight
+    out = np.empty(x.size, dtype=complex)
+    for lo in range(0, x.size, closedform._CHUNK):
+        part = slice(lo, lo + closedform._CHUNK)
+        _read_off(fine, x[part], tau, centre, out[part])
+    return out
+
+
+def _read_off(fine: np.ndarray, x: np.ndarray, tau: float, centre: int, out: np.ndarray) -> None:
+    """out = A(x) from the deconvolved grid fine of _uniform_sum, by fast Gaussian
+    gridding over the 2 _SPREAD grid points nearest each x; its per-target arrays
+    live for one call."""
+    h = 2.0 * math.pi / fine.size
+    # node s's e^{-s^2 h^2/4 tau} over node s-1's, for s = 1 .. _SPREAD
+    table = np.exp((1.0 - 2.0 * np.arange(1, _SPREAD + 1)) * (h * h / (4.0 * tau)))
     idx = np.floor(x / h).astype(np.int64)
     delta = x - idx * h
     ratio = np.exp(delta * (h / (2.0 * tau)))
     weight = np.exp(delta * delta / (-4.0 * tau))
     del delta  # each per-target array still alive adds to the peak memory
-    # node s's e^{-s^2 h^2/4 tau} over node s-1's, for s = 1 .. _SPREAD
-    table = np.exp((1.0 - 2.0 * np.arange(1, _SPREAD + 1)) * (h * h / (4.0 * tau)))
     amp = fine.take(idx, mode="wrap") * weight
     near = np.empty_like(amp)
     for step, reach in ((1, _SPREAD), (-1, _SPREAD - 1)):
@@ -226,7 +240,10 @@ def _uniform_sum(g: np.ndarray, x: np.ndarray) -> np.ndarray:
             amp += near
         idx -= step * reach
         np.reciprocal(ratio, out=ratio)
-    return math.sqrt(math.pi / tau) * np.exp(1j * centre * x) * amp
+    del power, ratio, weight, idx
+    phase = np.exp(1j * centre * x)
+    phase *= math.sqrt(math.pi / tau)
+    np.multiply(phase, amp, out=out)
 
 
 def spectrum_asymptotic(params: SystemParams, energies: np.ndarray) -> EnergySpectrum:

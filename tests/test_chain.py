@@ -511,6 +511,22 @@ def test_chain_barrier_with_nonpositive_w_raises_at_first_midpoint(t_end, first_
     assert abs(named - first_bad) <= cfg.dt
 
 
+@pytest.mark.parametrize("t_end, dt", [(45.0, 5e-3), (-10.0, 2e-3)])
+def test_chain_barrier_guard_names_the_first_bad_midpoint_in_a_later_chunk(t_end, dt):
+    # w = 1 + 1.5 sin(t / 10) first reaches 0 at t = 38.7 going forward, on step 7,742
+    # (the fourth chunk of node values), and at t = -7.30 going back, on step 3,649
+    # (the second); the steps before it run, and the error names the same t as a
+    # check over every midpoint at once
+    p = SystemParams(e0=0.0, barrier_drive=BarrierDrive(alpha=1.5, omega=0.1))
+    cfg = SolverConfig(dt=dt, t_end=t_end)
+    times = _grid(cfg)
+    mids = times[:-1] + 0.5 * (times[1] - times[0])
+    first = int(np.flatnonzero(p.w_at(mids) <= 0.0)[0])
+    assert first >= _CHUNK_BLOCKS * _BLOCK
+    with pytest.raises(SolverError, match=f"at t = {mids[first]:.4g}$"):
+        solve(p, FiniteChain(20, 4.0), cfg)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     n=st.integers(1, 40),
@@ -553,21 +569,21 @@ def test_driven_chain_matches_step_by_step_strang(drive, t_end):
 def test_driven_chain_sub_block_edges(steps):
     # fewer steps than one sub-block, a partial last sub-block, one past a
     # block, a last block one short of full, full and of one step (the carried
-    # modes end on step n, not on a padded step), and one past the first batch
-    # of transfer matrices; an idle drive at E0 = 0 runs the static blocks
-    for e0, u in ((-0.3, 1.0), (0.0, 0.0)):
-        params = SystemParams(e0=e0, level_drive=LevelDrive(u=u, omega=3.0))
-        check_against_strang_reference(params, FiniteChain(12, 4.0), 2e-3, steps * 2e-3)
+    # modes end on step n, not on a padded step), and one past the first chunk
+    # of node values and transfer matrices
+    params = SystemParams(e0=-0.3, level_drive=LevelDrive(u=1.0, omega=3.0))
+    check_against_strang_reference(params, FiniteChain(12, 4.0), 2e-3, steps * 2e-3)
 
 
 def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
     # the benchmark's survival-chain-level run, N = 250 and 33,333 steps. Measured
-    # peak 5.59 MB: the step values (1.6 MB), y, which is the returned b0 (0.53 MB), the
-    # phase table of B = 256 lags (1.02 MB), the modes at the 131 block ends (0.52 MB)
-    # and one chunk of transfer matrices (1.15 MB). g of the whole run and a copy of y
-    # into b0 held 6.12 MB at the peak; the n-lag kernel table with its block spectra
-    # and their ring, which the modes replace, 12.34 MB. The drift reads 2.4e-14; a
-    # block phase taken as the B-th power of e^{-i E_r h} reads 3.6e-13
+    # peak 3.46 MB: y, which is the returned b0 (0.53 MB), the phase table of B = 256
+    # lags (1.02 MB) and one chunk of transfer matrices (1.15 MB) with its node values. The
+    # step values of the whole run (1.6 MB) and the modes at the 131 block ends
+    # (0.52 MB) held 5.52 MB; g of the whole run and a copy of y into b0 6.12 MB; the
+    # n-lag kernel table with its block spectra and their ring, which the modes
+    # replace, 12.34 MB. The drift reads 2.4e-14; a block phase taken as the B-th power
+    # of e^{-i E_r h} reads 3.6e-13
     params = SystemParams(e0=0.758, level_drive=LevelDrive(u=1.0, omega=1.0))
     tracemalloc.start()
     try:
@@ -576,7 +592,22 @@ def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
     finally:
         tracemalloc.stop()
     assert traj.times.size == 33_334 and traj.norm_drift <= 1e-13
-    assert peak <= 6.6e6
+    assert peak <= 4.5e6
+
+
+def test_long_driven_chain_memory_is_its_output_and_fixed_blocks():
+    # N = 250 over 100,000 steps. Measured peak 5.11 MB: b0 (1.6 MB) beside the fixed
+    # blocks of the run above. The node values of every step (4.8 MB) or the modes at
+    # its 391 block ends (1.56 MB) would take it past the bound; both held 11.4 MB
+    params = SystemParams(e0=0.5, level_drive=LevelDrive(u=1.0, omega=1.0))
+    tracemalloc.start()
+    try:
+        traj = solve(params, FiniteChain(250, 6.0), SolverConfig(dt=0.003, t_end=300.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 100_001 and traj.norm_drift <= 1e-13
+    assert peak <= 6.0e6
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -588,8 +619,7 @@ def test_benchmark_driven_chain_memory_holds_no_whole_run_table():
     level=st.booleans(),
     sign=st.sampled_from([1.0, -1.0]),
 )
-# an idle drive at E0 = 0 leaves every node value constant: the static block responses,
-# with y and g in two rows
+# an idle drive is no drive: the run is the static one, by the secular equation
 @example(e0=0.0, u=0.0, omega=2.0, alpha=0.5, level=True, sign=1.0)
 @example(e0=0.0, u=1.0, omega=1.5, alpha=0.0, level=False, sign=-1.0)
 def test_driven_chain_matches_strang_reference_random(e0, u, omega, alpha, level, sign):
@@ -598,4 +628,11 @@ def test_driven_chain_matches_strang_reference_random(e0, u, omega, alpha, level
     else:
         params = SystemParams(e0=e0, barrier_drive=BarrierDrive(alpha, omega))
     chain = FiniteChain(20, 4.0)
-    check_against_strang_reference(params, chain, default_dt(params, chain), sign * 1.5)
+    dt = default_dt(params, chain)
+    if (u if level else alpha) == 0.0:
+        traj = solve(params, chain, SolverConfig(dt=dt, t_end=sign * 1.5))
+        static = solve(SystemParams(e0=e0), chain, SolverConfig(dt=dt, t_end=sign * 1.5))
+        assert params.static and traj.method == "eigendecomposition"
+        assert np.array_equal(traj.b0, static.b0) and np.array_equal(traj.br, static.br)
+    else:
+        check_against_strang_reference(params, chain, dt, sign * 1.5)

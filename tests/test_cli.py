@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from welldecay import cli, solvers
 from welldecay.cli import main
 from welldecay.model import FiniteChain, LevelDrive, Semicircle, SystemParams, WideBand
-from welldecay.solvers import SolverConfig, default_dt, solve
+from welldecay.solvers import STEP_BUDGET, SolverConfig, default_dt, solve
 
 
 def read_csv(path):
@@ -543,6 +544,28 @@ def test_step_count_past_any_grid_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "steps" in err, err
     if "--method trajectory" in argv:  # the step comes from the energy window, not a flag
         assert "--t " in err and "energy window" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    "revival --n 10 --w 6 --dt 1e-12 --t-max 1",  # 1e12 steps: 7.3 TiB of grid times
+    "revival --n 2 --w 2.5 --t-max 1e6",  # 1e8 steps at the default dt
+    "spectrum --method trajectory --t 1e6 --e0 1e6 --omega 0.5",  # 5e12 steps
+])
+def test_step_budget_exits_1_before_any_output_sized_array(tmp_path, capsys, argv):
+    # a run's memory is its output plus fixed blocks, so the step count is the one size
+    # to admit: past STEP_BUDGET the run stops at the boundary, with an error line and
+    # a traced peak of a few MB
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([*argv.split(), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: ") and f"budget of {STEP_BUDGET} steps" in err, err
+    assert peak <= 5e6
 
 
 @pytest.mark.parametrize("method", ["asymptotic", "trajectory"])

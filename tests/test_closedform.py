@@ -347,6 +347,8 @@ def sideband_loops(params, e):
         n_max = truncation_order(abs(u / om), closedform.FLOQUET_TAIL_TOL)
         for n in range(-n_max, n_max + 1):
             amp += (-1j) ** n * bessel_j(n, u / om) / (e - e0 - n * om + 0.5j)
+    elif params.barrier_drive is None:  # an idle drive is dropped: the one line
+        amp += 1.0 / (e - e0 + 0.5j)
     else:
         al, om = params.barrier_drive.alpha, params.barrier_drive.omega
         xi = al / om
@@ -634,3 +636,23 @@ def test_first_sideband_more_pronounced_for_barrier_drive():
     lv = closedform.floquet_spectrum(level, 0.2)
     br = closedform.floquet_spectrum(barrier, 0.2)
     assert br > lv
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+def test_closed_forms_in_chunks_are_the_one_pass_forms_bit_for_bit(monkeypatch, chunks, extra):
+    # chunk - 1, chunk, chunk + 1 and 3 chunk + 5 times (3 chunk - 1 .. 3 chunk + 1 too),
+    # over both signs of t with t = 0 and the |Q t| < 2 times of the Lorentzian inside
+    size = chunks * closedform._CHUNK + extra
+    t = np.linspace(-12.0, 9.0, size)
+    t[size // 3] = 0.0
+    static = SystemParams(e0=0.4)
+    driven = SystemParams(e0=-0.2, level_drive=LevelDrive(1.5, 2.0),
+                          barrier_drive=BarrierDrive(0.5, 3.0))
+    forms = [lambda t: closedform.b0_lorentzian_static(static, 4.0, t),
+             lambda t: closedform.b0_markovian_driven(driven, t)]
+    got = [f(t) for f in forms]
+    monkeypatch.setattr(closedform, "_CHUNK", 1 << 40)
+    for part, f in zip(got, forms):
+        one_pass = f(t)
+        assert part.shape == (size,) and np.array_equal(part.view(float), one_pass.view(float))

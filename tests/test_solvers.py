@@ -218,6 +218,46 @@ def test_volterra_rejects_a_kernel_that_is_not_modes(kernel, steps):
         solve(SystemParams(e0=0.5), sd, cfg, "volterra")
 
 
+@pytest.mark.parametrize("drive", [{"level_drive": LevelDrive(0.5, 2.0)},
+                                   {"barrier_drive": BarrierDrive(0.5, 2.0)}],
+                         ids=["level", "barrier"])
+def test_driven_volterra_divergence_names_the_first_step_in_a_later_chunk(drive):
+    # the node values come a chunk of _CHUNK_BLOCKS blocks at a time: a blow-up past
+    # the first chunk is named at its own step, as the direct scheme finds it
+    p = SystemParams(e0=0.3, **drive)
+    sd = WeightedLorentzian(lam=4.0, weight=-0.1)
+    cfg = SolverConfig(dt=5e-3, t_end=20.0)
+    times, ref = volterra_reference(p, sd, cfg)
+    assert abs(ref[-1]) > DIVERGENCE_LIMIT and times.size - 1 > _CHUNK_BLOCKS * _BLOCK
+    with pytest.raises(SolverError, match=f"at t = {times[-1]:.4g}$"):
+        solve(p, sd, cfg, "volterra")
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    level=st.booleans(),
+    e0=st.floats(-2.0, 2.0),
+    omega=st.floats(0.1, 60.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_idle_drive_is_no_drive_on_every_route(level, e0, omega, sign):
+    # LevelDrive(0, omega) and BarrierDrive(0, omega) are dropped: every route runs the
+    # static path bit for bit, on the same default step (omega no longer counts), and
+    # the Lorentzian closed form accepts them
+    drive = {"level_drive": LevelDrive(0.0, omega)} if level else {
+        "barrier_drive": BarrierDrive(0.0, omega)}
+    idle, bare = SystemParams(e0=e0, **drive), SystemParams(e0=e0)
+    assert idle == bare and idle.static
+    for sd in (WideBand(), Lorentzian(4.0), Semicircle(6.0), FiniteChain(20, 4.0)):
+        assert default_dt(idle, sd) == default_dt(bare, sd)
+        cfg = SolverConfig(dt=default_dt(bare, sd), t_end=sign * 1.5)
+        for method in routes_for(sd):
+            traj, ref = solve(idle, sd, cfg, method), solve(bare, sd, cfg, method)
+            assert traj.method == ref.method and np.array_equal(traj.b0, ref.b0)
+            if isinstance(sd, FiniteChain):
+                assert traj.method == "eigendecomposition"
+
+
 def test_volterra_divergence_guard():
     # a negative-weight kernel is unphysical and feeds the amplitude: the
     # solver must detect the blow-up instead of returning garbage, at the
@@ -242,11 +282,13 @@ def test_volterra_divergence_guard():
 
 
 def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeypatch):
-    # the recurrence returns y, the caller's b0, with the carried modes at its block
-    # ends, and keeps g one block at a time: y is the run's one n-long array. The
-    # 48,000-step lambda = 200 run peaks at 3.15 MB traced, and a second g of the whole
-    # run (0.77 MB) would take it past the bound. Every static run is found static, the
-    # chain under an idle drive at E0 = 0 too, whose node values are constant
+    # the recurrence returns y, the caller's b0, with sum_r a_r |M_r|^2 at its block ends
+    # and M at the last step, keeps g one block at a time and takes a static run's node
+    # values as constants: y is the run's one n-long array. The 48,000-step lambda = 200
+    # run peaks at 1.54 MB traced; with n-long node values (w, E0 and -i E0) it read
+    # 3.03 MB, and a second g of the whole run (0.77 MB) would take it past the bound too.
+    # Every static run is found static; a chain under an idle drive is the static chain,
+    # solved by its secular equation without the recurrence
     runs, static = [], []
     recurrence, responses = solvers._memory_recurrence, solvers._block_responses
 
@@ -261,11 +303,11 @@ def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeyp
     solve_volterra(SystemParams(e0=0.7), Semicircle(6.0), cfg)
     solve_volterra(SystemParams(e0=0.7), Lorentzian(4.0), replace(cfg, t_end=-2.0))
     idle, chain = SystemParams(e0=0.0, level_drive=LevelDrive(u=0.0, omega=2.0)), FiniteChain(20, 4.0)
-    solve(idle, chain, SolverConfig(dt=default_dt(idle, chain), t_end=1.5))
-    assert len(static) == 3
-    for y, (ends, amps) in runs:
-        assert y.size == ends[-1] + 1 and amps.shape[0] == ends.size
-    assert [amps.shape[1] for _, (_, amps) in runs[1:]] == [1, 20]
+    traj = solve(idle, chain, SolverConfig(dt=default_dt(idle, chain), t_end=1.5))
+    assert traj.method == "eigendecomposition" and len(runs) == len(static) == 2
+    for y, ends, mass, m_end in runs:
+        assert y.size == ends[-1] + 1 and mass.shape == ends.shape
+    assert runs[1][3].shape == (1,)
     p, sd = SystemParams(e0=0.3), Lorentzian(200.0)
     tracemalloc.start()
     try:
@@ -273,7 +315,22 @@ def test_static_recurrence_keeps_y_and_g_in_one_array_when_they_coincide(monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.times.size == 48_001 and peak <= 3.5e6
+    assert traj.times.size == 48_001 and peak <= 2.0e6
+
+
+def test_long_static_volterra_memory_holds_no_block_end_table():
+    # the semicircle, W = 6, to t = 400: 96,000 steps and 1,289 modes. Measured peak
+    # 11.35 MB: b0 (1.54 MB) and the phase table of B = 256 lags by 1,289 modes
+    # (5.3 MB) with the block responses. The modes at the 376 block ends (7.7 MB) held
+    # 18.7 MB; n-long node values (w and -i E0, 2.3 MB) would pass the bound too
+    p, sd = SystemParams(e0=0.5), Semicircle(6.0)
+    tracemalloc.start()
+    try:
+        traj = solve_volterra(p, sd, SolverConfig(dt=default_dt(p, sd), t_end=400.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 96_001 and peak <= 12.5e6
 
 
 @settings(max_examples=18, derandomize=True, deadline=None)  # 23 with the five below
@@ -373,8 +430,9 @@ def test_block_length_keeps_the_phase_table_within_its_budget(
                         lambda *a: runs.append(recurrence(*a)) or runs[-1])
     drive = LevelDrive(u=1.0, omega=2.0) if driven else None
     solve_volterra(SystemParams(e0=0.3, level_drive=drive), sd, SolverConfig(dt, steps * dt))
-    (_, (ends, amps)), = runs
-    assert ends[0] == block and ends[-1] == steps and amps.shape[1] == modes
+    (_, ends, mass, m_end), = runs
+    assert ends[0] == block and ends[-1] == steps and m_end.shape == (modes,)
+    assert mass.shape == ends.shape
 
 
 @pytest.mark.parametrize(

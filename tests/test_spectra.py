@@ -155,6 +155,13 @@ def test_trajectory_dt_lands_on_t_end_within_both_limits(e0, u, omega, barrier, 
         "level_drive": LevelDrive(u, omega)}
     p = SystemParams(e0=e0, **drive)
     energies = np.array([-0.5 * emax, e0, emax])
+    top, widest = float(np.max(np.abs(energies))), solvers.default_dt(p, WideBand())
+    if top > 0.0:
+        widest = min(widest, spectra.TRAJECTORY_SAFETY * spectra.TRAJECTORY_PHASE_LIMIT / top)
+    if t_end / widest > solvers.STEP_BUDGET:
+        with pytest.raises(ModelError, match="budget"):  # rejected before any array
+            spectra.trajectory_dt(p, energies, t_end)
+        return
     dt = spectra.trajectory_dt(p, energies, t_end)
     n = round(t_end / dt)
     assert n >= 1 and abs(n * dt - t_end) <= math.ulp(t_end)
@@ -514,3 +521,37 @@ def test_trajectory_spectrum_rejects_non_finite_energies(bad):
     traj = solve_wideband(SystemParams(e0=0.0), SolverConfig(dt=1e-2, t_end=1.0))
     with pytest.raises(ModelError, match="finite"):
         spectrum_from_trajectory(traj, [0.0, bad])
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5])
+def test_uniform_sum_in_chunks_is_the_one_pass_sum_bit_for_bit(monkeypatch, chunks, extra):
+    # chunk - 1, chunk, chunk + 1 and 3 chunk + 5 targets (3 chunk - 1 .. 3 chunk + 1 too):
+    # each target's gather, weights and phase read only its own x
+    size = chunks * closedform._CHUNK + extra
+    rng = np.random.default_rng(size)
+    g = rng.uniform(0.0, 1.0, 700) * np.exp(2j * np.pi * rng.uniform(size=700))
+    x = rng.uniform(-0.2, 0.2, size)
+    got = spectra._uniform_sum(g, x)
+    monkeypatch.setattr(closedform, "_CHUNK", 1 << 40)
+    one_pass = spectra._uniform_sum(g, x)
+    assert got.shape == (size,) and np.array_equal(got.view(float), one_pass.view(float))
+
+
+def test_trajectory_spectrum_memory_holds_no_whole_grid_temporaries():
+    # the benchmark's spectrum-barrier-traj job at E0 = 0.3: 20,950 energies from 7,380
+    # times. Measured peak 1.21 MB: the FFT grid (16,384 points, 0.26 MB), the result
+    # (0.34 MB), the targets x = E dt (0.17 MB), the weighted samples (0.12 MB) and one
+    # chunk of per-target arrays. Every per-target array over the whole grid at once,
+    # and a second grid from an out-of-place inverse FFT, held 2.91 MB
+    p = SystemParams(e0=0.3, barrier_drive=BarrierDrive(0.1, 2.0))
+    grid = energy_grid(p, tail_halfwidth=spectra.conservation_window(p, math.exp(-2.0)))
+    traj = solve_wideband(p, SolverConfig(spectra.trajectory_dt(p, grid, 2.0), 2.0))
+    tracemalloc.start()
+    try:
+        spec = spectrum_from_trajectory(traj, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.energies.size == 20_950 and traj.times.size == 7_380
+    assert peak <= 1.6e6
